@@ -97,11 +97,29 @@ let run_strategy strategy sname =
          in
          Bb.checksum (Group.scatter gm ~root:0 parts)) ]
 
+(* Cost of the 1024-rank group's circuit on a fresh grid: CPU time of
+   [Padico.circuit] and the heap it retains, the nodes' transport stacks
+   included. *)
+let circuit_cost () =
+  let g = Gridgen.generate ~clusters ~nodes_per_cluster:per_cluster () in
+  Gc.compact ();
+  let w0 = (Gc.stat ()).Gc.live_words and t0 = Sys.time () in
+  let cts = Padico.circuit g.Gridgen.grid ~name:"e13-cost" g.Gridgen.nodes in
+  let cpu_s = Sys.time () -. t0 in
+  Gc.compact ();
+  let words = (Gc.stat ()).Gc.live_words - w0 in
+  ignore (Sys.opaque_identity cts);
+  let mb = float_of_int (words * (Sys.word_size / 8)) /. 1048576.0 in
+  Printf.printf "circuit: %.3f s CPU to create, %.1f MB retained\n\n" cpu_s mb;
+  Bhelp.record ~experiment:"e13" "circuit_create_s" cpu_s;
+  Bhelp.record ~experiment:"e13" "circuit_retained_mb" mb
+
 let run () =
   Scenario.print_header
     (Printf.sprintf
        "E13: collectives at grid scale (%d clusters x %d nodes = %d ranks)"
        clusters per_cluster (clusters * per_cluster));
+  circuit_cost ();
   let flat = run_strategy Group.Flat "flat" in
   let ml = run_strategy Group.Multilevel "ml" in
   Printf.printf

@@ -3,7 +3,11 @@ module Stats = Engine.Stats
 module Trace = Padico_obs.Trace
 module Metrics = Padico_obs.Metrics
 
-type adapter = { a_name : string; a_sendv : Bytebuf.t list -> unit }
+type adapter = { a_name : string; a_sendv : dst:int -> Bytebuf.t list -> unit }
+
+(* Placeholder for links no adapter is bound to yet, compared by identity:
+   a bare adapter array costs one word per link. *)
+let unbound_link = { a_name = ""; a_sendv = (fun ~dst:_ _ -> ()) }
 
 type incoming = { payload : Bytebuf.t; src : int; mutable pos : int }
 
@@ -11,7 +15,7 @@ type t = {
   cname : string;
   crank : int;
   group : Simnet.Node.t array;
-  links : adapter option array;
+  links : adapter array; (* [unbound_link] until bound *)
   (* Messages packed before the link adapter is bound (e.g. while a WAN
      VLink bundle is still connecting) wait here, each with its optional
      completion hook. *)
@@ -41,7 +45,8 @@ let create ~group ~rank ~name =
     invalid_arg "Ct.create: rank out of range";
   let scope = Metrics.Node (Simnet.Node.name group.(rank)) in
   { cname = name; crank = rank; group;
-    links = Array.make (Array.length group) None; unbound = Hashtbl.create 4;
+    links = Array.make (Array.length group) unbound_link;
+    unbound = Hashtbl.create 4;
     pending_rx = Queue.create (); recv = None; on_peer_down = None;
     sent = Metrics.fresh_counter scope ("ct." ^ name ^ ".sent");
     received = Metrics.fresh_counter scope ("ct." ^ name ^ ".received") }
@@ -56,24 +61,27 @@ let node_of_rank t r =
     invalid_arg "Ct.node_of_rank: rank out of range";
   t.group.(r)
 
-let set_link t ~dst adapter =
-  if dst < 0 || dst >= Array.length t.group then
-    invalid_arg "Ct.set_link: rank out of range";
-  t.links.(dst) <- Some adapter;
-  match Hashtbl.find_opt t.unbound dst with
-  | Some q ->
-    Hashtbl.remove t.unbound dst;
-    Queue.iter
-      (fun (iov, on_sent) ->
-         adapter.a_sendv iov;
-         match on_sent with Some f -> f () | None -> ())
-      q
-  | None -> ()
+let set_links t ~ranks adapter =
+  List.iter
+    (fun dst ->
+       if dst < 0 || dst >= Array.length t.group then
+         invalid_arg "Ct.set_links: rank out of range";
+       t.links.(dst) <- adapter;
+       match Hashtbl.find_opt t.unbound dst with
+       | Some q ->
+         Hashtbl.remove t.unbound dst;
+         Queue.iter
+           (fun (iov, on_sent) ->
+              adapter.a_sendv ~dst iov;
+              match on_sent with Some f -> f () | None -> ())
+           q
+       | None -> ())
+    ranks
 
 let link_adapter_name t ~dst =
   match t.links.(dst) with
-  | Some a -> a.a_name
-  | None ->
+  | a when a != unbound_link -> a.a_name
+  | _ ->
     invalid_arg
       (Printf.sprintf
          "Ct.link_adapter_name: circuit %s has no adapter bound for the \
@@ -106,8 +114,8 @@ let end_packing ?on_sent out =
            bytes =
              List.fold_left (fun a b -> a + Bytebuf.length b) 0 out.pieces });
   match t.links.(out.dst) with
-  | None ->
-    (* Adapter not bound yet: hold the message, flushed by set_link. *)
+  | a when a == unbound_link ->
+    (* Adapter not bound yet: hold the message, flushed by set_links. *)
     let q =
       match Hashtbl.find_opt t.unbound out.dst with
       | Some q -> q
@@ -117,9 +125,9 @@ let end_packing ?on_sent out =
         q
     in
     Queue.push (List.rev out.pieces, on_sent) q
-  | Some a ->
+  | a ->
     Simnet.Node.cpu_async (node t) Calib.circuit_op_ns (fun () ->
-        a.a_sendv (List.rev out.pieces);
+        a.a_sendv ~dst:out.dst (List.rev out.pieces);
         match on_sent with Some f -> f () | None -> ())
 
 let unpack inc n =

@@ -8,16 +8,20 @@
     of ranks) is bound to an adapter — straight ({!Ct_madio} on SAN,
     {!Ct_loopback} intra-node) or cross-paradigm ({!Ct_sysio} over TCP,
     {!Ct_vlink} over any VLink, e.g. parallel streams on a WAN); one
-    instance can mix adapters across links. *)
+    instance can mix adapters across links. An adapter serves one (member,
+    segment) {e binding}: every rank the member reaches over that network,
+    told the destination per send ({!Ct_loopback} and {!Ct_vlink} are per
+    pair by nature). A link costs its member one word. *)
 
 type t
 (** One member's view of a circuit (bound to its rank). *)
 
-(** Per-link transport provided by adapters. *)
+(** Transport provided by an adapter for one binding: shared by all the
+    links ({!set_links}) a member reaches through it. *)
 type adapter = {
   a_name : string;
-  a_sendv : Engine.Bytebuf.t list -> unit;
-      (** gathered send towards the link's remote rank *)
+  a_sendv : dst:int -> Engine.Bytebuf.t list -> unit;
+      (** gathered send towards remote rank [dst] *)
 }
 
 (** Cursor over one received message. *)
@@ -34,8 +38,8 @@ val node : t -> Simnet.Node.t
 
 val node_of_rank : t -> int -> Simnet.Node.t
 
-val set_link : t -> dst:int -> adapter -> unit
-(** Bind the link towards rank [dst]. *)
+val set_links : t -> ranks:int list -> adapter -> unit
+(** Bind the links towards every rank of [ranks] to one shared adapter. *)
 
 val link_adapter_name : t -> dst:int -> string
 (** Raises [Invalid_argument] — naming the circuit and the src/dst ranks —
@@ -52,11 +56,11 @@ val pack_int : outgoing -> int -> unit
 
 val end_packing : ?on_sent:(unit -> unit) -> outgoing -> unit
 (** Messages packed before the destination link is bound are buffered and
-    flushed when {!set_link} runs. [on_sent] fires once the message has
-    been handed to the link adapter (after the circuit-op CPU charge, or at
-    flush time for buffered messages) — a non-blocking local completion
-    hook so callers can pipeline multi-stage exchanges such as collective
-    tree rounds without suspending per send. *)
+    flushed when {!set_links} binds the link. [on_sent] fires once the
+    message has been handed to the link adapter (after the circuit-op CPU
+    charge, or at flush time for buffered messages) — a non-blocking local
+    completion hook so callers can pipeline multi-stage exchanges such as
+    collective tree rounds without suspending per send. *)
 
 (** {1 Receiving} *)
 

@@ -19,10 +19,10 @@ let bind ct ~dst =
   if Simnet.Node.uid node <> Simnet.Node.uid dst_node then
     invalid_arg "Ct_loopback.bind: destination rank is on another node";
   let src_rank = Ct.rank ct in
-  Ct.set_link ct ~dst
+  Ct.set_links ct ~ranks:[ dst ]
     { Ct.a_name = adapter_name;
       a_sendv =
-        (fun iov ->
+        (fun ~dst iov ->
            let payload = Bytebuf.concat iov in
            Simnet.Node.cpu_async node 300 (fun () ->
                match

@@ -2,21 +2,23 @@ module Madio = Netaccess.Madio
 
 let adapter_name = "madio"
 
-let bind ct mio ~lchannel_id ~ranks =
+type index = (int, int) Hashtbl.t
+
+(* Node id -> rank for the receive path (ranks sharing a node: the last). *)
+let index group =
+  let h = Hashtbl.create (Array.length group) in
+  Array.iteri (fun r node -> Hashtbl.replace h (Simnet.Node.id node) r) group;
+  h
+
+let bind ct mio ~index ~lchannel_id ~ranks =
   let lchan = Madio.open_lchannel mio ~id:lchannel_id in
-  (* Node id -> rank for the receive path. *)
-  let rank_of_node = Hashtbl.create 16 in
-  for r = 0 to Ct.size ct - 1 do
-    Hashtbl.replace rank_of_node (Simnet.Node.id (Ct.node_of_rank ct r)) r
-  done;
   Madio.set_recv lchan (fun ~src payload ->
-      match Hashtbl.find_opt rank_of_node src with
+      match Hashtbl.find_opt index src with
       | Some rank -> Ct.deliver ct ~src:rank payload
       | None -> ());
-  List.iter
-    (fun dst ->
-       let dst_node = Simnet.Node.id (Ct.node_of_rank ct dst) in
-       Ct.set_link ct ~dst
-         { Ct.a_name = adapter_name;
-           a_sendv = (fun iov -> Madio.sendv lchan ~dst:dst_node iov) })
-    ranks
+  Ct.set_links ct ~ranks
+    { Ct.a_name = adapter_name;
+      a_sendv =
+        (fun ~dst iov ->
+           Madio.sendv lchan ~dst:(Simnet.Node.id (Ct.node_of_rank ct dst))
+             iov) }

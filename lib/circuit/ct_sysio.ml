@@ -24,26 +24,24 @@ let rx_pump ct st conn =
     | None -> ()
   in
   drain ();
-  let continue = ref true in
-  while !continue do
+  let have n = Streamq.length st.pending >= n in
+  let rec decode () =
     match (st.src_rank, st.want) with
-    | None, _ ->
-      if Streamq.length st.pending >= 2 then
-        st.src_rank <-
-          Some (Bytebuf.get_u16 (Streamq.pop_exact st.pending 2) 0)
-      else continue := false
-    | Some _, None ->
-      if Streamq.length st.pending >= frame_hdr then
-        st.want <- Some (Bytebuf.get_u32 (Streamq.pop_exact st.pending frame_hdr) 0)
-      else continue := false
-    | Some src, Some len ->
-      if Streamq.length st.pending >= len then begin
-        let payload = Streamq.pop_exact st.pending len in
-        st.want <- None;
-        Ct.deliver ct ~src payload
-      end
-      else continue := false
-  done
+    | None, _ when have 2 ->
+      st.src_rank <- Some (Bytebuf.get_u16 (Streamq.pop_exact st.pending 2) 0);
+      decode ()
+    | Some _, None when have frame_hdr ->
+      st.want <-
+        Some (Bytebuf.get_u32 (Streamq.pop_exact st.pending frame_hdr) 0);
+      decode ()
+    | Some src, Some len when have len ->
+      let payload = Streamq.pop_exact st.pending len in
+      st.want <- None;
+      Ct.deliver ct ~src payload;
+      decode ()
+    | _ -> ()
+  in
+  decode ()
 
 (* Outbound link: lazy connection with an elastic pending queue flushed on
    Writable. *)
@@ -53,22 +51,17 @@ type tx_state = {
   mutable established : bool;
 }
 
-let tx_flush tx =
+let rec tx_flush tx =
   match (tx.conn, tx.established) with
-  | Some conn, true ->
-    let continue = ref true in
-    while !continue do
-      let space = Sysio.write_space conn in
-      if space <= 0 then continue := false
-      else
-        match Streamq.pop tx.outq ~max:space with
-        | Some chunk ->
-          let n = Sysio.write conn chunk in
-          (* [space] bounds the pop, so the write cannot be partial. *)
-          assert (n = Bytebuf.length chunk);
-          if Streamq.is_empty tx.outq then continue := false
-        | None -> continue := false
-    done
+  | Some conn, true -> (
+    let space = Sysio.write_space conn in
+    match if space > 0 then Streamq.pop tx.outq ~max:space else None with
+    | Some chunk ->
+      let n = Sysio.write conn chunk in
+      (* [space] bounds the pop, so the write cannot be partial. *)
+      assert (n = Bytebuf.length chunk);
+      if not (Streamq.is_empty tx.outq) then tx_flush tx
+    | None -> ())
   | _ -> ()
 
 let bind ct sio stack ~port ~ranks =
@@ -94,51 +87,44 @@ let bind ct sio stack ~port ~ranks =
             before this handler runs. Drain whatever is already buffered. *)
          rx_pump ct st conn)
    with Invalid_argument _ -> ());
-  List.iter
-    (fun dst ->
-       (* Per-destination queue and connection materialize on first send:
-          grid-scale groups bind thousands of links per node while each
-          node actually talks to a handful of tree neighbours, so eager
-          allocation here dominated circuit construction. *)
-       let tx_ref = ref None in
-       let ensure_tx () =
-         match !tx_ref with
-         | Some tx -> tx
-         | None ->
-           let tx =
-             { outq = Streamq.create (); conn = None; established = false }
-           in
-           tx_ref := Some tx;
-           let dst_node = Simnet.Node.id (Ct.node_of_rank ct dst) in
-           let conn =
-             Sysio.connect sio stack ~dst:dst_node ~port (fun conn ev ->
-                 match ev with
-                 | Tcp.Established ->
-                   tx.established <- true;
-                   let hello = Bytebuf.create 2 in
-                   Bytebuf.set_u16 hello 0 (Ct.rank ct);
-                   ignore (Sysio.write conn hello);
-                   tx_flush tx
-                 | Tcp.Writable -> tx_flush tx
-                 | Tcp.Peer_closed | Tcp.Reset ->
-                   tx.established <- false;
-                   Ct.peer_down ct ~rank:dst
-                 | Tcp.Readable -> ())
-           in
-           tx.conn <- Some conn;
-           tx
-       in
-       Ct.set_link ct ~dst
-         { Ct.a_name = adapter_name;
-           a_sendv =
-             (fun iov ->
-                let tx = ensure_tx () in
-                let len =
-                  List.fold_left (fun a b -> a + Bytebuf.length b) 0 iov
-                in
-                let hdr = Bytebuf.create frame_hdr in
-                Bytebuf.set_u32 hdr 0 len;
-                Streamq.push tx.outq hdr;
-                List.iter (Streamq.push tx.outq) iov;
-                tx_flush tx) })
-    ranks
+  (* Per-destination queue and connection materialize on first send:
+     grid-scale groups bind thousands of links per node while each node
+     actually talks to a handful of tree neighbours, so one adapter serves
+     the whole binding and per-link state exists only for links in use. *)
+  let txs : (int, tx_state) Hashtbl.t = Hashtbl.create 8 in
+  let tx_of dst =
+    match Hashtbl.find_opt txs dst with
+    | Some tx -> tx
+    | None ->
+      let tx = { outq = Streamq.create (); conn = None; established = false } in
+      Hashtbl.replace txs dst tx;
+      let dst_node = Simnet.Node.id (Ct.node_of_rank ct dst) in
+      let conn =
+        Sysio.connect sio stack ~dst:dst_node ~port (fun conn ev ->
+            match ev with
+            | Tcp.Established ->
+              tx.established <- true;
+              let hello = Bytebuf.create 2 in
+              Bytebuf.set_u16 hello 0 (Ct.rank ct);
+              ignore (Sysio.write conn hello);
+              tx_flush tx
+            | Tcp.Writable -> tx_flush tx
+            | Tcp.Peer_closed | Tcp.Reset ->
+              tx.established <- false;
+              Ct.peer_down ct ~rank:dst
+            | Tcp.Readable -> ())
+      in
+      tx.conn <- Some conn;
+      tx
+  in
+  Ct.set_links ct ~ranks
+    { Ct.a_name = adapter_name;
+      a_sendv =
+        (fun ~dst iov ->
+           let tx = tx_of dst in
+           let len = List.fold_left (fun a b -> a + Bytebuf.length b) 0 iov in
+           let hdr = Bytebuf.create frame_hdr in
+           Bytebuf.set_u32 hdr 0 len;
+           Streamq.push tx.outq hdr;
+           List.iter (Streamq.push tx.outq) iov;
+           tx_flush tx) }

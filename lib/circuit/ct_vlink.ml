@@ -13,21 +13,20 @@ let rec read_loop ct ~dst vl pending want =
   Vl.set_handler req (function
     | Vl.Done n ->
       Streamq.push pending (Bytebuf.sub buf 0 n);
-      let continue = ref true in
-      while !continue do
+      let rec decode () =
         match !want with
-        | None ->
-          if Streamq.length pending >= frame_hdr then
-            want := Some (Bytebuf.get_u32 (Streamq.pop_exact pending frame_hdr) 0)
-          else continue := false
-        | Some len ->
-          if Streamq.length pending >= len then begin
-            let payload = Streamq.pop_exact pending len in
-            want := None;
-            Ct.deliver ct ~src:dst payload
-          end
-          else continue := false
-      done;
+        | None when Streamq.length pending >= frame_hdr ->
+          want :=
+            Some (Bytebuf.get_u32 (Streamq.pop_exact pending frame_hdr) 0);
+          decode ()
+        | Some len when Streamq.length pending >= len ->
+          let payload = Streamq.pop_exact pending len in
+          want := None;
+          Ct.deliver ct ~src:dst payload;
+          decode ()
+        | _ -> ()
+      in
+      decode ();
       read_loop ct ~dst vl pending want
     (* Again never surfaces from blocking posts; treated as EOF-ish stop. *)
     | Vl.Again | Vl.Eof | Vl.Error _ -> ())
@@ -41,10 +40,10 @@ let bind_link ct ~dst vl =
     Vl.on_event vl (function
       | Vl.Connected -> start ()
       | Vl.Readable | Vl.Writable | Vl.Peer_closed | Vl.Failed _ -> ());
-  Ct.set_link ct ~dst
+  Ct.set_links ct ~ranks:[ dst ]
     { Ct.a_name = adapter_name;
       a_sendv =
-        (fun iov ->
+        (fun ~dst:_ iov ->
            let len = List.fold_left (fun a b -> a + Bytebuf.length b) 0 iov in
            let hdr = Bytebuf.create frame_hdr in
            Bytebuf.set_u32 hdr 0 len;

@@ -105,7 +105,7 @@ type t = {
   wbytes : Stats.Counter.t;
   (* Flat-array per-member state, allocated once at creation and reused by
      every operation — no per-round allocation beyond outgoing buffers. *)
-  slots : Bb.t option array; (* gather contributions / scatter entries *)
+  mutable slots : Bb.t option array; (* gather/scatter entries; lazy *)
   pending : (int * int * int * int * int * Bb.t) Queue.t;
   (* seq, src, hdr, epoch, digest, body *)
   mutable on_sent : unit -> unit; (* single hook, see create *)
@@ -530,6 +530,12 @@ let read_buf body pos len =
   pos := !pos + len;
   b
 
+(* Only gather and scatter use the slots: allocated by the first one. *)
+let reset_slots t =
+  if t.op = Gather || t.op = Scatter then
+    if Array.length t.slots = 0 then t.slots <- Array.make t.n None
+    else Array.fill t.slots 0 t.n None
+
 let pack_entries t out keep =
   (* Pack the slot entries selected by [keep] as [count; (rank; len;
      payload)...]. Returns body bytes. *)
@@ -937,7 +943,7 @@ and restart_active t h =
       t.mc <- Array.length (Netdb.members t.db t.c_me);
       t.base <- Netdb.position t.db (croot t t.c_me);
       t.v_me <- (Netdb.position t.db t.rank - t.base + t.mc) mod t.mc;
-      Array.fill t.slots 0 t.n None;
+      reset_slots t;
       (match t.op with
        | Barrier -> t.acc <- None
        | Bcast ->
@@ -1090,7 +1096,7 @@ let begin_op t op ~root finish =
       t.mc <- Array.length (Netdb.members t.db t.c_me);
       t.base <- Netdb.position t.db (croot t t.c_me);
       t.v_me <- (Netdb.position t.db t.rank - t.base + t.mc) mod t.mc;
-      Array.fill t.slots 0 t.n None;
+      reset_slots t;
       t.acc <- None;
       (match t.heal with
        | None ->
@@ -1304,7 +1310,7 @@ let create ?(strategy = Multilevel) ?deadline_ns ?heal padico ~name nodes =
        let node = Ct.node ct in
        let t =
          { gname = name; strategy; deadline_ns; clk = Node.clock node; ct;
-           db = db0; rank; n; wmsgs; wbytes; slots = Array.make n None;
+           db = db0; rank; n; wmsgs; wbytes; slots = [||];
            pending = Queue.create (); on_sent = (fun () -> ()); heal = None;
            seq = 0; active = false; op = Barrier; root = 0; rop = Sum;
            expect_up = 0; expect_down = 0; sends_pending = 0; acc = None;

@@ -279,11 +279,6 @@ and connect_with_choice t ~src ~dst ~port choice =
 
 (* ---------- circuits ---------- *)
 
-let common_san t a b =
-  List.find_opt
-    (fun s -> is_san s)
-    (Net.links_between t.pnet a b)
-
 let circuit t ~name nodes =
   let group = Array.of_list nodes in
   let n = Array.length group in
@@ -295,82 +290,68 @@ let circuit t ~name nodes =
   (* one shared TCP port + one pstream port per directed pair *)
   t.next_circuit_port <- t.next_circuit_port + 1 + (n * n);
   let cts = Array.init n (fun rank -> Ct.create ~group ~rank ~name) in
+  let index = Circuit.Ct_madio.index group in
   let pair_port i j = port_base + 1 + (i * n) + j in
   for i = 0 to n - 1 do
     let node_i = group.(i) in
-    (* Group SAN-reachable peers per segment so MadIO binds once. *)
-    let madio_ranks : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
-    let sysio_ranks : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
+    (* Rank the member's segments once; each peer goes to the first SAN
+       they share, else to the first (fastest) shared segment. *)
+    let segs = Array.of_list (Net.ranked_segments_of t.pnet node_i) in
+    let nsegs = Array.length segs in
+    let ranks = Array.make nsegs [] in
     for j = 0 to n - 1 do
       if j <> i then begin
         let node_j = group.(j) in
         if Node.uid node_i = Node.uid node_j then
           Circuit.Ct_loopback.bind cts.(i) ~dst:j
         else
-          match common_san t node_i node_j with
-          | Some seg ->
-            let key = Segment.uid seg in
-            let ranks =
-              (* Host backend: the SAN pair rides SysIO streams too. *)
-              if t.pbackend = Sim then madio_ranks else sysio_ranks
-            in
-            (match Hashtbl.find_opt ranks key with
-             | Some l -> l := j :: !l
-             | None -> Hashtbl.replace ranks key (ref [ j ]))
-          | None ->
-            let best = Net.best_link t.pnet node_i node_j in
-            (match best with
-             | Some seg
-               when (Segment.model seg).Linkmodel.class_ = Linkmodel.Wan
-                    && t.pprefs.Prefs.pstream_on_wan ->
-               (* WAN link: circuit over a parallel-streams VLink. The
-                  lower rank connects, the higher accepts; the per-pair
-                  port disambiguates. *)
-               let sio = sysio node_i in
-               let stack = Sysio.stack_on sio seg in
-               if i < j then begin
-                 let vl =
-                   Vlink.Vl_pstream.connect sio stack ~dst:(Node.id node_j)
-                     ~port:(pair_port i j) ~streams:t.pprefs.Prefs.pstream_streams
-                 in
-                 Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl
-               end
-               else
-                 Vlink.Vl_pstream.listen sio stack ~port:(pair_port j i)
-                   (fun vl -> Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl)
-             | Some seg ->
-               let key = Segment.uid seg in
-               (match Hashtbl.find_opt sysio_ranks key with
-                | Some l -> l := j :: !l
-                | None -> Hashtbl.replace sysio_ranks key (ref [ j ]))
-             | None ->
-               failwith
-                 (Printf.sprintf
-                    "Padico.circuit: no common network between %s and %s"
-                    (Node.name node_i) (Node.name node_j)))
+          let rec pick k best =
+            if k = nsegs then best
+            else if not (Segment.attached segs.(k) node_j) then
+              pick (k + 1) best
+            else if is_san segs.(k) then k
+            else pick (k + 1) (if best < 0 then k else best)
+          in
+          match pick 0 (-1) with
+          | -1 ->
+            failwith
+              (Printf.sprintf
+                 "Padico.circuit: no common network between %s and %s"
+                 (Node.name node_i) (Node.name node_j))
+          | k
+            when (Segment.model segs.(k)).Linkmodel.class_ = Linkmodel.Wan
+                 && t.pprefs.Prefs.pstream_on_wan ->
+            (* WAN link: circuit over a parallel-streams VLink. The lower
+               rank connects, the higher accepts; the per-pair port
+               disambiguates. *)
+            let sio = sysio node_i in
+            let stack = Sysio.stack_on sio segs.(k) in
+            if i < j then begin
+              let vl =
+                Vlink.Vl_pstream.connect sio stack ~dst:(Node.id node_j)
+                  ~port:(pair_port i j) ~streams:t.pprefs.Prefs.pstream_streams
+              in
+              Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl
+            end
+            else
+              Vlink.Vl_pstream.listen sio stack ~port:(pair_port j i)
+                (fun vl -> Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl)
+          | k -> ranks.(k) <- j :: ranks.(k)
       end
     done;
-    (* Bind grouped adapters. *)
-    (* The segment is attached to [node_i] by construction: resolve its uid
-       through the node's own adjacency, not the whole grid. *)
-    let seg_of_uid uid =
-      List.find
-        (fun s -> Segment.uid s = uid)
-        (Net.segments_of t.pnet node_i)
-    in
-    Hashtbl.iter
-      (fun seg_uid ranks ->
-         Circuit.Ct_madio.bind cts.(i)
-           (madio t node_i (seg_of_uid seg_uid))
-           ~lchannel_id:lchan ~ranks:!ranks)
-      madio_ranks;
-    Hashtbl.iter
-      (fun seg_uid ranks ->
-         let sio = sysio node_i in
-         Circuit.Ct_sysio.bind cts.(i) sio
-           (Sysio.stack_on sio (seg_of_uid seg_uid))
-           ~port:port_base ~ranks:!ranks)
-      sysio_ranks
+    (* One adapter per (member, segment) binding. On the host backend the
+       SAN pairs ride SysIO streams too. *)
+    Array.iteri
+      (fun k -> function
+         | [] -> ()
+         | ranks when is_san segs.(k) && t.pbackend = Sim ->
+           Circuit.Ct_madio.bind cts.(i) (madio t node_i segs.(k)) ~index
+             ~lchannel_id:lchan ~ranks
+         | ranks ->
+           let sio = sysio node_i in
+           Circuit.Ct_sysio.bind cts.(i) sio (Sysio.stack_on sio segs.(k))
+             ~port:port_base ~ranks)
+      ranks
   done;
   cts
 

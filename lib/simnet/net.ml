@@ -173,19 +173,17 @@ let segments_of t node =
   | Some l -> List.rev !l
   | None -> []
 
+let ranked_segments_of t node =
+  List.stable_sort
+    (fun s1 s2 ->
+       compare
+         (Segment.model s2).Linkmodel.bandwidth_bps
+         (Segment.model s1).Linkmodel.bandwidth_bps)
+    (segments_of t node)
+
 let links_between t a b =
   if Node.id a = Node.id b then [ loopback_of t a ]
-  else begin
-    let links =
-      List.filter (fun s -> Segment.attached s b) (segments_of t a)
-    in
-    List.sort
-      (fun s1 s2 ->
-         compare
-           (Segment.model s2).Linkmodel.bandwidth_bps
-           (Segment.model s1).Linkmodel.bandwidth_bps)
-      links
-  end
+  else List.filter (fun s -> Segment.attached s b) (ranked_segments_of t a)
 
 let best_link t a b =
   match links_between t a b with [] -> None | s :: _ -> Some s

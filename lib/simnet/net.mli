@@ -63,6 +63,10 @@ val segments_of : t -> Node.t -> Segment.t list
     when iterating per node: grid-scale topologies hold thousands of
     segments, but each node touches only a handful. *)
 
+val ranked_segments_of : t -> Node.t -> Segment.t list
+(** {!segments_of} by decreasing bandwidth (stable): the order of
+    {!links_between}, for callers that rank a node's links once. *)
+
 val links_between : t -> Node.t -> Node.t -> Segment.t list
 (** All segments attached to both nodes (the loopback when they are the same
     node), ordered by decreasing bandwidth. *)

@@ -151,7 +151,7 @@ let test_ordering_per_link () =
     (List.rev !tags)
 
 let test_unbound_link_buffers () =
-  (* Messages sent before set_link must be delivered after binding. *)
+  (* Messages sent before set_links must be delivered after binding. *)
   let grid, a, b, _ = Tutil.grid_pair Simnet.Presets.myrinet2000 in
   let group = [| a; b |] in
   let c0 = Ct.create ~group ~rank:0 ~name:"late" in
@@ -162,8 +162,9 @@ let test_unbound_link_buffers () =
   (* Bind afterwards. *)
   let m0 = Padico.madio grid a (Option.get (Simnet.Net.best_link (Padico.net grid) a b)) in
   let m1 = Padico.madio grid b (Option.get (Simnet.Net.best_link (Padico.net grid) a b)) in
-  Circuit.Ct_madio.bind c0 m0 ~lchannel_id:900 ~ranks:[ 1 ];
-  Circuit.Ct_madio.bind c1 m1 ~lchannel_id:900 ~ranks:[ 0 ];
+  let index = Circuit.Ct_madio.index group in
+  Circuit.Ct_madio.bind c0 m0 ~index ~lchannel_id:900 ~ranks:[ 1 ];
+  Circuit.Ct_madio.bind c1 m1 ~index ~lchannel_id:900 ~ranks:[ 0 ];
   Tutil.run_grid grid;
   match !inbox with
   | [ (0, 77, p) ] -> Tutil.check_string "buffered then sent" "early" (Bb.to_string p)
@@ -191,6 +192,122 @@ let test_errors () =
     (fun () -> ignore (Ct.link_adapter_name bare ~dst:1));
   Tutil.run_grid grid
 
+(* The adapter every link gets, restated on [Net.links_between]: loopback
+   within a node, MadIO on the first shared SAN (SysIO on the host
+   backend), otherwise the fastest shared segment over SysIO — or a
+   parallel-streams VLink when that segment is a WAN and the prefs ask
+   for it. [None]: no common network. *)
+let reference_adapter net ~host ~prefs a b =
+  let open Simnet in
+  let cls s = (Segment.model s).Linkmodel.class_ in
+  if Node.uid a = Node.uid b then Some "loopback"
+  else
+    let links = Net.links_between net a b in
+    if List.exists (fun s -> cls s = Linkmodel.San) links then
+      Some (if host then "sysio" else "madio")
+    else
+      match links with
+      | [] -> None
+      | s :: _ when cls s = Linkmodel.Wan && prefs.Selector.Prefs.pstream_on_wan
+        -> Some "vlink"
+      | _ :: _ -> Some "sysio"
+
+let seg_models =
+  Simnet.Presets.
+    [| myrinet2000; sci; ethernet100; gigabit_lan; vthd; transcontinental |]
+
+(* Random topologies: several SANs per node, SCI (a SAN) beside a faster
+   Gigabit LAN, LAN + WAN, lossy WANs, two ranks on one node, isolated
+   pairs. Construction fails on an isolated pair, and when two ranks on
+   one node would both open the circuit's MadIO channel on the same SAN.
+   The host backend only binds listeners here (SysIO connects on first
+   send), so its cases stay cheap; it skips pstream, whose connect runs at
+   construction. *)
+let prop_same_adapter_choice =
+  QCheck.Test.make ~name:"per-segment binding picks the reference adapter"
+    ~count:200 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+       let rng = Random.State.make [| seed |] in
+       let host = Random.State.int rng 8 = 0 in
+       let prefs =
+         { Selector.Prefs.default with
+           Selector.Prefs.pstream_on_wan = (not host) && Random.State.bool rng }
+       in
+       let grid =
+         Padico.create ~prefs
+           ~backend:(if host then Padico.Host else Padico.Sim) ()
+       in
+       let nodes =
+         Array.init (2 + Random.State.int rng 4) (fun i ->
+             Padico.add_node grid (Printf.sprintf "n%d" i))
+       in
+       for k = 0 to Random.State.int rng 5 do
+         let model =
+           seg_models.(Random.State.int rng (Array.length seg_models))
+         in
+         match
+           List.filter (fun _ -> Random.State.int rng 3 > 0)
+             (Array.to_list nodes)
+         with
+         | [] -> ()
+         | members ->
+           ignore
+             (Padico.add_segment grid model
+                ~name:(Printf.sprintf "s%d" k) members)
+       done;
+       let g =
+         Array.init (2 + Random.State.int rng 5) (fun _ ->
+             nodes.(Random.State.int rng (Array.length nodes)))
+       in
+       let net = Padico.net grid in
+       let expect i j = reference_adapter net ~host ~prefs g.(i) g.(j) in
+       let ranks = List.init (Array.length g) Fun.id in
+       let exists_pair f =
+         List.exists (fun i -> List.exists (f i) ranks) ranks
+       in
+       let isolated = exists_pair (fun i j -> expect i j = None) in
+       let shared_madio =
+         exists_pair (fun i i' ->
+             i <> i'
+             && Simnet.Node.uid g.(i) = Simnet.Node.uid g.(i')
+             && List.exists (fun j -> expect i j = Some "madio") ranks)
+       in
+       match Padico.circuit grid ~name:"prop" (Array.to_list g) with
+       | exception Failure _ -> isolated
+       | exception Invalid_argument _ -> shared_madio
+       | cts ->
+         (* the accepting end of a pstream link binds once connected *)
+         if not host then Tutil.run_grid grid;
+         (not isolated) && (not shared_madio)
+         && not
+              (exists_pair (fun i j ->
+                   i <> j
+                   && Some (Ct.link_adapter_name cts.(i) ~dst:j)
+                      <> expect i j)))
+
+(* A circuit keeps about one word per (member, peer) link: the adapters
+   are shared per (member, segment) binding and per-link transport state
+   only appears on first send. The nodes' transport stacks (MadIO,
+   NetAccess, GM, TCP: some 900 words per node, shared by every circuit
+   and VLink on the node) come up with the first circuit, so the pin
+   measures a second one. *)
+let test_retained_heap_per_link () =
+  let g = Scenario.Gridgen.generate ~clusters:4 ~nodes_per_cluster:128 () in
+  let grid = g.Scenario.Gridgen.grid and nodes = g.Scenario.Gridgen.nodes in
+  let n = Scenario.Gridgen.size g in
+  ignore (Padico.circuit grid ~name:"stacks" nodes);
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let cts = Padico.circuit grid ~name:"heap" nodes in
+  Gc.compact ();
+  let retained = (Gc.stat ()).Gc.live_words - before in
+  Tutil.check_int "members" n (Array.length (Sys.opaque_identity cts));
+  let pairs = n * (n - 1) in
+  if retained > 2 * pairs then
+    Alcotest.failf "circuit retains %d words for %d links (%.2f words/link)"
+      retained pairs
+      (float_of_int retained /. float_of_int pairs)
+
 let () =
   Alcotest.run "circuit"
     [ ("api",
@@ -207,7 +324,11 @@ let () =
          Alcotest.test_case "pstream vlink on WAN" `Quick
            test_pstream_vlink_adapter_on_wan;
          Alcotest.test_case "mixed adapters" `Quick
-           test_mixed_adapters_one_circuit ]);
+           test_mixed_adapters_one_circuit;
+         QCheck_alcotest.to_alcotest prop_same_adapter_choice ]);
+      ("cost",
+       [ Alcotest.test_case "retained heap per link" `Quick
+           test_retained_heap_per_link ]);
       ("traffic",
        [ Alcotest.test_case "bidirectional" `Quick test_bidirectional_traffic;
          Alcotest.test_case "ordering" `Quick test_ordering_per_link ]);
