@@ -9,18 +9,21 @@
    - per-connection wall-clock cost stays near-flat as the population
      grows 100x (budget 2.5x for 100k vs 1k) — no O(watched) scan
      anywhere on the dispatch path (readiness queues), no per-timer
-     heap entries (timewheel RTOs), no eager buffers (lazy pooled
-     rings). The budget is above 1 because the comparison deliberately
-     crosses cache tiers: a 1k gateway's whole working set fits in L2
-     (~1.3 MB live) while 100k lives in DRAM (~130 MB), so memory
-     latency grows even though the work per connection does not —
+     heap entries (timewheel RTOs), no eager buffers (a send ring
+     exists only while it holds unacknowledged data). The budget is
+     above 1 because the comparison deliberately crosses cache tiers:
+     a 1k gateway's whole live heap is ~4 MB while 100k holds ~230 MB
+     in DRAM, so memory latency grows even though the work per
+     connection does not —
      allocation per connection and resident bytes per connection are
      exactly scale-flat, which is the algorithmic claim. An O(watched)
      scan would show up as a 10-100x ratio here, not 2x;
    - idle connections do zero ready-queue work: after the run quiesces,
      every registered source is off the ready list;
    - resident bytes per connection stay under the fixed budget
-     (conn overhead + one pooled ring + transient receive bytes).
+     (conn overhead + send ring while data is unacknowledged +
+     transient receive bytes), and the measured live heap per
+     connection end is recorded beside that accounting.
 
    Sim numbers are virtual-time and deterministic, recorded under e15
    keys. Under --backend host the same scenario runs over real Unix
@@ -50,12 +53,15 @@ let run_sweep ~clients =
      same compacted heap so the ratios compare dispatch work, not the
      GC debris of whichever experiment ran before, and give the sweep a
      server-sized GC budget (large minor heap, lazy major slices, no
-     compaction) — a 100k-connection gateway holds ~130 MB live, and
+     compaction) — a 100k-connection gateway holds ~230 MB live, and
      default desktop GC pacing would charge every sweep for walking it,
      drowning the O(active) dispatch signal being measured. Dropping
      the module registries first actually frees the previous sweeps'
-     grids (they stay reachable through the uid-keyed tables). *)
+     grids (they stay reachable through the uid-keyed tables); emptying
+     the send-ring pool makes the live-heap figure count exactly the
+     rings this sweep parks there. *)
   Padico.reset ();
+  Engine.Bytebuf.Pool.reset ();
   Gc.compact ();
   let gc = Gc.get () in
   Gc.set { gc with Gc.minor_heap_size = 32 * 1024 * 1024;
@@ -66,12 +72,20 @@ let run_sweep ~clients =
   for _ = 1 to 16 * 1024 * 1024 do
     ignore (Sys.opaque_identity (ref 0))
   done;
+  let live0 = (Gc.stat ()).Gc.live_words in
   let e = Gridgen.edge ~clients ~churn ~tail () in
   let active = max 1 (int_of_float (float_of_int clients *. active_frac)) in
   let t0 = Unix.gettimeofday () in
   let stats = Gridgen.run_edge ~active e in
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
   let all = e.Gridgen.e_shards @ e.Gridgen.e_clients in
+  (* Measured memory next to the accounting: the whole gateway's live heap
+     after a full major collection, per connection end still open. *)
+  Gc.compact ();
+  let live_bytes =
+    ((Gc.stat ()).Gc.live_words - live0) * (Sys.word_size / 8)
+  in
+  let ends = sum_over_nodes Sysio.conn_count all in
   let conns = sum_over_nodes Sysio.conn_count e.Gridgen.e_shards in
   let resident = sum_over_nodes Sysio.bytes_resident e.Gridgen.e_shards in
   let reaped = sum_over_nodes Sysio.conns_reaped all in
@@ -82,8 +96,11 @@ let run_sweep ~clients =
     sum_over_nodes (fun s -> Na_core.source_count (Na_core.get (Sysio.node s))) all
   in
   Gc.set gc;
-  (stats, wall_ns /. float_of_int clients, conns, resident, reaped,
-   ready_depth, sources)
+  let live_per_end =
+    if ends = 0 then 0.0 else float_of_int live_bytes /. float_of_int ends
+  in
+  (stats, wall_ns /. float_of_int clients, conns, resident, live_per_end,
+   reaped, ready_depth, sources)
 
 let run_sim () =
   let sweep = [ ("1k", 1_000, 3); ("10k", 10_000, 3); ("100k", 100_000, 2) ] in
@@ -97,12 +114,13 @@ let run_sim () =
        let best = ref None in
        for _ = 1 to repeats do
          let r = run_sweep ~clients in
-         let (_, ns, _, _, _, _, _) = r in
+         let (_, ns, _, _, _, _, _, _) = r in
          match !best with
-         | Some (_, best_ns, _, _, _, _, _) when best_ns <= ns -> ()
+         | Some (_, best_ns, _, _, _, _, _, _) when best_ns <= ns -> ()
          | _ -> best := Some r
        done;
-       let stats, per_conn_ns, conns, resident, reaped, ready_depth, sources =
+       let stats, per_conn_ns, conns, resident, live_per_end, reaped,
+           ready_depth, sources =
          Option.get !best
        in
        Hashtbl.replace per_conn label per_conn_ns;
@@ -111,11 +129,13 @@ let run_sim () =
        in
        Printf.printf
          "  %-5s %7d est  %6d req  %5d srv  %5d rejoin  %4d abort  %7.0f \
-          ns/conn  %6.0f B/conn  %6d reaped  ready %d/%d\n%!"
+          ns/conn  %6.0f B/conn  %6.0f live B/end  %6d reaped  ready %d/%d\n%!"
          label stats.Gridgen.es_established stats.Gridgen.es_requests
          stats.Gridgen.es_served stats.Gridgen.es_reconnects
-         stats.Gridgen.es_aborted per_conn_ns bytes_per_conn reaped
-         ready_depth sources;
+         stats.Gridgen.es_aborted per_conn_ns bytes_per_conn live_per_end
+         reaped ready_depth sources;
+       if label = "100k" then
+         Bhelp.record ~experiment:"e15" "live_bytes_per_conn" live_per_end;
        let rec_ k v = Bhelp.record ~experiment:"e15" (Printf.sprintf "sweep_%s.%s" label k) v in
        rec_ "established" (float_of_int stats.Gridgen.es_established);
        rec_ "requests" (float_of_int stats.Gridgen.es_requests);

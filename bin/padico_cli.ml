@@ -726,7 +726,8 @@ let flow_cmd =
     end;
     if budget then begin
       print_endline "per-connection byte budget:";
-      Printf.printf "  idle-connection floor: %d bytes (conn overhead)\n"
+      Printf.printf
+        "  idle-connection floor: %d bytes (retained heap bound, tested)\n"
         Drivers.Tcp.conn_overhead_bytes;
       List.iter
         (fun (node, name) ->

@@ -41,22 +41,22 @@ let max_rto = 60_000_000_000
 
 let initial_rto = 1_000_000_000
 
-(* Sequence-addressed ring buffer for the send side: holds [snd_una, wseq). *)
-type ring = { rdata : Bytes.t; rcap : int }
+(* Loss-recovery and byte counters, allocated on first use: a connection
+   that never moves data or loses a segment shares [no_counters], which is
+   never written. *)
+type counters = {
+  mutable rto_events : int;
+  mutable fast_events : int;
+  mutable partial_events : int;
+  mutable tx_bytes : int;
+  mutable rx_bytes : int;
+}
 
-let ring_create cap = { rdata = Bytes.make cap '\000'; rcap = cap }
+let no_counters =
+  { rto_events = 0; fast_events = 0; partial_events = 0; tx_bytes = 0;
+    rx_bytes = 0 }
 
-let ring_write r ~seq (src : Bytebuf.t) ~src_off ~len =
-  for i = 0 to len - 1 do
-    Bytes.set r.rdata ((seq + i) mod r.rcap) (Bytebuf.get src (src_off + i))
-  done
-
-let ring_read r ~seq ~len =
-  let out = Bytebuf.create len in
-  for i = 0 to len - 1 do
-    Bytebuf.set out i (Bytes.get r.rdata ((seq + i) mod r.rcap))
-  done;
-  out
+module Conn_tbl = Hashtbl.Make (Int)
 
 type conn = {
   stack : stack;
@@ -65,9 +65,11 @@ type conn = {
   rport : int;
   mutable st : state;
   (* --- send side --- *)
-  (* Allocated on the first [write]: an accepted-but-quiet connection (the
-     common state at edge-gateway scale) carries no ring at all. *)
-  mutable sndring : ring option;
+  (* Sequence-addressed ring of [sndbuf_cap] bytes holding [snd_una, wseq)
+     at [seq mod sndbuf_cap]. It exists only while that range is non-empty:
+     taken from the Bytebuf.Pool size class by [write], returned once
+     everything written is acknowledged, [no_ring] in between. *)
+  mutable sndring : Bytes.t;
   sndbuf_cap : int;
   mutable snd_una : int; (* oldest unacknowledged sequence *)
   mutable snd_nxt : int; (* next sequence to transmit *)
@@ -92,8 +94,10 @@ type conn = {
   mutable persist_armed : bool;
   (* --- receive side --- *)
   mutable rcv_nxt : int;
-  ooo : (int, Bytebuf.t) Hashtbl.t;
-  rcvq : Bytebuf.t Queue.t;
+  (* Both start as shared empty sentinels and are replaced by a fresh
+     container on the first insert. *)
+  mutable ooo : (int, Bytebuf.t) Hashtbl.t;
+  mutable rcvq : Bytebuf.t Queue.t;
   mutable rcvq_len : int;
   mutable ooo_len : int;
   rcvbuf_cap : int;
@@ -102,12 +106,7 @@ type conn = {
   mutable peer_closed_delivered : bool;
   (* --- app interface --- *)
   mutable cb : event -> unit;
-  mutable retransmits : int;
-  mutable rto_events : int;
-  mutable fast_events : int;
-  mutable partial_events : int;
-  mutable tx_bytes : int;
-  mutable rx_bytes : int;
+  mutable ctrs : counters;
 }
 
 and listener = { l_accept : conn -> unit; l_sndbuf : int; l_rcvbuf : int }
@@ -115,7 +114,7 @@ and listener = { l_accept : conn -> unit; l_sndbuf : int; l_rcvbuf : int }
 and stack = {
   seg : Simnet.Segment.t;
   snode : Simnet.Node.t;
-  conns : (int * int * int, conn) Hashtbl.t; (* (lport, rnode, rport) *)
+  conns : conn Conn_tbl.t; (* keyed by [conn_key] *)
   listeners : (int, listener) Hashtbl.t;
   mutable next_ephemeral : int;
   (* Capacity-mode capabilities, all off by default so the classic paths
@@ -123,7 +122,6 @@ and stack = {
   mutable timer_svc : (after_ns:int -> (unit -> unit) -> unit) option;
       (* RTO/persist timers go here instead of the engine heap when set *)
   mutable reap : bool; (* remove fully-closed conns from [conns] *)
-  mutable pooled_rings : bool; (* send rings from Bytebuf.Pool size classes *)
   mutable reaped : int;
 }
 
@@ -138,6 +136,32 @@ let () =
   Engine.Lifecycle.on_reset (fun () ->
       Mutex.protect registry_lock (fun () -> Hashtbl.reset stacks))
 
+(* [stack.conns] key: (lport, rnode, rport) packed into one immediate int.
+   Ports take [port_bits] bits each and node ids the remaining top bits,
+   so the packing is injective; [listen], [connect] and [attach] reject
+   values that do not fit. *)
+let port_bits = 24
+let max_port = (1 lsl port_bits) - 1
+let max_node = (1 lsl (Sys.int_size - (2 * port_bits))) - 1
+
+let conn_key ~lport ~rnode ~rport =
+  (rnode lsl (2 * port_bits)) lor (lport lsl port_bits) lor rport
+
+let check_port fn port =
+  if port < 0 || port > max_port then
+    invalid_arg
+      (Printf.sprintf "Tcp.%s: port %d outside [0, %d]" fn port max_port)
+
+(* Active opens take local ports from this range, wrapping around. *)
+let ephemeral_lo = 32_768
+let ephemeral_hi = 60_999
+
+(* Shared, never-mutated stand-ins for per-connection state that does not
+   exist yet (see the [conn] fields). *)
+let no_ring = Bytes.empty
+let no_ooo : (int, Bytebuf.t) Hashtbl.t = Hashtbl.create 1
+let no_rcvq : Bytebuf.t Queue.t = Queue.create ()
+
 let node s = s.snode
 let segment s = s.seg
 let mss s = (Simnet.Segment.model s.seg).Simnet.Linkmodel.mtu - header_bytes
@@ -150,10 +174,20 @@ let peer_closed c = c.peer_closed_delivered
 let cwnd c = c.cwnd
 let ssthresh c = c.ssthresh
 let srtt_ns c = int_of_float c.srtt
-let retransmits c = c.retransmits
-let retransmit_breakdown c = (c.rto_events, c.fast_events, c.partial_events)
-let bytes_sent c = c.tx_bytes
-let bytes_received c = c.rx_bytes
+let retransmits c =
+  c.ctrs.rto_events + c.ctrs.fast_events + c.ctrs.partial_events
+let retransmit_breakdown c =
+  (c.ctrs.rto_events, c.ctrs.fast_events, c.ctrs.partial_events)
+let bytes_sent c = c.ctrs.tx_bytes
+let bytes_received c = c.ctrs.rx_bytes
+
+let counters c =
+  if c.ctrs == no_counters then
+    c.ctrs <-
+      { rto_events = 0; fast_events = 0; partial_events = 0; tx_bytes = 0;
+        rx_bytes = 0 };
+  c.ctrs
+
 let sim c = Simnet.Segment.sim c.stack.seg
 
 (* Per-connection timers (RTO, persist probes) go through the stack's
@@ -165,27 +199,31 @@ let tcp_after c ns f =
   | Some svc -> svc ~after_ns:ns f
   | None -> Sim.after (sim c) ns f
 
-(* The send ring is allocated on first write (never for accepted-but-quiet
-   connections) and, when the stack pools rings, recycled through the
-   size-classed slab pool across the connect/disconnect churn. *)
-let get_ring c =
-  match c.sndring with
-  | Some r -> r
-  | None ->
-    let r =
-      if c.stack.pooled_rings then
-        { rdata = Bytebuf.Pool.alloc_bytes c.sndbuf_cap; rcap = c.sndbuf_cap }
-      else ring_create c.sndbuf_cap
-    in
-    c.sndring <- Some r;
-    r
+(* Send rings cycle through the size-classed slab pool: taken by [write],
+   returned when the last written byte is acknowledged and on close. *)
+let ring_write c ~seq (src : Bytebuf.t) ~src_off ~len =
+  if c.sndring == no_ring then
+    c.sndring <- Bytebuf.Pool.alloc_bytes c.sndbuf_cap;
+  for i = 0 to len - 1 do
+    Bytes.set c.sndring ((seq + i) mod c.sndbuf_cap)
+      (Bytebuf.get src (src_off + i))
+  done
+
+(* Bytes below [snd_una] are acknowledged and no longer in the ring (it may
+   have been returned and taken again since); a go-back-N rewind re-sends
+   them only as duplicates the peer discards, so they go out as zeros. *)
+let ring_read c ~seq ~len =
+  let out = Bytebuf.create len in
+  for i = max 0 (c.snd_una - seq) to len - 1 do
+    Bytebuf.set out i (Bytes.get c.sndring ((seq + i) mod c.sndbuf_cap))
+  done;
+  out
 
 let release_ring c =
-  match c.sndring with
-  | None -> ()
-  | Some r ->
-    c.sndring <- None;
-    if c.stack.pooled_rings then Bytebuf.Pool.release_bytes r.rdata
+  if c.sndring != no_ring then begin
+    Bytebuf.Pool.release_bytes c.sndring;
+    c.sndring <- no_ring
+  end
 
 (* Advertised window counts only undelivered in-order data (as in BSD: the
    reassembly queue is not charged against the socket buffer until
@@ -240,10 +278,10 @@ let reap_conn c =
   if c.stack.reap && c.st = Closed_st then begin
     cancel_timer c;
     release_ring c;
-    let key = (c.lport, c.rnode, c.rport) in
-    match Hashtbl.find_opt c.stack.conns key with
+    let key = conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport in
+    match Conn_tbl.find_opt c.stack.conns key with
     | Some c' when c' == c ->
-      Hashtbl.remove c.stack.conns key;
+      Conn_tbl.remove c.stack.conns key;
       c.stack.reaped <- c.stack.reaped + 1
     | Some _ | None -> ()
   end
@@ -270,8 +308,8 @@ and on_timeout c =
   c.in_recovery <- false;
   c.rto <- min (c.rto * 2) max_rto;
   c.rtt_seq <- None;
-  c.retransmits <- c.retransmits + 1;
-  c.rto_events <- c.rto_events + 1;
+  let k = counters c in
+  k.rto_events <- k.rto_events + 1;
   Log.debug (fun l ->
       l "%s:%d rto fire una=%d nxt=%d rto=%dms"
         (Simnet.Node.name c.stack.snode)
@@ -336,7 +374,7 @@ and try_output c =
       let pending = c.wseq - c.snd_nxt in
       if pending > 0 && usable > 0 then begin
         let len = min (min m pending) usable in
-        let payload = ring_read (get_ring c) ~seq:c.snd_nxt ~len in
+        let payload = ring_read c ~seq:c.snd_nxt ~len in
         (* One RTT sample in flight at a time (Karn: only new data). *)
         if c.rtt_seq = None then begin
           c.rtt_seq <- Some (c.snd_nxt + len);
@@ -344,7 +382,8 @@ and try_output c =
         end;
         send_seg c ~seq:c.snd_nxt payload;
         c.snd_nxt <- c.snd_nxt + len;
-        c.tx_bytes <- c.tx_bytes + len;
+        let k = counters c in
+        k.tx_bytes <- k.tx_bytes + len;
         continue := true
       end
       else if pending > 0 && c.rwnd = 0 && usable <= 0 && not c.persist_armed
@@ -354,7 +393,7 @@ and try_output c =
         tcp_after c c.rto (fun () ->
             c.persist_armed <- false;
             if c.st <> Closed_st && c.rwnd = 0 && c.wseq > c.snd_nxt then begin
-              let payload = ring_read (get_ring c) ~seq:c.snd_nxt ~len:1 in
+              let payload = ring_read c ~seq:c.snd_nxt ~len:1 in
               send_seg c ~seq:c.snd_nxt payload;
               c.snd_nxt <- c.snd_nxt + 1;
               arm_timer c
@@ -377,7 +416,7 @@ let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
   let handshake = st = Syn_sent || st = Syn_received in
   let c =
     { stack; lport; rnode; rport; st;
-      sndring = None; sndbuf_cap = sndbuf;
+      sndring = no_ring; sndbuf_cap = sndbuf;
       snd_una = (if handshake then 0 else 1);
       snd_nxt = 1; wseq = 1; fin_pending = false; fin_seq = -1;
       cwnd = 2 * mss stack; ssthresh = 1 lsl 30;
@@ -385,13 +424,12 @@ let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
       srtt = 0.0; rttvar = 0.0; rto = initial_rto; rtt_seq = None;
       rtt_time = 0; timer_gen = 0; timer_armed = false; syn_attempts = 0;
       strikes = 0; persist_armed = false;
-      rcv_nxt = 1; ooo = Hashtbl.create 8; rcvq = Queue.create ();
+      rcv_nxt = 1; ooo = no_ooo; rcvq = no_rcvq;
       rcvq_len = 0; ooo_len = 0; rcvbuf_cap = rcvbuf; last_wnd_sent = rcvbuf;
       peer_fin = None; peer_closed_delivered = false;
-      cb = (fun _ -> ()); retransmits = 0; rto_events = 0; fast_events = 0;
-      partial_events = 0; tx_bytes = 0; rx_bytes = 0 }
+      cb = (fun _ -> ()); ctrs = no_counters }
   in
-  Hashtbl.replace stack.conns (lport, rnode, rport) c;
+  Conn_tbl.replace stack.conns (conn_key ~lport ~rnode ~rport) c;
   c
 
 let update_rtt c =
@@ -414,13 +452,15 @@ let update_rtt c =
   | _ -> ()
 
 let deliver_data c (data : Bytebuf.t) =
+  if c.rcvq == no_rcvq then c.rcvq <- Queue.create ();
   Queue.push data c.rcvq;
   c.rcvq_len <- c.rcvq_len + Bytebuf.length data;
-  c.rx_bytes <- c.rx_bytes + Bytebuf.length data
+  let k = counters c in
+  k.rx_bytes <- k.rx_bytes + Bytebuf.length data
 
 (* Pull contiguous data out of the out-of-order store. *)
 let drain_ooo c =
-  let progress = ref true in
+  let progress = ref (Hashtbl.length c.ooo > 0) in
   while !progress do
     progress := false;
     Hashtbl.iter
@@ -461,6 +501,7 @@ let handle_ack c ~ackno ~wnd ~paylen =
   if ackno > c.snd_una then begin
     let acked = ackno - c.snd_una in
     c.snd_una <- ackno;
+    if c.snd_una >= c.wseq then release_ring c;
     c.strikes <- 0;
     update_rtt c;
     let m = mss c.stack in
@@ -473,10 +514,10 @@ let handle_ack c ~ackno ~wnd ~paylen =
       (* NewReno partial ack: retransmit the next hole, deflate. *)
       let len = min m (c.wseq - c.snd_una) in
       if len > 0 then begin
-        let payload = ring_read (get_ring c) ~seq:c.snd_una ~len in
+        let payload = ring_read c ~seq:c.snd_una ~len in
         send_seg c ~seq:c.snd_una payload;
-        c.retransmits <- c.retransmits + 1;
-        c.partial_events <- c.partial_events + 1;
+        let k = counters c in
+        k.partial_events <- k.partial_events + 1;
         Log.debug (fun l ->
             l "partial ack=%d una=%d recover=%d nxt=%d" ackno c.snd_una
               c.recover c.snd_nxt)
@@ -506,14 +547,14 @@ let handle_ack c ~ackno ~wnd ~paylen =
       c.ssthresh <- max (flight / 2) (2 * m);
       c.in_recovery <- true;
       c.recover <- c.snd_nxt;
-      c.retransmits <- c.retransmits + 1;
-      c.fast_events <- c.fast_events + 1;
+      let k = counters c in
+      k.fast_events <- k.fast_events + 1;
       Log.debug (fun l ->
           l "fastrx una=%d nxt=%d cwnd=%d" c.snd_una c.snd_nxt c.cwnd);
       c.rtt_seq <- None;
       let len = min m (c.wseq - c.snd_una) in
       if len > 0 then begin
-        let payload = ring_read (get_ring c) ~seq:c.snd_una ~len in
+        let payload = ring_read c ~seq:c.snd_una ~len in
         send_seg c ~seq:c.snd_una payload
       end
       else if c.fin_seq = c.snd_una then
@@ -588,6 +629,7 @@ let rec handle_conn_segment c (seg : wire_seg) =
           had_new := true
         end
         else if not (Hashtbl.mem c.ooo seq) then begin
+          if c.ooo == no_ooo then c.ooo <- Hashtbl.create 8;
           Hashtbl.replace c.ooo seq seg.payload;
           c.ooo_len <- c.ooo_len + paylen
         end;
@@ -608,8 +650,10 @@ let rec handle_conn_segment c (seg : wire_seg) =
        | _ -> ())
 
 let handle_segment stack (pkt : Simnet.Packet.t) (seg : wire_seg) =
-  let key = (seg.dport, pkt.Simnet.Packet.src, seg.sport) in
-  match Hashtbl.find_opt stack.conns key with
+  let key =
+    conn_key ~lport:seg.dport ~rnode:pkt.Simnet.Packet.src ~rport:seg.sport
+  in
+  match Conn_tbl.find_opt stack.conns key with
   | Some c -> handle_conn_segment c seg
   | None ->
     if seg.flags.rst then ()
@@ -654,10 +698,14 @@ let attach seg node =
       match Hashtbl.find_opt stacks key with
       | Some s -> s
       | None ->
+        if Simnet.Node.id node > max_node then
+          invalid_arg
+            (Printf.sprintf "Tcp.attach: node id %d above %d"
+               (Simnet.Node.id node) max_node);
         let s =
-          { seg; snode = node; conns = Hashtbl.create 16;
-            listeners = Hashtbl.create 8; next_ephemeral = 32_768;
-            timer_svc = None; reap = false; pooled_rings = false; reaped = 0 }
+          { seg; snode = node; conns = Conn_tbl.create 16;
+            listeners = Hashtbl.create 8; next_ephemeral = ephemeral_lo;
+            timer_svc = None; reap = false; reaped = 0 }
         in
         Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.tcp
           (handle_packet s);
@@ -666,6 +714,7 @@ let attach seg node =
 
 let listen ?(sndbuf = default_bufsize) ?(rcvbuf = default_bufsize) stack ~port
     cb =
+  check_port "listen" port;
   if Hashtbl.mem stack.listeners port then
     invalid_arg (Printf.sprintf "Tcp.listen: port %d already bound" port);
   Hashtbl.replace stack.listeners port
@@ -673,10 +722,26 @@ let listen ?(sndbuf = default_bufsize) ?(rcvbuf = default_bufsize) stack ~port
 
 let unlisten stack ~port = Hashtbl.remove stack.listeners port
 
+(* Next free local port in the ephemeral range: a port is in use towards
+   (dst, port) while its connection key is still in the table. *)
+let ephemeral_port stack ~dst ~port =
+  let rec pick tries =
+    if tries > ephemeral_hi - ephemeral_lo then
+      failwith
+        (Printf.sprintf "Tcp.connect: every ephemeral port to %d:%d is in use"
+           dst port);
+    let p = stack.next_ephemeral in
+    stack.next_ephemeral <- (if p = ephemeral_hi then ephemeral_lo else p + 1);
+    if Conn_tbl.mem stack.conns (conn_key ~lport:p ~rnode:dst ~rport:port)
+    then pick (tries + 1)
+    else p
+  in
+  pick 0
+
 let connect ?(sndbuf = default_bufsize) ?(rcvbuf = default_bufsize) stack ~dst
     ~port =
-  let lport = stack.next_ephemeral in
-  stack.next_ephemeral <- stack.next_ephemeral + 1;
+  check_port "connect" port;
+  let lport = ephemeral_port stack ~dst ~port in
   let c =
     make_conn stack ~lport ~rnode:dst ~rport:port ~st:Syn_sent ~sndbuf ~rcvbuf
   in
@@ -693,7 +758,7 @@ let write c (buf : Bytebuf.t) =
     let space = c.sndbuf_cap - (c.wseq - c.snd_una) in
     let n = min space (Bytebuf.length buf) in
     if n > 0 then begin
-      ring_write (get_ring c) ~seq:c.wseq buf ~src_off:0 ~len:n;
+      ring_write c ~seq:c.wseq buf ~src_off:0 ~len:n;
       c.wseq <- c.wseq + n;
       try_output c
     end;
@@ -749,7 +814,8 @@ let close c =
     c.st <- Closed_st;
     cancel_timer c;
     release_ring c;
-    Hashtbl.remove c.stack.conns (c.lport, c.rnode, c.rport)
+    Conn_tbl.remove c.stack.conns
+      (conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport)
   | Syn_received | Established_st | Fin_wait | Close_wait ->
     if not c.fin_pending then begin
       c.fin_pending <- true;
@@ -764,7 +830,8 @@ let abort c =
     c.st <- Closed_st;
     cancel_timer c;
     release_ring c;
-    Hashtbl.remove c.stack.conns (c.lport, c.rnode, c.rport)
+    Conn_tbl.remove c.stack.conns
+      (conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport)
   end
 
 (* ---------- capacity-mode capabilities and accounting ---------- *)
@@ -773,24 +840,22 @@ let set_timer_service stack svc = stack.timer_svc <- Some svc
 
 let set_reap stack v = stack.reap <- v
 
-let set_pooled_rings stack v = stack.pooled_rings <- v
-
 let reaped stack = stack.reaped
 
-let conn_count stack = Hashtbl.length stack.conns
+let conn_count stack = Conn_tbl.length stack.conns
 
-(* Fixed estimate of the connection record, its hashtable slot and the
-   empty receive structures (queue, 8-bucket ooo table) on a 64-bit
-   runtime: ~50 words of record + ~14 words of containers, rounded up.
-   The memory-budget regression test pins the reported per-connection
-   total against this constant, so accidental per-connection allocations
-   show up as a budget violation rather than only as RSS at 100k. *)
-let conn_overhead_bytes = 512
+(* Heap retained by one idle established connection end on a 64-bit
+   runtime: the record, its table slot and, in SysIO edge mode, the
+   readiness source and closures around it (82 words measured). Not an
+   estimate but a tested bound: test_edge fails when the live-heap growth
+   of 10k idle connections, after a full major GC, exceeds this many bytes
+   per connection end. *)
+let conn_overhead_bytes = 96 * 8
 
 let conn_resident_bytes c =
   conn_overhead_bytes
-  + (match c.sndring with Some r -> r.rcap | None -> 0)
+  + Bytes.length c.sndring
   + c.rcvq_len + c.ooo_len
 
 let resident_bytes stack =
-  Hashtbl.fold (fun _ c acc -> acc + conn_resident_bytes c) stack.conns 0
+  Conn_tbl.fold (fun _ c acc -> acc + conn_resident_bytes c) stack.conns 0

@@ -36,7 +36,8 @@ type state =
   | Closed_st
 
 val attach : Simnet.Segment.t -> Simnet.Node.t -> stack
-(** One stack per (segment, node); idempotent. *)
+(** One stack per (segment, node); idempotent. Raises [Invalid_argument]
+    for a node id above 32767 (connection keys pack node ids in 15 bits). *)
 
 val node : stack -> Simnet.Node.t
 val segment : stack -> Simnet.Segment.t
@@ -45,10 +46,10 @@ val mss : stack -> int
 val listen :
   ?sndbuf:int -> ?rcvbuf:int -> stack -> port:int -> (conn -> unit) -> unit
 (** Accept connections on [port]; the callback fires once per connection
-    when it reaches [Established]. Raises if the port is taken. [sndbuf] /
-    [rcvbuf] size the buffers of {e accepted} connections (default
-    {!default_bufsize}) — edge gateways listen with small buffers so 100k
-    accepted connections fit a fixed byte budget. *)
+    when it reaches [Established]. Raises if the port is taken or outside
+    [0, 2{^24}). [sndbuf] / [rcvbuf] size the buffers of {e accepted}
+    connections (default {!default_bufsize}) — edge gateways listen with
+    small buffers so 100k accepted connections fit a fixed byte budget. *)
 
 val unlisten : stack -> port:int -> unit
 
@@ -56,7 +57,10 @@ val connect :
   ?sndbuf:int -> ?rcvbuf:int -> stack -> dst:int -> port:int -> conn
 (** Active open. The returned connection is in [Syn_sent]; subscribe with
     {!set_event_cb} for [Established] / [Reset]. Buffer sizes default to
-    {!default_bufsize}. *)
+    {!default_bufsize}. The local port is the next one in the ephemeral
+    range 32768–60999 (wrapping around) that has no connection to
+    ([dst], [port]) in the stack's table; raises [Failure] when every one
+    has, and [Invalid_argument] for a [port] outside [0, 2{^24}). *)
 
 val default_bufsize : int
 
@@ -121,14 +125,10 @@ val set_timer_service :
 
 val set_reap : stack -> bool -> unit
 (** When on, fully-closed connections (FIN handshake complete, RST, or
-    SYN give-up) are removed from the stack's table and their pooled
-    buffers released. Off (default): closed connections are kept, and no
-    RST is ever emitted for a late segment to one — the historical
-    behaviour the deterministic replays pin. *)
-
-val set_pooled_rings : stack -> bool -> unit
-(** Allocate send rings from the {!Engine.Bytebuf.Pool} size-classed slab
-    pool (and return them on reap/close) instead of fresh [Bytes]. *)
+    SYN give-up) are removed from the stack's table. Off (default):
+    closed connections are kept, and no RST is ever emitted for a late
+    segment to one — the historical behaviour the deterministic replays
+    pin. *)
 
 val reaped : stack -> int
 (** Connections removed by {!set_reap}. *)
@@ -136,16 +136,22 @@ val reaped : stack -> int
 (** {2 Byte-budget accounting} *)
 
 val conn_overhead_bytes : int
-(** Documented fixed estimate of one connection's record + container
-    overhead; the basis of the per-connection byte budget. *)
+(** Heap retained by one idle established connection end (768 bytes:
+    record, table slot, and in SysIO edge mode its readiness source),
+    a bound checked by measuring the live heap of 10k idle connections;
+    the basis of the per-connection byte budget. *)
 
 val conn_resident_bytes : conn -> int
-(** [conn_overhead_bytes] + allocated send ring + buffered receive bytes
-    (in-order and out-of-order). An idle accepted connection reports
-    exactly [conn_overhead_bytes]: its ring is lazy. *)
+(** [conn_overhead_bytes] + send ring + buffered receive bytes (in-order
+    and out-of-order). The send ring exists only while written data is
+    unacknowledged: it is taken on [write] and returned once everything
+    written has been acknowledged. So a connection that is idle, or
+    whose every write has been acknowledged, reports exactly
+    [conn_overhead_bytes]. *)
 
 val conn_count : stack -> int
 
 val resident_bytes : stack -> int
 (** Sum of {!conn_resident_bytes} over the stack's table (O(connections);
-    meant for gauges and the [flow --budget] report, not hot paths). *)
+    meant for gauges and the [flow --budget] report, not hot paths).
+    Rings parked in the {!Engine.Bytebuf.Pool} are not counted. *)

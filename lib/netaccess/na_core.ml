@@ -456,6 +456,9 @@ let register_source t ~drain =
   t.nsources <- t.nsources + 1;
   s
 
+let no_source =
+  { src_id = -1; s_queued = false; s_live = false; s_drain = ignore }
+
 let unregister_source t s =
   if s.s_live then begin
     s.s_live <- false;

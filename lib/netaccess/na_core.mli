@@ -177,6 +177,10 @@ val register_source : t -> drain:(unit -> unit) -> source
 (** A new readiness source. [drain] must deliver {e every} pending event
     of the source and be non-blocking; it runs from the dispatcher. *)
 
+val no_source : source
+(** A source that is never live: {!mark_ready} and {!unregister_source}
+    ignore it. A placeholder for state that has no source yet. *)
+
 val unregister_source : t -> source -> unit
 (** O(1); a queued entry of a dead source is skipped uncharged. *)
 

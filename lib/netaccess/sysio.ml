@@ -11,7 +11,7 @@ type t = {
   core : Na_core.t;
   dispatched : Stats.Counter.t;
   (* Edge (capacity) mode: readiness-queue event routing, timewheel
-     per-connection timers, pooled send rings, closed-connection reaping.
+     per-connection timers, closed-connection reaping.
      Off by default — the classic per-event post path, byte-identical. *)
   mutable edge : bool;
   mutable sim_stacks : Tcp.stack list; (* for the byte-budget gauges *)
@@ -63,10 +63,55 @@ and host_stack = {
   hs_loop : Hostio.Loop.t;
 }
 
-(* A connection carries an optional readiness source: edge mode accumulates
-   its transport events here and puts the source on the dispatcher's ready
-   list, instead of posting one work item per event. *)
-type conn = { impl : conn_impl; mutable src : edge_src option }
+(* Pending edge-mode events of one connection: a FIFO of 3-bit event
+   codes in one int, oldest in the low bits, a zero code ending it.
+   [Readable] / [Writable] already pending absorb a new edge of the same
+   kind (the callback reads/writes everything available when it runs — "at
+   least one delivery after the last event"); lifecycle events keep their
+   order. Each lifecycle event fires at most once per connection, so the
+   FIFO never holds more than five codes. *)
+module Event_fifo = struct
+  type t = int
+
+  let empty = 0
+  let is_empty q = q = 0
+
+  let code = function
+    | Tcp.Established -> 1
+    | Tcp.Readable -> 2
+    | Tcp.Writable -> 3
+    | Tcp.Peer_closed -> 4
+    | Tcp.Reset -> 5
+
+  let head q =
+    match q land 7 with
+    | 1 -> Tcp.Established
+    | 2 -> Tcp.Readable
+    | 3 -> Tcp.Writable
+    | 4 -> Tcp.Peer_closed
+    | _ -> Tcp.Reset
+
+  let tail q = q lsr 3
+
+  let push q ev =
+    let c = code ev in
+    let absorbs = ev = Tcp.Readable || ev = Tcp.Writable in
+    let rec go rest shift =
+      if rest = 0 then begin
+        assert (shift <= Sys.int_size - 4);
+        q lor (c lsl shift)
+      end
+      else if absorbs && rest land 7 = c then q
+      else go (rest lsr 3) (shift + 3)
+    in
+    go q 0
+end
+
+(* A watched sim connection in edge mode carries a readiness source: its
+   transport events accumulate here and the source sits on the
+   dispatcher's ready list, instead of one posted work item per event.
+   Every other connection points at [no_src]. *)
+type conn = { impl : conn_impl; mutable src : edge_src }
 
 and conn_impl =
   | Sim_conn of Tcp.conn
@@ -74,8 +119,8 @@ and conn_impl =
 
 and edge_src = {
   mutable es_cb : Tcp.event -> unit;
-  es_pending : Tcp.event Queue.t;
-  mutable es_source : Na_core.source option;
+  mutable es_pending : Event_fifo.t;
+  mutable es_source : Na_core.source;
 }
 
 and host_conn = {
@@ -85,18 +130,22 @@ and host_conn = {
   mutable hc_dead : bool; (* guards the segment link-state subscription *)
 }
 
+(* Shared and never written: the source of every connection without one. *)
+let no_src =
+  { es_cb = ignore; es_pending = Event_fifo.empty;
+    es_source = Na_core.no_source }
+
 let host_stacks : (int * int, host_stack) Hashtbl.t = Hashtbl.create 16
 let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset host_stacks)
 
 (* Edge capabilities on a simulated TCP stack: per-connection timers on the
    shared per-clock timewheel (one engine event per occupied slot instead
-   of one per RTO), closed-connection reaping, pooled send rings. *)
+   of one per RTO) and closed-connection reaping. *)
 let enable_edge_stack t st =
   let wheel = Timewheel.for_clock (Simnet.Node.clock t.sio_node) in
   Tcp.set_timer_service st (fun ~after_ns f ->
       ignore (Timewheel.arm wheel ~after_ns f));
-  Tcp.set_reap st true;
-  Tcp.set_pooled_rings st true
+  Tcp.set_reap st true
 
 let set_edge t =
   if not t.edge then begin
@@ -222,59 +271,46 @@ let wire_cb t cb ev =
 (* ---------- edge-mode readiness sources ---------- *)
 
 let drain_src t es () =
-  while not (Queue.is_empty es.es_pending) do
-    let ev = Queue.pop es.es_pending in
+  while not (Event_fifo.is_empty es.es_pending) do
+    let ev = Event_fifo.head es.es_pending in
+    es.es_pending <- Event_fifo.tail es.es_pending;
     Stats.Counter.incr t.dispatched;
     Simnet.Node.cpu_async t.sio_node Calib.sysio_callback_ns (fun () -> ());
     trace_event t (event_name ev);
     es.es_cb ev
   done
 
-(* Level-style coalescing: a [Readable]/[Writable] already pending absorbs
-   the new edge (the callback reads/writes everything available when it
-   runs — "at least one delivery after the last event"). Lifecycle events
-   keep their order and multiplicity. *)
 let push_event t es ev =
-  let absorbed =
-    match ev with
-    | Tcp.Readable | Tcp.Writable ->
-      Queue.fold (fun acc e -> acc || e = ev) false es.es_pending
-    | Tcp.Established | Tcp.Peer_closed | Tcp.Reset -> false
-  in
-  if not absorbed then Queue.push ev es.es_pending;
-  match es.es_source with
-  | Some s -> Na_core.mark_ready t.core s
-  | None -> ()
+  es.es_pending <- Event_fifo.push es.es_pending ev;
+  Na_core.mark_ready t.core es.es_source
 
 (* Attach (or retarget) the connection's readiness source and point the
    transport's event callback at it. *)
 let edge_attach t conn cb =
-  match conn.src with
-  | Some es -> es.es_cb <- cb
-  | None ->
-    (match conn.impl with
-     | Sim_conn c ->
-       let es =
-         { es_cb = cb; es_pending = Queue.create (); es_source = None }
-       in
-       es.es_source <- Some (Na_core.register_source t.core ~drain:(drain_src t es));
-       conn.src <- Some es;
-       Tcp.set_event_cb c (fun ev -> push_event t es ev)
-     | Host_conn _ ->
-       (* Host sockets keep the classic post-per-event path: the reactor
-          already delivers only ready fds, and the host E15 subset runs
-          under the select fd ceiling anyway. *)
-       ())
+  if conn.src != no_src then conn.src.es_cb <- cb
+  else
+    match conn.impl with
+    | Sim_conn c ->
+      let es =
+        { es_cb = cb; es_pending = Event_fifo.empty;
+          es_source = Na_core.no_source }
+      in
+      es.es_source <- Na_core.register_source t.core ~drain:(drain_src t es);
+      conn.src <- es;
+      Tcp.set_event_cb c (fun ev -> push_event t es ev)
+    | Host_conn _ ->
+      (* Host sockets keep the classic post-per-event path: the reactor
+         already delivers only ready fds, and the host E15 subset runs
+         under the select fd ceiling anyway. *)
+      ()
 
 let edge_detach t conn =
-  match conn.src with
-  | None -> ()
-  | Some es ->
-    (match es.es_source with
-     | Some s -> Na_core.unregister_source t.core s
-     | None -> ());
+  let es = conn.src in
+  if es != no_src then begin
+    Na_core.unregister_source t.core es.es_source;
     es.es_cb <- (fun _ -> ());
-    conn.src <- None
+    conn.src <- no_src
+  end
 
 let watch t conn cb =
   (* Interest registration drives the adaptive scheduler's idle-scan
@@ -300,7 +336,7 @@ let unwatch t conn =
   | Host_conn { hc_stream = Some s; _ } -> Stream.set_event_cb s (fun _ -> ())
   | Host_conn _ -> ()
 
-let mk_conn impl = { impl; src = None }
+let mk_conn impl = { impl; src = no_src }
 
 let listen ?sndbuf ?rcvbuf t stack ~port cb =
   Na_core.add_sysio_interest t.core 1;

@@ -106,6 +106,27 @@ val watch_udp :
 
 val events_dispatched : t -> int
 
+(** Pending events of one edge-mode readiness source, as a FIFO of small
+    codes packed in one immediate int. [push] applies the coalescing rule:
+    a [Readable] or [Writable] already pending absorbs a new one of the
+    same kind; lifecycle events ([Established], [Peer_closed], [Reset])
+    are appended in order. There is room for twenty codes; a connection
+    needs at most five, since the transport fires each lifecycle event
+    at most once. *)
+module Event_fifo : sig
+  type t
+
+  val empty : t
+  val is_empty : t -> bool
+  val push : t -> Drivers.Tcp.event -> t
+
+  val head : t -> Drivers.Tcp.event
+  (** Oldest pending event; meaningless on [empty]. *)
+
+  val tail : t -> t
+  (** [t] without its oldest event. *)
+end
+
 (** {2 Edge (capacity) mode}
 
     Off by default; the classic post-per-event path is byte-identical to
@@ -119,8 +140,7 @@ val events_dispatched : t -> int
     - per-connection TCP timers (RTO, persist) are re-routed onto the
       node's {!Padico_fault.Timewheel}, one engine event per occupied slot
       instead of one per timer;
-    - send rings come from the {!Engine.Bytebuf.Pool} size-classed slabs
-      and fully-closed connections are reaped from the stack table.
+    - fully-closed connections are reaped from the stack table.
 
     Host-backend connections keep the classic path (the reactor already
     delivers only ready fds, and the host E15 subset stays under the

@@ -85,6 +85,61 @@ let prop_readiness =
     QCheck.(list_of_size Gen.(int_range 1 150) (pair small_nat small_nat))
     readiness_holds
 
+(* ---------- edge event FIFO vs the queue it encodes ---------- *)
+
+(* Reference: a readiness source's pending events as a plain queue. A new
+   [Readable] / [Writable] is absorbed while one of the same kind is still
+   queued; lifecycle events are appended. Random push/pop schedules (each
+   lifecycle event pushed at most once, as the transport fires them) must
+   deliver the same events in the same order from [Sysio.Event_fifo]. *)
+
+let events =
+  [| Tcp.Established; Tcp.Readable; Tcp.Writable; Tcp.Peer_closed; Tcp.Reset |]
+
+let ref_push q ev =
+  let absorbed =
+    match ev with
+    | Tcp.Readable | Tcp.Writable ->
+      Queue.fold (fun acc e -> acc || e = ev) false q
+    | Tcp.Established | Tcp.Peer_closed | Tcp.Reset -> false
+  in
+  if not absorbed then Queue.push ev q
+
+let fifo_matches_queue ops =
+  let module F = Sysio.Event_fifo in
+  let q = Queue.create () and f = ref F.empty in
+  let got_q = ref [] and got_f = ref [] in
+  let fired = Hashtbl.create 4 in
+  let pop () =
+    if not (Queue.is_empty q) then got_q := Queue.pop q :: !got_q;
+    if not (F.is_empty !f) then begin
+      got_f := F.head !f :: !got_f;
+      f := F.tail !f
+    end
+  in
+  List.iter
+    (fun op ->
+       if op >= Array.length events then pop ()
+       else
+         let ev = events.(op) in
+         let lifecycle = ev <> Tcp.Readable && ev <> Tcp.Writable in
+         if not (lifecycle && Hashtbl.mem fired ev) then begin
+           Hashtbl.replace fired ev ();
+           ref_push q ev;
+           f := F.push !f ev
+         end)
+    ops;
+  while not (Queue.is_empty q && F.is_empty !f) do
+    pop ()
+  done;
+  !got_q = !got_f
+
+let prop_event_fifo =
+  QCheck.Test.make ~name:"event FIFO delivers as the reference queue"
+    ~count:500
+    QCheck.(list_of_size Gen.(int_range 0 60) (int_range 0 7))
+    fifo_matches_queue
+
 (* ---------- timewheel vs heap firing order ---------- *)
 
 (* The wheel's contract: a timer armed for [after_ns] fires at that
@@ -141,7 +196,9 @@ let prop_wheel_order =
 (* The regression pin behind `padico_cli flow --budget` and E15's
    bytes-per-connection column: an established connection that has never
    written costs exactly [Tcp.conn_overhead_bytes] — the send ring is
-   lazy, so 100k idle connections are 100k * 512 B, not 100k * sndbuf.
+   lazy, so 100k idle connections are 100k * 768 B, not 100k * sndbuf.
+   After one request/ack exchange every connection is back at that floor:
+   both sides' rings were returned once their data was acknowledged.
    After every connection closes, edge-mode reaping returns both stacks
    to zero resident bytes. *)
 
@@ -157,8 +214,15 @@ let test_idle_budget () =
   Sysio.set_edge sio_s;
   Sysio.set_edge sio_c;
   let st_s = Sysio.stack_on sio_s seg and st_c = Sysio.stack_on sio_c seg in
+  let requests = ref 0 and acks = ref 0 in
   Sysio.listen ~sndbuf:4096 ~rcvbuf:4096 sio_s st_s ~port:9500 (fun conn ->
       Sysio.watch sio_s conn (function
+        | Tcp.Readable ->
+          (match Sysio.read conn ~max:4096 with
+           | Some req ->
+             requests := !requests + Bb.length req;
+             ignore (Sysio.write conn (Bb.of_string "ack!"))
+           | None -> ())
         | Tcp.Peer_closed ->
           Sysio.unwatch sio_s conn;
           Sysio.close conn
@@ -170,7 +234,12 @@ let test_idle_budget () =
   let conns =
     List.init idle (fun _ ->
         Sysio.connect ~sndbuf:4096 ~rcvbuf:4096 sio_c st_c ~dst:(Node.id s)
-          ~port:9500 (fun _ _ -> ()))
+          ~port:9500 (fun conn -> function
+            | Tcp.Readable ->
+              (match Sysio.read conn ~max:4096 with
+               | Some ack -> acks := !acks + Bb.length ack
+               | None -> ())
+            | _ -> ()))
   in
   Tutil.run_grid grid;
   Tutil.check_int "server holds every idle connection" idle
@@ -179,6 +248,19 @@ let test_idle_budget () =
     (idle * Tcp.conn_overhead_bytes)
     (Sysio.bytes_resident sio_s);
   Tutil.check_int "idle client conn = overhead floor"
+    (idle * Tcp.conn_overhead_bytes)
+    (Sysio.bytes_resident sio_c);
+  List.iter
+    (fun conn -> Tutil.check_int "request accepted" 64
+        (Sysio.write conn (Bb.create 64)))
+    conns;
+  Tutil.run_grid grid;
+  Tutil.check_int "every request served" (idle * 64) !requests;
+  Tutil.check_int "every ack received" (idle * 4) !acks;
+  Tutil.check_int "served server conn back at the floor: ring returned"
+    (idle * Tcp.conn_overhead_bytes)
+    (Sysio.bytes_resident sio_s);
+  Tutil.check_int "served client conn back at the floor: ring returned"
     (idle * Tcp.conn_overhead_bytes)
     (Sysio.bytes_resident sio_c);
   List.iter Sysio.close conns;
@@ -191,6 +273,51 @@ let test_idle_budget () =
     (Sysio.bytes_resident sio_c);
   Tutil.check_bool "reap counter saw the churn" true
     (Sysio.conns_reaped sio_s >= idle)
+
+(* ---------- retained heap per idle connection ---------- *)
+
+(* The accounting floor above is a measured bound, pinned here: after a
+   full major collection, the live-heap growth caused by [idle] idle
+   established edge-mode connections (both ends in this process) must stay
+   within [Tcp.conn_overhead_bytes] per connection end — the connection
+   record, its table slot, its SysIO readiness source and nothing
+   eager. *)
+
+let test_idle_live_words () =
+  let max_words = Tcp.conn_overhead_bytes / (Sys.word_size / 8) in
+  let idle = 10_000 in
+  let grid = Padico.create () in
+  let s = Padico.add_node grid "s" in
+  let c = Padico.add_node grid "c" in
+  let seg =
+    Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ s; c ]
+  in
+  let sio_s = Sysio.get s and sio_c = Sysio.get c in
+  Sysio.set_edge sio_s;
+  Sysio.set_edge sio_c;
+  let st_s = Sysio.stack_on sio_s seg and st_c = Sysio.stack_on sio_c seg in
+  Sysio.listen ~sndbuf:4096 ~rcvbuf:4096 sio_s st_s ~port:9500 (fun conn ->
+      Sysio.watch sio_s conn (fun _ -> ()));
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let conns =
+    Array.init idle (fun _ ->
+        Sysio.connect ~sndbuf:4096 ~rcvbuf:4096 sio_c st_c ~dst:(Node.id s)
+          ~port:9500 (fun _ _ -> ()))
+  in
+  Tutil.run_grid grid;
+  Gc.compact ();
+  let words = (Gc.stat ()).Gc.live_words - before in
+  Tutil.check_int "server holds every idle connection" idle
+    (Sysio.conn_count sio_s);
+  Tutil.check_int "client holds every idle connection" idle
+    (Sysio.conn_count sio_c);
+  ignore (Sys.opaque_identity conns);
+  let per_end = float_of_int words /. float_of_int (2 * idle) in
+  Printf.printf "retained %.1f words per idle connection end\n" per_end;
+  if per_end > float_of_int max_words then
+    Alcotest.failf "idle connection end retains %.1f words (budget %d)" per_end
+      max_words
 
 (* ---------- Hostio fd ceiling ---------- *)
 
@@ -219,7 +346,9 @@ let () =
   Alcotest.run "edge"
     [ Tutil.qsuite "readiness" [ prop_readiness ];
       Tutil.qsuite "timewheel" [ prop_wheel_order ];
+      Tutil.qsuite "events" [ prop_event_fifo ];
       ("budget",
-       [ Alcotest.test_case "idle bytes pinned" `Quick test_idle_budget ]);
+       [ Alcotest.test_case "idle bytes pinned" `Quick test_idle_budget;
+         Alcotest.test_case "idle live words" `Quick test_idle_live_words ]);
       ("hostio",
        [ Alcotest.test_case "fd ceiling guard" `Quick test_fd_guard ]) ]

@@ -303,6 +303,63 @@ let test_cwnd_grows () =
   Tutil.run_net net ~until:(Engine.Time.sec 20);
   Tutil.check_bool "congestion window opened" true (Tcp.cwnd c > !initial * 4)
 
+(* Local ports come from [32768, 60999] and wrap around. 40k connect/close
+   cycles run past the end of the range; a port whose connection is still
+   in the table is skipped; and the stack still carries data afterwards. *)
+let test_ephemeral_wrap () =
+  let net, _a, b, sa, sb = tcp_pair () in
+  let dst = Simnet.Node.id b in
+  let in_range p = p >= 32_768 && p <= 60_999 in
+  (* Port 81 has no listener; the loop never runs the network, so [held]
+     stays in Syn_sent across the wrap and keeps its port busy. *)
+  let held = Tcp.connect sa ~dst ~port:81 in
+  let bad = ref 0 and reused_held = ref 0 and wrapped = ref false in
+  let last = ref (Tcp.local_port held) in
+  for _ = 1 to 40_000 do
+    let c = Tcp.connect sa ~dst ~port:81 in
+    let p = Tcp.local_port c in
+    if not (in_range p) then incr bad;
+    if p = Tcp.local_port held then incr reused_held;
+    if p < !last then wrapped := true;
+    last := p;
+    Tcp.close c
+  done;
+  Tutil.check_bool "held port in range" true (in_range (Tcp.local_port held));
+  Tutil.check_int "ports outside [32768, 60999]" 0 !bad;
+  Tutil.check_bool "allocation wrapped" true !wrapped;
+  Tutil.check_int "live port handed out again" 0 !reused_held;
+  Tutil.run_net net;
+  Tutil.check_bool "held conn refused" true (Tcp.state held = Tcp.Closed_st);
+  echo_server sb ~port:80;
+  let c = Tcp.connect sa ~dst ~port:80 in
+  Tutil.check_bool "post-wrap port in range" true (in_range (Tcp.local_port c));
+  let echoed = Buffer.create 16 in
+  Tcp.set_event_cb c (fun ev ->
+      match ev with
+      | Tcp.Established -> ignore (Tcp.write c (Bb.of_string "after wrap"))
+      | Tcp.Readable ->
+        (match Tcp.read c ~max:100 with
+         | Some buf -> Buffer.add_string echoed (Bb.to_string buf)
+         | None -> ())
+      | _ -> ());
+  Tutil.run_net net;
+  Tutil.check_string "data after wrap" "after wrap" (Buffer.contents echoed)
+
+(* With every ephemeral port live towards one (node, port), the next
+   active open fails loudly instead of leaving the range. *)
+let test_ephemeral_exhausted () =
+  let _net, _a, b, sa, _sb = tcp_pair () in
+  let dst = Simnet.Node.id b in
+  for _ = 32_768 to 60_999 do
+    ignore (Tcp.connect sa ~dst ~port:81)
+  done;
+  (match Tcp.connect sa ~dst ~port:81 with
+   | _ -> Alcotest.fail "connect past the ephemeral range succeeded"
+   | exception Failure _ -> ());
+  (* Another destination port still has the whole range. *)
+  Tutil.check_int "other port unaffected" 32_768
+    (Tcp.local_port (Tcp.connect sa ~dst ~port:82))
+
 let () =
   Alcotest.run "tcp"
     [ ("lifecycle",
@@ -311,7 +368,10 @@ let () =
          Alcotest.test_case "fin/eof" `Quick test_fin_eof;
          Alcotest.test_case "abort/rst" `Quick test_abort_resets_peer;
          Alcotest.test_case "two connections" `Quick
-           test_two_connections_demux ]);
+           test_two_connections_demux;
+         Alcotest.test_case "ephemeral ports wrap" `Quick test_ephemeral_wrap;
+         Alcotest.test_case "ephemeral ports exhausted" `Quick
+           test_ephemeral_exhausted ]);
       ("data",
        [ Alcotest.test_case "echo integrity" `Quick test_echo_integrity;
          Alcotest.test_case "integrity under 8% loss" `Quick
