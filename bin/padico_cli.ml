@@ -694,10 +694,9 @@ let flow_cmd =
                 | Netaccess.Na_core.Sysio_work -> "sysio"
               in
               Printf.printf
-                "dispatch %s/%-5s: depth peak %d, deferred %d, shed %d\n"
+                "dispatch %s/%-5s: depth peak %d, shed %d\n"
                 name kname
                 (Netaccess.Na_core.queue_peak core kind)
-                (Netaccess.Na_core.deferred_count core kind)
                 (Netaccess.Na_core.shed_count core kind))
            [ Netaccess.Na_core.Madio_work; Netaccess.Na_core.Sysio_work ])
       [ (a, "a"); (b, "b") ];

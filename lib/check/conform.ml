@@ -1101,7 +1101,7 @@ let resilient_exhausted ~plan policy =
 
 (* ---------- edge churn ---------- *)
 
-(* Edge-gateway capacity mode under churn: an accept storm (every client
+(* An edge gateway under churn: an accept storm (every client
    dials at t=0), mid-handshake disconnects (abort fired before the
    SYN-ACK can arrive) and clients that reconnect reusing the same
    logical port. The server echoes every byte. Under every schedule
@@ -1127,8 +1127,6 @@ let edge_churn ~plan policy =
    | None -> ()
    | Some p -> ignore (Padico_fault.Inject.apply (Padico.net grid) p));
   let sio_s = Sysio.get s and sio_c = Sysio.get c in
-  Sysio.set_edge sio_s;
-  Sysio.set_edge sio_c;
   let st_s = Sysio.stack_on sio_s seg in
   let st_c = Sysio.stack_on sio_c seg in
   (* Echo server: read everything available, write it back, and keep the

@@ -10,7 +10,6 @@ type config = {
   suspect_phi : float;
   confirm_phi : float;
   wan_floor : int;
-  wheel_timers : bool;
 }
 
 let default_config =
@@ -20,7 +19,6 @@ let default_config =
     suspect_phi = 1.0;
     confirm_phi = 2.0;
     wan_floor = 4;
-    wheel_timers = false;
   }
 
 type verdict = Alive | Suspect | Confirmed
@@ -266,24 +264,9 @@ let rec tick (t : t) =
     end
   end
 
-(* With [wheel_timers], thousands of detectors share one engine event per
-   occupied wheel slot instead of one heap entry each; ticks land at slot
-   granularity. The default keeps the exact heap timer the deterministic
-   detection schedules pin. *)
 and arm_tick t =
-  if t.cfg.wheel_timers then begin
-    let tm =
-      Padico_fault.Timewheel.arm
-        (Padico_fault.Timewheel.for_clock t.clock)
-        ~after_ns:t.cfg.interval_ns
-        (fun () -> tick t)
-    in
-    fun () -> Padico_fault.Timewheel.cancel tm
-  end
-  else begin
-    let tm = Clock.arm t.clock t.cfg.interval_ns (fun () -> tick t) in
-    fun () -> Clock.cancel tm
-  end
+  let tm = Clock.arm t.clock t.cfg.interval_ns (fun () -> tick t) in
+  fun () -> Clock.cancel tm
 
 let stop t =
   t.run <- false;

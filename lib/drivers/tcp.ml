@@ -1,5 +1,6 @@
 module Bytebuf = Engine.Bytebuf
 module Sim = Engine.Sim
+module Timewheel = Padico_fault.Timewheel
 
 let log = Logs.Src.create "drivers.tcp"
 
@@ -117,12 +118,8 @@ and stack = {
   conns : conn Conn_tbl.t; (* keyed by [conn_key] *)
   listeners : (int, listener) Hashtbl.t;
   mutable next_ephemeral : int;
-  (* Capacity-mode capabilities, all off by default so the classic paths
-     stay byte-identical (exact virtual-time pins in test_sched). *)
-  mutable timer_svc : (after_ns:int -> (unit -> unit) -> unit) option;
-      (* RTO/persist timers go here instead of the engine heap when set *)
-  mutable reap : bool; (* remove fully-closed conns from [conns] *)
-  mutable reaped : int;
+  wheel : Timewheel.t; (* the node clock's shared wheel: RTO and persist *)
+  mutable reaped : int; (* fully-closed conns removed from [conns] *)
 }
 
 let stacks : (int * int, stack) Hashtbl.t = Hashtbl.create 16
@@ -190,14 +187,10 @@ let counters c =
 
 let sim c = Simnet.Segment.sim c.stack.seg
 
-(* Per-connection timers (RTO, persist probes) go through the stack's
-   injected timer service when one is set — at edge-gateway scale that is a
-   slotted timewheel, so 100k retransmit timers cost one engine event per
-   occupied slot instead of one each. Default: the engine heap, verbatim. *)
-let tcp_after c ns f =
-  match c.stack.timer_svc with
-  | Some svc -> svc ~after_ns:ns f
-  | None -> Sim.after (sim c) ns f
+(* Per-connection timers (RTO, persist probes) go on the node's slotted
+   timewheel: 100k armed retransmit timers cost one engine event per
+   occupied slot instead of one each, and fire at most one slot late. *)
+let tcp_after c ns f = ignore (Timewheel.arm c.stack.wheel ~after_ns:ns f)
 
 (* Send rings cycle through the size-classed slab pool: taken by [write],
    returned when the last written byte is acknowledged and on close. *)
@@ -270,12 +263,11 @@ let cancel_timer c =
   c.timer_gen <- c.timer_gen + 1;
   c.timer_armed <- false
 
-(* Fully-closed connections leave the stack's table when reaping is on
-   (edge/capacity mode): the classic default keeps them forever, exactly as
-   before — a late segment for a reaped connection is answered with RST,
-   which the default path must never emit (it would perturb loss RNG). *)
+(* Fully-closed connections leave the stack's table; a late segment for a
+   reaped connection is answered with RST, like any segment to a port
+   with no connection. *)
 let reap_conn c =
-  if c.stack.reap && c.st = Closed_st then begin
+  if c.st = Closed_st then begin
     cancel_timer c;
     release_ring c;
     let key = conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport in
@@ -329,12 +321,12 @@ and on_timeout c =
          ~seq:c.snd_una (Bytebuf.create 0)
    | Syn_received ->
      c.syn_attempts <- c.syn_attempts + 1;
-     if c.stack.reap && c.syn_attempts >= 5 then begin
-       (* Capacity mode: give up on a half-open passive connection whose
-          dialer vanished mid-handshake (its RST was lost) — otherwise the
-          SYN-ACK retransmits forever and the gateway leaks the slot. The
-          connection was never accepted, so there is no callback to fire.
-          Classic mode keeps the historical endless retransmission. *)
+     if c.syn_attempts >= 5 then begin
+       (* Give up on a half-open passive connection whose dialer vanished
+          mid-handshake (its RST was lost) — otherwise the SYN-ACK
+          retransmits forever and the listener leaks the slot. The
+          connection was never accepted, so there is no callback to
+          fire. *)
        c.st <- Closed_st;
        cancel_timer c;
        reap_conn c
@@ -344,11 +336,10 @@ and on_timeout c =
          ~seq:c.snd_una (Bytebuf.create 0)
    | Established_st | Fin_wait | Close_wait ->
      c.strikes <- c.strikes + 1;
-     if c.stack.reap && c.strikes >= 10 then begin
-       (* Capacity mode: ETIMEDOUT after 10 consecutive unanswered
-          retransmissions — the peer is gone (reset lost, host vanished).
-          Surface it as a reset so the watcher tears the connection
-          down. *)
+     if c.strikes >= 10 then begin
+       (* ETIMEDOUT after 10 consecutive unanswered retransmissions — the
+          peer is gone (reset lost, host vanished). Surface it as a reset
+          so the watcher tears the connection down. *)
        c.st <- Closed_st;
        cancel_timer c;
        c.cb Reset;
@@ -705,7 +696,7 @@ let attach seg node =
         let s =
           { seg; snode = node; conns = Conn_tbl.create 16;
             listeners = Hashtbl.create 8; next_ephemeral = ephemeral_lo;
-            timer_svc = None; reap = false; reaped = 0 }
+            wheel = Timewheel.for_clock (Simnet.Node.clock node); reaped = 0 }
         in
         Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.tcp
           (handle_packet s);
@@ -834,18 +825,14 @@ let abort c =
       (conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport)
   end
 
-(* ---------- capacity-mode capabilities and accounting ---------- *)
-
-let set_timer_service stack svc = stack.timer_svc <- Some svc
-
-let set_reap stack v = stack.reap <- v
+(* ---------- accounting ---------- *)
 
 let reaped stack = stack.reaped
 
 let conn_count stack = Conn_tbl.length stack.conns
 
 (* Heap retained by one idle established connection end on a 64-bit
-   runtime: the record, its table slot and, in SysIO edge mode, the
+   runtime: the record, its table slot and, when SysIO watches it, the
    readiness source and closures around it (82 words measured). Not an
    estimate but a tested bound: test_edge fails when the live-heap growth
    of 10k idle connections, after a full major GC, exceeds this many bytes

@@ -6,6 +6,16 @@
     with exponential backoff, slow start / congestion avoidance / fast
     retransmit + fast recovery (Reno-class), zero-window probing, FIN/RST.
 
+    Per-connection timers (RTO, zero-window persist) run on the node
+    clock's shared {!Padico_fault.Timewheel}, so 100k armed retransmit
+    timers cost one engine event per occupied slot; a timer fires at
+    most one slot (~66 µs) after its deadline, far below [min_rto].
+    Fully closed connections (FIN handshake complete, RST, or handshake
+    give-up) leave the stack's table, and a late segment for one is
+    answered with RST. An active open gives up after 5 SYNs, a half-open
+    passive one after 5 SYN-ACKs, and an established connection after 10
+    consecutive unanswered retransmissions ([Reset]).
+
     This matters for the paper's WAN experiments: a single stream collapses
     under random loss (parallel streams then recover the bandwidth, E4), and
     5–10 % loss pushes TCP into timeout-dominated behaviour around
@@ -110,34 +120,14 @@ val retransmit_breakdown : conn -> int * int * int
 val bytes_sent : conn -> int
 val bytes_received : conn -> int
 
-(** {2 Capacity-mode capabilities}
-
-    All off by default; the classic stack behaves exactly as before (the
-    exact virtual-time pins in test_sched prove the default path is
-    untouched). SysIO's edge mode turns them on per stack. *)
-
-val set_timer_service :
-  stack -> (after_ns:int -> (unit -> unit) -> unit) -> unit
-(** Route per-connection timers (RTO, zero-window persist) through the
-    given arming function instead of the engine event heap — at scale, a
-    {!Padico_fault.Timewheel}, so 100k armed retransmit timers cost one
-    engine event per occupied slot. *)
-
-val set_reap : stack -> bool -> unit
-(** When on, fully-closed connections (FIN handshake complete, RST, or
-    SYN give-up) are removed from the stack's table. Off (default):
-    closed connections are kept, and no RST is ever emitted for a late
-    segment to one — the historical behaviour the deterministic replays
-    pin. *)
+(** {2 Byte-budget accounting} *)
 
 val reaped : stack -> int
-(** Connections removed by {!set_reap}. *)
-
-(** {2 Byte-budget accounting} *)
+(** Fully closed connections removed from the stack's table. *)
 
 val conn_overhead_bytes : int
 (** Heap retained by one idle established connection end (768 bytes:
-    record, table slot, and in SysIO edge mode its readiness source),
+    record, table slot, and the SysIO readiness source that watches it),
     a bound checked by measuring the live heap of 10k idle connections;
     the basis of the per-connection byte budget. *)
 

@@ -90,7 +90,7 @@ module Pool = struct
   let slab = 64
 
   (* The pool is process-global and reachable from every shard of a
-     parallel run (edge-mode send rings, MadIO aggregation headers), so
+     parallel run (TCP send rings, MadIO aggregation headers), so
      its free lists are mutex-guarded. Uncontended lock cost is noise
      next to the per-connection / per-message work the pool amortises. *)
   let lock = Mutex.create ()

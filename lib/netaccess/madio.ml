@@ -16,7 +16,6 @@ type agg_cfg = {
   agg_threshold : int; (* messages strictly smaller coalesce *)
   agg_budget_ns : int; (* max queueing delay before a forced flush *)
   agg_max_batch : int; (* cap on batched payload+sublength bytes *)
-  agg_wheel : bool; (* budget timers on the slotted timewheel *)
 }
 
 (* One pending coalescing batch for a (peer, logical channel) flow. *)
@@ -474,17 +473,8 @@ let queue_batched t lc ~dst iov len a =
   agg_event t "queue" ~lchan:lc.id ~msgs:b.b_count ~bytes:b.b_bytes;
   if first then begin
     let epoch = b.b_epoch in
-    let fire () = if b.b_epoch = epoch then flush_batch t b ~reason:"budget" in
-    (* [agg_wheel] trades exact budget expiry for one engine event per
-       occupied wheel slot (the deadline rounds up to slot granularity) —
-       an edge gateway with thousands of open batches wants that; the
-       default keeps the heap timer and the pinned event stream. *)
-    if a.agg_wheel then
-      ignore
-        (Padico_fault.Timewheel.arm
-           (Padico_fault.Timewheel.for_clock (Simnet.Node.clock t.mio_node))
-           ~after_ns:a.agg_budget_ns fire)
-    else Sim.after (Simnet.Node.sim t.mio_node) a.agg_budget_ns fire
+    Sim.after (Simnet.Node.sim t.mio_node) a.agg_budget_ns (fun () ->
+        if b.b_epoch = epoch then flush_batch t b ~reason:"budget")
   end
 
 let sendv lc ~dst iov =
@@ -614,7 +604,7 @@ let messages_received t = Stats.Counter.value t.received
 
 let set_aggregation t ?(threshold = Calib.madio_agg_threshold_bytes)
     ?(budget_ns = Calib.madio_agg_budget_ns)
-    ?(max_batch = Calib.madio_agg_max_batch_bytes) ?(wheel = false) on =
+    ?(max_batch = Calib.madio_agg_max_batch_bytes) on =
   if on then begin
     if threshold < 2 || threshold > 0xffff then
       invalid_arg "Madio.set_aggregation: threshold must be in [2, 65535]";
@@ -625,7 +615,7 @@ let set_aggregation t ?(threshold = Calib.madio_agg_threshold_bytes)
     t.agg <-
       Some
         { agg_threshold = threshold; agg_budget_ns = budget_ns;
-          agg_max_batch = max_batch; agg_wheel = wheel }
+          agg_max_batch = max_batch }
   end
   else begin
     flush_all t;

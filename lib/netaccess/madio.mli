@@ -64,18 +64,16 @@ val header_combining : t -> bool
     wire format is then byte-identical to pre-aggregation builds. *)
 
 val set_aggregation :
-  t -> ?threshold:int -> ?budget_ns:int -> ?max_batch:int -> ?wheel:bool ->
-  bool -> unit
+  t -> ?threshold:int -> ?budget_ns:int -> ?max_batch:int -> bool -> unit
 (** Enable/disable coalescing. [threshold] (default
     [Calib.madio_agg_threshold_bytes]): messages strictly smaller
     coalesce, in [2, 65535]. [budget_ns] (default
     [Calib.madio_agg_budget_ns]): max virtual-time queueing delay.
     [max_batch] (default [Calib.madio_agg_max_batch_bytes]): cap on
-    batched payload+sublength bytes per packet. [wheel] (default [false])
-    arms the budget timers on the node's {!Padico_fault.Timewheel} — one
-    engine event per occupied slot instead of one per open batch, at
-    slot-granularity expiry; the default keeps the exact heap timer.
-    Disabling flushes everything pending. *)
+    batched payload+sublength bytes per packet. The budget timer is an
+    exact engine-heap timer: budgets of a few µs sit well below the
+    ~66 µs slot of the shared timewheel. Disabling flushes everything
+    pending. *)
 
 val aggregation_enabled : t -> bool
 

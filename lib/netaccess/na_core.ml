@@ -11,8 +11,6 @@ module Log = (val Logs.src_log log : Logs.LOG)
 
 type kind = Madio_work | Sysio_work
 
-type prio = Normal | Low
-
 type quanta = { madio_quantum : int; sysio_quantum : int }
 
 type adaptive = {
@@ -26,8 +24,6 @@ type adaptive = {
 
 type policy = Static of quanta | Adaptive of adaptive
 
-type io_model = Scan | Ready_queue
-
 let default_quanta = { madio_quantum = 4; sysio_quantum = 4 }
 
 let default_policy = Static default_quanta
@@ -38,7 +34,7 @@ let default_adaptive =
 
 type item = { work : unit -> unit; posted_at : int }
 
-(* An explicit readiness source (one per watched edge connection): events
+(* An explicit readiness source (one per watched connection): events
    accumulate at the source, and the source enqueues itself on the ready
    list at most once ([s_queued]) until drained. Idle sources are simply
    absent from the list, so a dispatch round costs nothing per idle
@@ -53,13 +49,10 @@ type source = {
 type queue_state = {
   kname : string;
   items : item Queue.t;
-  deferred : item Queue.t; (* Low-prio items parked while overloaded *)
-  mutable qhigh : int; (* defer/shed above this depth *)
-  mutable qlow : int; (* re-admit deferred work at/below this depth *)
+  mutable qhigh : int; (* shed droppable work at/above this depth *)
   mutable peak : int;
   count : Stats.Counter.t; (* dispatched *)
   wait : Stats.Summary.t; (* queueing time per item, ns *)
-  deferred_c : Stats.Counter.t;
   shed_c : Stats.Counter.t;
   mutable ewma : float; (* useful work per round (adaptive policy) *)
 }
@@ -80,9 +73,8 @@ type t = {
   polls_busy : Stats.Counter.t; (* scans with readiness events pending *)
   polls_idle : Stats.Counter.t; (* charged scans that found nothing *)
   polls_saved : Stats.Counter.t; (* idle scans elided by the backoff *)
-  (* Ready-queue io-model state. Empty when the model is [Scan] (the
-     default): the dispatcher round then never touches it. *)
-  mutable iomodel : io_model;
+  (* Readiness sources of watched connections; only sources with pending
+     events are on [ready]. *)
   ready : source Queue.t;
   mutable next_src : int;
   mutable nsources : int;
@@ -121,31 +113,15 @@ let policy t = t.pol
 
 let qstate t = function Madio_work -> t.madio | Sysio_work -> t.sysio
 
-let set_admission t kind ~high ~low =
-  if high < 1 || low < 0 || low > high then
-    invalid_arg "Na_core.set_admission: need 0 <= low <= high, high >= 1";
-  let q = qstate t kind in
-  q.qhigh <- high;
-  q.qlow <- low
+let set_admission t kind ~high =
+  if high < 1 then invalid_arg "Na_core.set_admission: need high >= 1";
+  (qstate t kind).qhigh <- high
 
 let flow t action q =
   if Trace.on () then
     Trace.instant t.dnode
       (Padico_obs.Event.Flow
          { action; place = "na." ^ q.kname; bytes = Queue.length q.items })
-
-(* Move parked low-priority work back to the live queue once the backlog
-   has drained to the low watermark. *)
-let readmit t q =
-  if (not (Queue.is_empty q.deferred)) && Queue.length q.items <= q.qlow
-  then begin
-    while
-      (not (Queue.is_empty q.deferred)) && Queue.length q.items < q.qhigh
-    do
-      Queue.push (Queue.pop q.deferred) q.items
-    done;
-    flow t "resume" q
-  end
 
 let run_item t q =
   match Queue.take_opt q.items with
@@ -234,6 +210,13 @@ let adaptive_round t a =
     t.scan_gap <- 1;
     t.rounds_since_scan <- 0
   end
+  else if not (Queue.is_empty t.ready) then begin
+    (* Readiness pending on sources is a productive scan too; its poll is
+       charged where the ready list drains. *)
+    Stats.Counter.incr t.polls_busy;
+    t.scan_gap <- 1;
+    t.rounds_since_scan <- 0
+  end
   else if t.sysio_interest > 0 then begin
     update_ewma a t.sysio 0;
     t.rounds_since_scan <- t.rounds_since_scan + 1;
@@ -283,8 +266,6 @@ let drain_ready t =
    to the policy, then sleep until new work is posted. *)
 let dispatcher_loop t () =
   let rec wait_for_work () =
-    readmit t t.madio;
-    readmit t t.sysio;
     if
       Queue.is_empty t.madio.items
       && Queue.is_empty t.sysio.items
@@ -313,8 +294,6 @@ let dispatcher_loop t () =
        end
      | Adaptive a -> adaptive_round t a);
     drain_ready t;
-    readmit t t.madio;
-    readmit t t.sysio;
     (* Yield so co-located processes make progress between rounds. *)
     Proc.yield_on t.clk
   done
@@ -322,11 +301,9 @@ let dispatcher_loop t () =
 let make_queue node kname =
   let scope = Metrics.Node (Simnet.Node.name node) in
   let q =
-    { kname; items = Queue.create (); deferred = Queue.create ();
-      qhigh = max_int; qlow = max_int; peak = 0;
+    { kname; items = Queue.create (); qhigh = max_int; peak = 0;
       count = Metrics.fresh_counter scope ("na." ^ kname ^ ".dispatched");
       wait = Metrics.fresh_summary scope ("na." ^ kname ^ ".wait_ns");
-      deferred_c = Metrics.fresh_counter scope ("na." ^ kname ^ ".deferred");
       shed_c = Metrics.fresh_counter scope ("na." ^ kname ^ ".shed");
       ewma = 0.0 }
   in
@@ -352,7 +329,7 @@ let get dnode =
             polls_busy = Metrics.fresh_counter scope "na.sysio.polls_busy";
             polls_idle = Metrics.fresh_counter scope "na.sysio.polls_idle";
             polls_saved = Metrics.fresh_counter scope "na.sysio.polls_saved";
-            iomodel = Scan; ready = Queue.create (); next_src = 0; nsources = 0;
+            ready = Queue.create (); next_src = 0; nsources = 0;
             ready_drains = Metrics.fresh_counter scope "na.ready.drains";
             ready_polls = Metrics.fresh_counter scope "na.ready.polls" }
         in
@@ -380,19 +357,8 @@ let admit t q item =
   if Queue.length q.items > q.peak then q.peak <- Queue.length q.items;
   wake t
 
-let post ?(prio = Normal) t kind work =
-  let q = qstate t kind in
-  let item = { work; posted_at = Clock.now t.clk } in
-  match prio with
-  | Low when Queue.length q.items >= q.qhigh ->
-    (* Overloaded: park the item rather than let the backlog grow. It runs
-       once the live queue drains to the low watermark; meanwhile the
-       producer behind it (a socket's receive buffer, say) fills up and
-       pushes back on the wire. *)
-    Queue.push item q.deferred;
-    Stats.Counter.incr q.deferred_c;
-    flow t "defer" q
-  | Normal | Low -> admit t q item
+let post t kind work =
+  admit t (qstate t kind) { work; posted_at = Clock.now t.clk }
 
 let post_droppable t kind work =
   let q = qstate t kind in
@@ -410,13 +376,9 @@ let dispatched t kind = Stats.Counter.value (qstate t kind).count
 
 let queue_depth t kind = Queue.length (qstate t kind).items
 
-let deferred_depth t kind = Queue.length (qstate t kind).deferred
-
 let queue_peak t kind = (qstate t kind).peak
 
 let shed_count t kind = Stats.Counter.value (qstate t kind).shed_c
-
-let deferred_count t kind = Stats.Counter.value (qstate t kind).deferred_c
 
 let mean_wait_ns t kind =
   let q = qstate t kind in
@@ -442,11 +404,7 @@ let scan_gap t = t.scan_gap
 
 let work_ewma t kind = (qstate t kind).ewma
 
-(* -- readiness-queue io model ------------------------------------------- *)
-
-let set_io_model t m = t.iomodel <- m
-
-let io_model t = t.iomodel
+(* -- readiness sources -------------------------------------------------- *)
 
 let register_source t ~drain =
   let s =

@@ -17,11 +17,6 @@ type t
 
 type kind = Madio_work | Sysio_work
 
-type prio = Normal | Low
-(** Admission class. [Low] work (bulk socket readiness, droppable
-    datagrams) is deferred when the queue is over its high watermark;
-    [Normal] work is always admitted. *)
-
 type quanta = {
   madio_quantum : int;  (** MadIO items dispatched per round *)
   sysio_quantum : int;  (** SysIO items dispatched per round *)
@@ -74,14 +69,13 @@ val node : t -> Simnet.Node.t
 val set_policy : t -> policy -> unit
 val policy : t -> policy
 
-val post : ?prio:prio -> t -> kind -> (unit -> unit) -> unit
+val post : t -> kind -> (unit -> unit) -> unit
 (** Enqueue a work item; the dispatcher wakes if idle. Exceptions raised by
-    items are caught and logged, never propagated.
-
-    With [~prio:Low] (default [Normal]) and the queue at or above its high
-    watermark, the item is {e deferred} to a side queue instead, and only
-    re-admitted once the live queue drains to the low watermark — never
-    dropped, but arbitrarily delayed under overload. *)
+    items are caught and logged, never propagated. Posted work is always
+    admitted: SysIO posts only accepts here, while connection events go
+    through readiness {!source}s, whose pushback is the transport's own
+    receive window (an undrained source leaves its bytes in the socket
+    buffer). *)
 
 val post_droppable : t -> kind -> (unit -> unit) -> bool
 (** Like [post], but when the queue is at or above its high watermark the
@@ -89,26 +83,21 @@ val post_droppable : t -> kind -> (unit -> unit) -> bool
     bumped, [flow.shed] traced). Use only for work whose loss the protocol
     already tolerates (e.g. unreliable datagram delivery). *)
 
-val set_admission : t -> kind -> high:int -> low:int -> unit
-(** Queue-depth watermarks (in items) for defer/shed admission control.
-    Default: unbounded (no deferral, no shedding). Raises
-    [Invalid_argument] unless [0 <= low <= high] and [high >= 1]. *)
+val set_admission : t -> kind -> high:int -> unit
+(** Queue-depth watermark (in items) at which {!post_droppable} sheds.
+    Default: unbounded (no shedding). Raises [Invalid_argument] unless
+    [high >= 1]. *)
 
 val dispatched : t -> kind -> int
 (** Items dispatched so far (fairness observability, experiment E6). *)
 
 val queue_depth : t -> kind -> int
 
-val deferred_depth : t -> kind -> int
-(** Low-priority items currently parked by admission control. *)
-
 val queue_peak : t -> kind -> int
 (** Highest live-queue depth ever observed. *)
 
 val shed_count : t -> kind -> int
-
-val deferred_count : t -> kind -> int
-(** Total items ever shed / deferred by admission control. *)
+(** Total items ever shed by admission control. *)
 
 val mean_wait_ns : t -> kind -> float
 (** Average virtual time items of [kind] spent queued before dispatch. *)
@@ -128,7 +117,8 @@ val add_sysio_interest : t -> int -> unit
 val sysio_interest : t -> int
 
 val polls_busy : t -> int
-(** Adaptive-policy SysIO scans that found readiness events pending. *)
+(** Adaptive-policy SysIO scans that found work pending: posted SysIO
+    items or readiness sources on the ready list. *)
 
 val polls_idle : t -> int
 (** Charged idle scans (sockets watched, nothing ready). *)
@@ -148,30 +138,17 @@ val current_quantum : t -> kind -> int
 (** The quantum the next round would grant [kind] (static: the policy
     constant; adaptive: the EWMA-driven value before any boost). *)
 
-(** {2 Readiness-queue io model (edge-gateway capacity)}
+(** {2 Readiness sources}
 
-    With [Scan] (the default) every SysIO event is an individually posted
-    work item — fine at tens of connections, O(events) queue traffic at
-    100k. [Ready_queue] replaces per-event posts with explicit readiness
-    {e sources}: events accumulate at the source (one per watched
-    connection) and the source sits on a ready list at most once until
+    Connection events do not travel as posted work items: each watched
+    connection owns one readiness {e source}. Events accumulate at the
+    source, and the source sits on the ready list at most once until
     drained. A dispatch round charges one [Calib.sysio_poll_ns] poll when
     the list is non-empty and drains up to the SysIO quantum of sources;
-    {e idle connections are not on the list and cost zero}. With no
-    sources registered the machinery is inert and the dispatcher is
-    byte-identical to the classic path — the PR-4/PR-5 capability
-    precedent. *)
-
-type io_model = Scan | Ready_queue
+    {e idle connections are not on the list and cost zero}, so a round's
+    cost is O(ready), not O(watched) nor O(events). *)
 
 type source
-
-val set_io_model : t -> io_model -> unit
-(** Record the node's io model. This is advisory state consulted by
-    [Sysio] when wiring connections; registered sources drain under
-    either value. *)
-
-val io_model : t -> io_model
 
 val register_source : t -> drain:(unit -> unit) -> source
 (** A new readiness source. [drain] must deliver {e every} pending event

@@ -4,16 +4,11 @@ module Clock = Engine.Clock
 module Trace = Padico_obs.Trace
 module Metrics = Padico_obs.Metrics
 module Stream = Hostio.Stream
-module Timewheel = Padico_fault.Timewheel
 
 type t = {
   sio_node : Simnet.Node.t;
   core : Na_core.t;
   dispatched : Stats.Counter.t;
-  (* Edge (capacity) mode: readiness-queue event routing, timewheel
-     per-connection timers, closed-connection reaping.
-     Off by default — the classic per-event post path, byte-identical. *)
-  mutable edge : bool;
   mutable sim_stacks : Tcp.stack list; (* for the byte-budget gauges *)
 }
 
@@ -23,6 +18,9 @@ let registry_lock = Mutex.create ()
 let () =
   Engine.Lifecycle.on_reset (fun () ->
       Mutex.protect registry_lock (fun () -> Hashtbl.reset instances))
+
+let sum_stacks f t =
+  List.fold_left (fun acc st -> acc + f st) 0 t.sim_stacks
 
 let get n =
   let key = Simnet.Node.uid n in
@@ -34,18 +32,12 @@ let get n =
         let t =
           { sio_node = n; core = Na_core.get n;
             dispatched = Metrics.fresh_counter scope "sysio.dispatched";
-            edge = false; sim_stacks = [] }
+            sim_stacks = [] }
         in
         Metrics.gauge scope "conn.count" (fun () ->
-            float_of_int
-              (List.fold_left
-                 (fun acc st -> acc + Tcp.conn_count st)
-                 0 t.sim_stacks));
+            float_of_int (sum_stacks Tcp.conn_count t));
         Metrics.gauge scope "conn.bytes_resident" (fun () ->
-            float_of_int
-              (List.fold_left
-                 (fun acc st -> acc + Tcp.resident_bytes st)
-                 0 t.sim_stacks));
+            float_of_int (sum_stacks Tcp.resident_bytes t));
         Hashtbl.replace instances key t;
         t)
 
@@ -63,7 +55,7 @@ and host_stack = {
   hs_loop : Hostio.Loop.t;
 }
 
-(* Pending edge-mode events of one connection: a FIFO of 3-bit event
+(* Pending events of one watched connection: a FIFO of 3-bit event
    codes in one int, oldest in the low bits, a zero code ending it.
    [Readable] / [Writable] already pending absorb a new edge of the same
    kind (the callback reads/writes everything available when it runs — "at
@@ -107,20 +99,20 @@ module Event_fifo = struct
     go q 0
 end
 
-(* A watched sim connection in edge mode carries a readiness source: its
-   transport events accumulate here and the source sits on the
-   dispatcher's ready list, instead of one posted work item per event.
-   Every other connection points at [no_src]. *)
-type conn = { impl : conn_impl; mutable src : edge_src }
+(* A watched connection, on either backend, carries a readiness source:
+   its transport events accumulate here and the source sits on the
+   dispatcher's ready list at most once until drained. An unwatched
+   connection points at [no_src]. *)
+type conn = { impl : conn_impl; mutable src : watcher }
 
 and conn_impl =
   | Sim_conn of Tcp.conn
   | Host_conn of host_conn
 
-and edge_src = {
-  mutable es_cb : Tcp.event -> unit;
-  mutable es_pending : Event_fifo.t;
-  mutable es_source : Na_core.source;
+and watcher = {
+  mutable w_cb : Tcp.event -> unit;
+  mutable w_pending : Event_fifo.t;
+  mutable w_source : Na_core.source;
 }
 
 and host_conn = {
@@ -132,38 +124,17 @@ and host_conn = {
 
 (* Shared and never written: the source of every connection without one. *)
 let no_src =
-  { es_cb = ignore; es_pending = Event_fifo.empty;
-    es_source = Na_core.no_source }
+  { w_cb = ignore; w_pending = Event_fifo.empty;
+    w_source = Na_core.no_source }
 
 let host_stacks : (int * int, host_stack) Hashtbl.t = Hashtbl.create 16
 let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset host_stacks)
-
-(* Edge capabilities on a simulated TCP stack: per-connection timers on the
-   shared per-clock timewheel (one engine event per occupied slot instead
-   of one per RTO) and closed-connection reaping. *)
-let enable_edge_stack t st =
-  let wheel = Timewheel.for_clock (Simnet.Node.clock t.sio_node) in
-  Tcp.set_timer_service st (fun ~after_ns f ->
-      ignore (Timewheel.arm wheel ~after_ns f));
-  Tcp.set_reap st true
-
-let set_edge t =
-  if not t.edge then begin
-    t.edge <- true;
-    Na_core.set_io_model t.core Na_core.Ready_queue;
-    List.iter (enable_edge_stack t) t.sim_stacks
-  end
-
-let edge t = t.edge
 
 let stack_on t seg =
   let clk = Simnet.Node.clock t.sio_node in
   if Clock.is_virtual clk then begin
     let st = Tcp.attach seg t.sio_node in
-    if not (List.memq st t.sim_stacks) then begin
-      t.sim_stacks <- st :: t.sim_stacks;
-      if t.edge then enable_edge_stack t st
-    end;
+    if not (List.memq st t.sim_stacks) then t.sim_stacks <- st :: t.sim_stacks;
     Sim_stack st
   end
   else
@@ -240,76 +211,59 @@ let event_name = function
   | Tcp.Peer_closed -> "peer-closed"
   | Tcp.Reset -> "reset"
 
-(* Route an event through the arbitration core, charging the callback
-   dispatch cost. *)
-let dispatch ?prio t f =
-  Na_core.post ?prio t.core Na_core.Sysio_work (fun () ->
-      Stats.Counter.incr t.dispatched;
-      Simnet.Node.cpu_async t.sio_node Calib.sysio_callback_ns (fun () -> ());
-      f ())
-
-(* Readable events carry bulk data and are the receive-window pushback
-   point: deferring one under overload leaves the bytes in the TCP receive
-   buffer, which closes the advertised window and stalls the sender — the
-   classic "stop reading and let the transport push back". Everything else
-   (connection lifecycle, writability) stays Normal so control traffic is
-   never starved by a data flood. *)
-let event_prio = function
-  | Tcp.Readable -> Na_core.Low
-  | Tcp.Established | Tcp.Writable | Tcp.Peer_closed | Tcp.Reset ->
-    Na_core.Normal
+(* Charge one callback dispatch: counted, and its CPU cost on the node. *)
+let charge t =
+  Stats.Counter.incr t.dispatched;
+  Simnet.Node.cpu_async t.sio_node Calib.sysio_callback_ns (fun () -> ())
 
 let trace_event t name =
   if Trace.on () then
     Trace.instant t.sio_node (Padico_obs.Event.Sysio_event { event = name })
 
-let wire_cb t cb ev =
-  dispatch ~prio:(event_prio ev) t (fun () ->
-      trace_event t (event_name ev);
-      cb ev)
+(* Accepts go through the arbitration core as posted work items. *)
+let dispatch t f =
+  Na_core.post t.core Na_core.Sysio_work (fun () ->
+      charge t;
+      f ())
 
-(* ---------- edge-mode readiness sources ---------- *)
+(* ---------- readiness sources ---------- *)
 
-let drain_src t es () =
-  while not (Event_fifo.is_empty es.es_pending) do
-    let ev = Event_fifo.head es.es_pending in
-    es.es_pending <- Event_fifo.tail es.es_pending;
-    Stats.Counter.incr t.dispatched;
-    Simnet.Node.cpu_async t.sio_node Calib.sysio_callback_ns (fun () -> ());
+let drain_src t w () =
+  while not (Event_fifo.is_empty w.w_pending) do
+    let ev = Event_fifo.head w.w_pending in
+    w.w_pending <- Event_fifo.tail w.w_pending;
+    charge t;
     trace_event t (event_name ev);
-    es.es_cb ev
+    w.w_cb ev
   done
 
-let push_event t es ev =
-  es.es_pending <- Event_fifo.push es.es_pending ev;
-  Na_core.mark_ready t.core es.es_source
+let push_event t w ev =
+  w.w_pending <- Event_fifo.push w.w_pending ev;
+  Na_core.mark_ready t.core w.w_source
 
-(* Attach (or retarget) the connection's readiness source and point the
-   transport's event callback at it. *)
-let edge_attach t conn cb =
-  if conn.src != no_src then conn.src.es_cb <- cb
-  else
-    match conn.impl with
-    | Sim_conn c ->
-      let es =
-        { es_cb = cb; es_pending = Event_fifo.empty;
-          es_source = Na_core.no_source }
-      in
-      es.es_source <- Na_core.register_source t.core ~drain:(drain_src t es);
-      conn.src <- es;
-      Tcp.set_event_cb c (fun ev -> push_event t es ev)
-    | Host_conn _ ->
-      (* Host sockets keep the classic post-per-event path: the reactor
-         already delivers only ready fds, and the host E15 subset runs
-         under the select fd ceiling anyway. *)
-      ()
+let set_transport_cb conn f =
+  match conn.impl with
+  | Sim_conn c -> Tcp.set_event_cb c f
+  | Host_conn { hc_stream = Some s; _ } ->
+    Stream.set_event_cb s (fun ev -> f (map_event ev))
+  | Host_conn _ -> ()
 
-let edge_detach t conn =
-  let es = conn.src in
-  if es != no_src then begin
-    Na_core.unregister_source t.core es.es_source;
-    es.es_cb <- (fun _ -> ());
-    conn.src <- no_src
+(* Give the connection a readiness source and point the transport's event
+   callback at it, or retarget the source it already has. *)
+let attach t conn cb =
+  if conn.src != no_src then begin
+    conn.src.w_cb <- cb;
+    conn.src
+  end
+  else begin
+    let w =
+      { w_cb = cb; w_pending = Event_fifo.empty;
+        w_source = Na_core.no_source }
+    in
+    w.w_source <- Na_core.register_source t.core ~drain:(drain_src t w);
+    conn.src <- w;
+    set_transport_cb conn (fun ev -> push_event t w ev);
+    w
   end
 
 let watch t conn cb =
@@ -317,24 +271,25 @@ let watch t conn cb =
      model: each watched source is one more reason a real receipt loop
      would keep select()ing. [watch]/[unwatch] must pair. *)
   Na_core.add_sysio_interest t.core 1;
+  let fresh = conn.src == no_src in
+  let w = attach t conn cb in
   match conn.impl with
-  | Sim_conn c ->
-    if t.edge then edge_attach t conn cb
-    else Tcp.set_event_cb c (fun ev -> wire_cb t cb ev)
-  | Host_conn { hc_stream = Some s; _ } ->
-    Stream.set_event_cb s (fun ev -> wire_cb t cb (map_event ev))
-  | Host_conn _ ->
+  | Host_conn { hc_stream = None; _ } when fresh ->
     (* Refused dial: the only event this connection will ever see. *)
-    wire_cb t cb Tcp.Reset
+    push_event t w Tcp.Reset
+  | Sim_conn _ | Host_conn _ -> ()
 
 let unwatch t conn =
   Na_core.add_sysio_interest t.core (-1);
-  match conn.impl with
-  | Sim_conn c ->
-    edge_detach t conn;
-    Tcp.set_event_cb c (fun _ -> ())
-  | Host_conn { hc_stream = Some s; _ } -> Stream.set_event_cb s (fun _ -> ())
-  | Host_conn _ -> ()
+  let w = conn.src in
+  if w != no_src then begin
+    Na_core.unregister_source t.core w.w_source;
+    (* Events still pending when the callback unwatches mid-drain are
+       dropped, like an fd closed with events queued. *)
+    w.w_cb <- ignore;
+    conn.src <- no_src
+  end;
+  set_transport_cb conn ignore
 
 let mk_conn impl = { impl; src = no_src }
 
@@ -363,34 +318,31 @@ let listen ?sndbuf ?rcvbuf t stack ~port cb =
 
 let connect ?sndbuf ?rcvbuf t stack ~dst ~port cb =
   Na_core.add_sysio_interest t.core 1;
-  match stack with
-  | Sim_stack st ->
-    let c = Tcp.connect ?sndbuf ?rcvbuf st ~dst ~port in
-    let conn = mk_conn (Sim_conn c) in
-    if t.edge then edge_attach t conn (cb conn)
-    else Tcp.set_event_cb c (fun ev -> wire_cb t (cb conn) ev);
-    conn
-  | Host_stack hs ->
-    let key = (Simnet.Segment.uid hs.hs_seg, dst, port) in
-    (match Hashtbl.find_opt rendezvous key with
-     | Some listener ->
-       let stream =
-         Stream.connect hs.hs_loop
-           ~port:(Stream.listener_port listener) ()
-       in
-       let conn = mk_conn (Host_conn (mk_host_conn hs stream)) in
-       Stream.set_event_cb stream (fun ev -> wire_cb t (cb conn) (map_event ev));
-       conn
-     | None ->
-       (* Nobody listens on that logical port: SYN -> RST. *)
-       let conn =
+  let conn =
+    match stack with
+    | Sim_stack st ->
+      mk_conn (Sim_conn (Tcp.connect ?sndbuf ?rcvbuf st ~dst ~port))
+    | Host_stack hs ->
+      let key = (Simnet.Segment.uid hs.hs_seg, dst, port) in
+      (match Hashtbl.find_opt rendezvous key with
+       | Some listener ->
+         let stream =
+           Stream.connect hs.hs_loop ~port:(Stream.listener_port listener) ()
+         in
+         mk_conn (Host_conn (mk_host_conn hs stream))
+       | None ->
+         (* Nobody listens on that logical port: SYN -> RST. *)
          mk_conn
            (Host_conn
-              { hc_stream = None; hc_node = hs.hs_node; hc_dead = true })
-       in
-       Clock.after (Simnet.Node.clock t.sio_node) 0 (fun () ->
-           wire_cb t (cb conn) Tcp.Reset);
-       conn)
+              { hc_stream = None; hc_node = hs.hs_node; hc_dead = true }))
+  in
+  let w = attach t conn (cb conn) in
+  (match conn.impl with
+   | Host_conn { hc_stream = None; _ } ->
+     Clock.after (Simnet.Node.clock t.sio_node) 0 (fun () ->
+         push_event t w Tcp.Reset)
+   | Sim_conn _ | Host_conn _ -> ());
+  conn
 
 (* ---------- connection operations ---------- *)
 
@@ -453,9 +405,7 @@ let watch_udp t udp ~port cb =
          (VRP) recovers. *)
       ignore
         (Na_core.post_droppable t.core Na_core.Sysio_work (fun () ->
-             Stats.Counter.incr t.dispatched;
-             Simnet.Node.cpu_async t.sio_node Calib.sysio_callback_ns
-               (fun () -> ());
+             charge t;
              trace_event t "udp-datagram";
              cb ~src ~src_port buf)))
 
@@ -463,11 +413,8 @@ let events_dispatched t = Stats.Counter.value t.dispatched
 
 (* ---------- byte-budget accounting ---------- *)
 
-let conn_count t =
-  List.fold_left (fun acc st -> acc + Tcp.conn_count st) 0 t.sim_stacks
+let conn_count t = sum_stacks Tcp.conn_count t
 
-let bytes_resident t =
-  List.fold_left (fun acc st -> acc + Tcp.resident_bytes st) 0 t.sim_stacks
+let bytes_resident t = sum_stacks Tcp.resident_bytes t
 
-let conns_reaped t =
-  List.fold_left (fun acc st -> acc + Tcp.reaped st) 0 t.sim_stacks
+let conns_reaped t = sum_stacks Tcp.reaped t

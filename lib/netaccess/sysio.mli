@@ -8,6 +8,14 @@
     a socket becomes ready; callbacks are serialized, so there are no
     reentrance issues and no signals.
 
+    Every watched connection, on either backend, reaches the loop the same
+    way: it owns one {!Na_core} readiness source. Its transport events
+    accumulate at the source (a pending [Readable] or [Writable] absorbs
+    a new one of the same kind), and the source sits on the dispatcher's
+    ready list at most once until drained, so idle connections cost
+    nothing per dispatch round. Accepts are posted work items; UDP
+    datagrams are droppable posts, shed under overload.
+
     SysIO is also the execution-backend boundary. A {!stack} is either the
     simulated TCP driver ([Drivers.Tcp], virtual clock) or a Hostio stream
     transport over real Unix sockets (monotonic clock) — chosen by the
@@ -47,12 +55,14 @@ val udp_on : t -> Simnet.Segment.t -> Drivers.Udp.t
     host backend). *)
 
 val watch : t -> conn -> (Drivers.Tcp.event -> unit) -> unit
-(** Register the connection with the receipt loop: every transport event is
-    dispatched through the arbitration core to the (non-blocking)
-    callback. *)
+(** Register the connection with the receipt loop: its transport events
+    are dispatched through its readiness source to the (non-blocking)
+    callback. A connection has at most one source; watching it again
+    retargets that source. *)
 
 val unwatch : t -> conn -> unit
-(** Stop dispatching events for this connection. *)
+(** Stop dispatching events for this connection and unregister its
+    readiness source. Events still pending are dropped. *)
 
 val listen :
   ?sndbuf:int -> ?rcvbuf:int -> t -> stack -> port:int -> (conn -> unit) ->
@@ -69,7 +79,7 @@ val connect :
   ?sndbuf:int -> ?rcvbuf:int -> t -> stack -> dst:int -> port:int ->
   (conn -> Drivers.Tcp.event -> unit) -> conn
 (** Active open with the event stream (including [Established]) routed
-    through the dispatcher. [dst]/[port] are the logical node id and port
+    through the connection's readiness source, as if {!watch}ed. [dst]/[port] are the logical node id and port
     on both backends; a host-backend dial to a port nobody listens on
     delivers [Reset], like a SYN answered by RST. *)
 
@@ -106,7 +116,7 @@ val watch_udp :
 
 val events_dispatched : t -> int
 
-(** Pending events of one edge-mode readiness source, as a FIFO of small
+(** Pending events of one readiness source, as a FIFO of small
     codes packed in one immediate int. [push] applies the coalescing rule:
     a [Readable] or [Writable] already pending absorbs a new one of the
     same kind; lifecycle events ([Established], [Peer_closed], [Reset])
@@ -127,31 +137,6 @@ module Event_fifo : sig
   (** [t] without its oldest event. *)
 end
 
-(** {2 Edge (capacity) mode}
-
-    Off by default; the classic post-per-event path is byte-identical to
-    every prior release. [set_edge] flips the node to the 100k-connection
-    regime:
-
-    - the dispatcher's {!Na_core.io_model} becomes [Ready_queue]: each
-      watched sim connection gets a coalescing readiness {e source}
-      (pending [Readable]/[Writable] edges absorb duplicates) that sits on
-      the ready list at most once — idle connections cost zero per round;
-    - per-connection TCP timers (RTO, persist) are re-routed onto the
-      node's {!Padico_fault.Timewheel}, one engine event per occupied slot
-      instead of one per timer;
-    - fully-closed connections are reaped from the stack table.
-
-    Host-backend connections keep the classic path (the reactor already
-    delivers only ready fds, and the host E15 subset stays under the
-    select fd ceiling). *)
-
-val set_edge : t -> unit
-(** Enable edge mode on this node (idempotent; applies to current and
-    future sim stacks). *)
-
-val edge : t -> bool
-
 (** {2 Byte-budget accounting (sim stacks)} *)
 
 val conn_count : t -> int
@@ -164,4 +149,5 @@ val bytes_resident : t -> int
     gauge. *)
 
 val conns_reaped : t -> int
-(** Connections removed by edge-mode reaping. *)
+(** Fully closed connections removed from this node's sim stacks (see
+    {!Drivers.Tcp.reaped}). *)

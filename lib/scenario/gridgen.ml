@@ -86,7 +86,7 @@ let edge_port = 7100
    conservative engine can find in it. *)
 let edge ?(seed = 42) ?prefs ?backend ?(sharded = false)
     ?(wan = Simnet.Presets.vthd)
-    ?(shards = 4) ?(client_nodes = 16) ?(bufsize = 4096) ?(capacity = true)
+    ?(shards = 4) ?(client_nodes = 16) ?(bufsize = 4096)
     ~clients ~churn ~tail () =
   if clients < 1 then invalid_arg "Gridgen.edge: clients < 1";
   if shards < 1 then invalid_arg "Gridgen.edge: shards < 1";
@@ -109,8 +109,6 @@ let edge ?(seed = 42) ?prefs ?backend ?(sharded = false)
           (Printf.sprintf "edge-c%d" i))
   in
   let wan_seg = Padico.add_segment grid wan ~name:"edge-wan" (sh @ cl) in
-  if capacity then
-    List.iter (fun n -> Sysio.set_edge (Sysio.get n)) (sh @ cl);
   { e_grid = grid; e_shards = sh; e_clients = cl; e_wan = wan_seg;
     e_port = edge_port; e_nclients = clients; e_churn = churn; e_tail = tail;
     e_seed = seed; e_bufsize = bufsize; e_sharded = sharded }

@@ -26,6 +26,7 @@ type st = {
   mutable inner_eof : bool;  (* inner stream fully drained to Eof *)
   mutable inflight : int;  (* decompress cpu charges not yet landed *)
   mutable wr_inflight : int;  (* coded frames posted, not yet accepted *)
+  mutable max_space : int;  (* largest inner write space seen: its buffer *)
 }
 
 let charge st per_byte n k =
@@ -92,6 +93,20 @@ let rec read_loop st =
     end
   end
 
+(* Bytes the next frames may occupy in the inner driver. Below half its
+   buffer, and without room for a full chunk, the answer is 0: cutting
+   frames to whatever space one acknowledgement freed would lock the
+   stream into segments of that size (the silly-window syndrome), so the
+   writer waits for more space instead. *)
+let frame_room st =
+  let space = Stdlib.max 0 (Vl.write_space st.inner) in
+  if space > st.max_space then st.max_space <- space;
+  if
+    space * 2 >= st.max_space
+    || space >= Adoc.chunk_size st.codec + Adoc.frame_header_len
+  then space
+  else 0
+
 let resume_reads st =
   if st.rx_paused && Streamq.below_low st.rx then begin
     st.rx_paused <- false;
@@ -109,7 +124,7 @@ let ops st =
               an uncompressible chunk costs its length plus the frame
               header) so backpressure is forwarded instead of absorbed in
               an unbounded inner write queue. *)
-           let budget = ref (Stdlib.max 0 (Vl.write_space st.inner)) in
+           let budget = ref (frame_room st) in
            let pos = ref 0 in
            let continue = ref true in
            while !continue && !pos < total do
@@ -148,9 +163,7 @@ let ops st =
     o_write_space =
       (fun () ->
          if st.closed then 0
-         else
-           Stdlib.max 0
-             (Vl.write_space st.inner - Adoc.frame_header_len));
+         else Stdlib.max 0 (frame_room st - Adoc.frame_header_len));
     o_close =
       (fun () ->
          st.closed <- true;
@@ -164,7 +177,7 @@ let wrap ?chunk ?(rx_high = 262_144) ?rx_low ~link_bandwidth_bps inner =
       decoder = Adoc.Decoder.create ();
       rx = Streamq.create ~high:rx_high ~low:rx_low ();
       node = Vl.node inner; outer = None; closed = false; rx_paused = false;
-      inner_eof = false; inflight = 0; wr_inflight = 0 }
+      inner_eof = false; inflight = 0; wr_inflight = 0; max_space = 0 }
   in
   let connected_now = Vl.is_connected inner in
   let vl =

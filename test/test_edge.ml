@@ -1,7 +1,8 @@
 (* Edge-gateway capacity machinery (see DESIGN.md section 15): the
    readiness-queue wakeup protocol under random interest churn, the
    timewheel firing-order contract against the reference heap, the
-   idle-connection byte-budget pin, and the Hostio fd-ceiling guard. *)
+   idle-connection byte-budget pin, closed-connection reaping on a plain
+   grid, and the Hostio fd-ceiling guard. *)
 
 module Bb = Engine.Bytebuf
 module Sim = Engine.Sim
@@ -16,7 +17,7 @@ module Timewheel = Padico_fault.Timewheel
 
 (* Model: [nsrc] interest slots, each holding a live source (or none). A
    random schedule of Mark / Unregister / Re-register ops runs against a
-   real dispatcher in [Ready_queue] mode. Each model slot counts events
+   real dispatcher. Each model slot counts events
    not yet drained; the source's drain consumes them all (the per-
    connection queue drain). Invariants, checked after quiescence:
 
@@ -34,7 +35,6 @@ let readiness_holds ops =
   let grid = Padico.create () in
   let n = Padico.add_node grid "n" in
   let core = Na.get n in
-  Na.set_io_model core Na.Ready_queue;
   let pending = Array.make nsrc 0 in
   let alive = Array.make nsrc false in
   let spurious = ref 0 and ghost = ref 0 in
@@ -199,8 +199,8 @@ let prop_wheel_order =
    lazy, so 100k idle connections are 100k * 768 B, not 100k * sndbuf.
    After one request/ack exchange every connection is back at that floor:
    both sides' rings were returned once their data was acknowledged.
-   After every connection closes, edge-mode reaping returns both stacks
-   to zero resident bytes. *)
+   After every connection closes, reaping returns both stacks to zero
+   resident bytes. *)
 
 let test_idle_budget () =
   let idle = 32 in
@@ -211,8 +211,6 @@ let test_idle_budget () =
     Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ s; c ]
   in
   let sio_s = Sysio.get s and sio_c = Sysio.get c in
-  Sysio.set_edge sio_s;
-  Sysio.set_edge sio_c;
   let st_s = Sysio.stack_on sio_s seg and st_c = Sysio.stack_on sio_c seg in
   let requests = ref 0 and acks = ref 0 in
   Sysio.listen ~sndbuf:4096 ~rcvbuf:4096 sio_s st_s ~port:9500 (fun conn ->
@@ -278,7 +276,7 @@ let test_idle_budget () =
 
 (* The accounting floor above is a measured bound, pinned here: after a
    full major collection, the live-heap growth caused by [idle] idle
-   established edge-mode connections (both ends in this process) must stay
+   established watched connections (both ends in this process) must stay
    within [Tcp.conn_overhead_bytes] per connection end — the connection
    record, its table slot, its SysIO readiness source and nothing
    eager. *)
@@ -293,8 +291,6 @@ let test_idle_live_words () =
     Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ s; c ]
   in
   let sio_s = Sysio.get s and sio_c = Sysio.get c in
-  Sysio.set_edge sio_s;
-  Sysio.set_edge sio_c;
   let st_s = Sysio.stack_on sio_s seg and st_c = Sysio.stack_on sio_c seg in
   Sysio.listen ~sndbuf:4096 ~rcvbuf:4096 sio_s st_s ~port:9500 (fun conn ->
       Sysio.watch sio_s conn (fun _ -> ()));
@@ -318,6 +314,86 @@ let test_idle_live_words () =
   if per_end > float_of_int max_words then
     Alcotest.failf "idle connection end retains %.1f words (budget %d)" per_end
       max_words
+
+(* ---------- reaping on a plain grid ---------- *)
+
+(* Every TCP stack reaps, not only an edge gateway's: on a plain grid,
+   [n] connections opened and closed through SysIO leave both stacks
+   empty, and each end counts exactly [n] reaps. *)
+
+let test_plain_reap () =
+  let n = 16 and port = 9600 in
+  let grid = Padico.create () in
+  let s = Padico.add_node grid "s" in
+  let c = Padico.add_node grid "c" in
+  let seg =
+    Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ s; c ]
+  in
+  let sio_s = Sysio.get s and sio_c = Sysio.get c in
+  let st_s = Sysio.stack_on sio_s seg and st_c = Sysio.stack_on sio_c seg in
+  Sysio.listen sio_s st_s ~port (fun conn ->
+      let closed = ref false in
+      let finish () =
+        if not !closed then begin
+          closed := true;
+          Sysio.unwatch sio_s conn;
+          Sysio.close conn
+        end
+      in
+      Sysio.watch sio_s conn (function
+        | Tcp.Peer_closed -> finish ()
+        | _ -> ());
+      if Sysio.peer_closed conn then finish ());
+  for _ = 1 to n do
+    ignore
+      (Sysio.connect sio_c st_c ~dst:(Node.id s) ~port (fun conn -> function
+         | Tcp.Established -> Sysio.close conn
+         | Tcp.Peer_closed -> Sysio.unwatch sio_c conn
+         | _ -> ()))
+  done;
+  Tutil.run_grid grid;
+  Tutil.check_int "server stack empty" 0 (Sysio.conn_count sio_s);
+  Tutil.check_int "client stack empty" 0 (Sysio.conn_count sio_c);
+  Tutil.check_int "server reaped every connection" n (Sysio.conns_reaped sio_s);
+  Tutil.check_int "client reaped every connection" n (Sysio.conns_reaped sio_c);
+  Tutil.check_int "no resident bytes left" 0
+    (Sysio.bytes_resident sio_s + Sysio.bytes_resident sio_c)
+
+(* A half-open passive connection whose dialer vanished right after its
+   SYN (no RST ever arrives): the server retransmits the SYN-ACK with
+   exponential backoff, gives up after the fifth, and reaps the slot
+   without ever accepting it. *)
+
+let test_half_open_reap () =
+  let port = 9601 in
+  let grid = Padico.create () in
+  let s = Padico.add_node grid "s" in
+  let c = Padico.add_node grid "c" in
+  let seg =
+    Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ s; c ]
+  in
+  let sio_s = Sysio.get s and sio_c = Sysio.get c in
+  let st_s = Sysio.stack_on sio_s seg and st_c = Sysio.stack_on sio_c seg in
+  Sysio.listen sio_s st_s ~port (fun _ ->
+      Alcotest.fail "a half-open connection was accepted");
+  let conn =
+    Sysio.connect sio_c st_c ~dst:(Node.id s) ~port (fun _ _ -> ())
+  in
+  (* The SYN is already on its way. Closing in SYN_SENT drops the
+     connection silently, and with no TCP handler the dialer answers
+     nothing — not even the RST a closed port would send. *)
+  Sysio.close conn;
+  Simnet.Segment.clear_handler seg c ~proto:Simnet.Packet.Proto.tcp;
+  Padico.run grid ~until:(Time.sec 10);
+  Tutil.check_int "half-open connection held at 10 s" 1
+    (Sysio.conn_count sio_s);
+  Tutil.check_int "four SYN-ACKs by 10 s" 4
+    (Simnet.Segment.frames_unclaimed seg);
+  Padico.run grid ~until:(Time.sec 120);
+  Tutil.check_int "half-open connection reaped" 0 (Sysio.conn_count sio_s);
+  Tutil.check_int "reap counted" 1 (Sysio.conns_reaped sio_s);
+  Tutil.check_int "gave up after five SYN-ACKs" 5
+    (Simnet.Segment.frames_unclaimed seg)
 
 (* ---------- Hostio fd ceiling ---------- *)
 
@@ -350,5 +426,10 @@ let () =
       ("budget",
        [ Alcotest.test_case "idle bytes pinned" `Quick test_idle_budget;
          Alcotest.test_case "idle live words" `Quick test_idle_live_words ]);
+      ("reap",
+       [ Alcotest.test_case "plain grid reaps closed connections" `Quick
+           test_plain_reap;
+         Alcotest.test_case "half-open passive connection reaped" `Quick
+           test_half_open_reap ]);
       ("hostio",
        [ Alcotest.test_case "fd ceiling guard" `Quick test_fd_guard ]) ]

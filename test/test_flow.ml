@@ -172,21 +172,17 @@ let test_mailbox_capacity () =
 
 (* ---------- Na_core admission control ---------- *)
 
-let test_admission_defer_readmit () =
+let test_admission_shed () =
   let net = Simnet.Net.create () in
   let a = Simnet.Net.add_node net "a" in
   let core = Na_core.get a in
-  Na_core.set_admission core Na_core.Sysio_work ~high:2 ~low:1;
+  Na_core.set_admission core Na_core.Sysio_work ~high:2;
   let ran = ref [] in
-  (* Fill the queue past the high watermark with Normal work... *)
+  (* Posted work is always admitted, even past the high watermark... *)
   for i = 1 to 3 do
     Na_core.post core Na_core.Sysio_work (fun () -> ran := i :: !ran)
   done;
-  (* ...then Low-priority posts are deferred, not queued. *)
-  Na_core.post ~prio:Na_core.Low core Na_core.Sysio_work (fun () ->
-      ran := 99 :: !ran);
-  check_int "deferred" 1 (Na_core.deferred_depth core Na_core.Sysio_work);
-  (* Droppable work is shed outright at the watermark. *)
+  (* ...while droppable work is shed outright at the watermark. *)
   let admitted =
     Na_core.post_droppable core Na_core.Sysio_work (fun () ->
         ran := 1000 :: !ran)
@@ -194,14 +190,22 @@ let test_admission_defer_readmit () =
   check_bool "shed" false admitted;
   check_int "shed counted" 1 (Na_core.shed_count core Na_core.Sysio_work);
   run_net net;
-  (* Deferred work was readmitted once the queue drained; shed work never
-     ran. *)
-  Alcotest.(check (list int)) "order with readmission" [ 1; 2; 3; 99 ]
+  Alcotest.(check (list int)) "shed work never ran" [ 1; 2; 3 ]
     (List.rev !ran);
-  check_int "readmissions counted" 1
-    (Na_core.deferred_count core Na_core.Sysio_work);
   check_bool "peak >= high" true
-    (Na_core.queue_peak core Na_core.Sysio_work >= 2)
+    (Na_core.queue_peak core Na_core.Sysio_work >= 2);
+  (* Once the queue drains below the watermark, droppable work is
+     admitted again. *)
+  check_bool "admitted below the watermark" true
+    (Na_core.post_droppable core Na_core.Sysio_work (fun () ->
+         ran := 4 :: !ran));
+  run_net net;
+  Alcotest.(check (list int)) "admitted work ran" [ 1; 2; 3; 4 ]
+    (List.rev !ran);
+  check_int "still one shed" 1 (Na_core.shed_count core Na_core.Sysio_work);
+  Alcotest.check_raises "high < 1"
+    (Invalid_argument "Na_core.set_admission: need high >= 1") (fun () ->
+      Na_core.set_admission core Na_core.Sysio_work ~high:0)
 
 (* ---------- Vl EAGAIN semantics ---------- *)
 
@@ -578,8 +582,8 @@ let () =
         [ Alcotest.test_case "capacity bounds + order" `Quick
             test_mailbox_capacity ] );
       ( "admission",
-        [ Alcotest.test_case "defer, shed, readmit" `Quick
-            test_admission_defer_readmit ] );
+        [ Alcotest.test_case "shed at the high watermark" `Quick
+            test_admission_shed ] );
       ( "vl-eagain",
         [ Alcotest.test_case "nonblock Again + on_writable" `Quick
             test_nonblock_write_again;

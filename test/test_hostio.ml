@@ -261,6 +261,87 @@ let test_host_link_down () =
   check_bool "client saw link death" true !client_failed;
   check_bool "server saw link death" true !server_failed
 
+(* Host connections reach the receipt loop the way simulated ones do:
+   watching registers exactly one readiness source on the node's
+   dispatcher, a burst of writes echoes back byte-exact through those
+   sources, and unwatching returns the source count to where it was. *)
+let test_host_readiness_source () =
+  let module Sysio = Netaccess.Sysio in
+  let module Na = Netaccess.Na_core in
+  let module Tcp = Drivers.Tcp in
+  let grid = Padico.create ~backend:Padico.Host () in
+  let a = Padico.add_node grid "a" in
+  let b = Padico.add_node grid "b" in
+  let seg = Padico.add_segment grid Simnet.Presets.ethernet100 [ a; b ] in
+  let sio_a = Sysio.get a and sio_b = Sysio.get b in
+  let core_a = Na.get a and core_b = Na.get b in
+  let st_a = Sysio.stack_on sio_a seg and st_b = Sysio.stack_on sio_b seg in
+  let chunks = 32 and chunk = 512 in
+  let sent = Bb.create (chunks * chunk) in
+  for i = 0 to Bb.length sent - 1 do
+    Bb.set sent i (Char.chr ((i * 7 + i / 251) land 0xff))
+  done;
+  let server_before = ref (-1) and server_watched = ref (-1) in
+  let server_after = ref (-1) in
+  Sysio.listen sio_b st_b ~port:4200 (fun conn ->
+      server_before := Na.source_count core_b;
+      let finished = ref false in
+      let finish () =
+        if not !finished then begin
+          finished := true;
+          Sysio.unwatch sio_b conn;
+          server_after := Na.source_count core_b;
+          Sysio.close conn
+        end
+      in
+      let echo () =
+        match Sysio.read conn ~max:max_int with
+        | Some buf ->
+          check_int "echo accepted whole" (Bb.length buf)
+            (Sysio.write conn buf)
+        | None -> ()
+      in
+      Sysio.watch sio_b conn (function
+        | Tcp.Readable -> echo ()
+        | Tcp.Peer_closed | Tcp.Reset -> finish ()
+        | Tcp.Established | Tcp.Writable -> ());
+      server_watched := Na.source_count core_b;
+      echo ();
+      if Sysio.peer_closed conn then finish ());
+  let client_before = Na.source_count core_a in
+  let got = Buffer.create (Bb.length sent) in
+  let client_after = ref (-1) in
+  let conn =
+    Sysio.connect sio_a st_a ~dst:(Simnet.Node.id b) ~port:4200
+      (fun conn -> function
+         | Tcp.Established ->
+           for k = 0 to chunks - 1 do
+             check_int "burst write accepted" chunk
+               (Sysio.write conn (Bb.sub sent (k * chunk) chunk))
+           done
+         | Tcp.Readable ->
+           (match Sysio.read conn ~max:max_int with
+            | Some buf -> Buffer.add_string got (Bb.to_string buf)
+            | None -> ());
+           if Buffer.length got = Bb.length sent then begin
+             Sysio.unwatch sio_a conn;
+             client_after := Na.source_count core_a;
+             Sysio.close conn
+           end
+         | Tcp.Writable | Tcp.Peer_closed | Tcp.Reset -> ())
+  in
+  check_int "connect registers one source" (client_before + 1)
+    (Na.source_count core_a);
+  ignore conn;
+  Padico.run grid ~until:(Time.sec 10);
+  check_int "watch registers one source" (!server_before + 1)
+    !server_watched;
+  check_bool "echo byte-exact" true
+    (String.equal (Bb.to_string sent) (Buffer.contents got));
+  check_int "client unwatch releases its source" client_before !client_after;
+  check_int "server unwatch releases its source" !server_before
+    !server_after
+
 (* The conformance kit's host subset: the same obligations the simulated
    adapters satisfy, green over real Unix sockets. *)
 let test_host_conformance_kit () =
@@ -292,5 +373,7 @@ let () =
             test_host_backend_roundtrip;
           Alcotest.test_case "link-down resets host sockets" `Quick
             test_host_link_down;
+          Alcotest.test_case "watched connection owns one readiness source"
+            `Quick test_host_readiness_source;
           Alcotest.test_case "conformance kit host subset" `Slow
             test_host_conformance_kit ] ) ]
