@@ -28,12 +28,12 @@ let fresh_window () = { t0 = -1; t1 = 0; bytes = 0 }
 let bw w = if w.t1 = 0 then nan else Bhelp.mb_s w.bytes (w.t1 - w.t0)
 
 (* MPI stream with optional concurrent CORBA stream and optional CPU hog. *)
-let scenario ~with_corba ~with_hog ?policy () =
+let scenario ~with_corba ~with_hog ?quanta () =
   let grid, a, b = Bhelp.myrinet_pair () in
-  (match policy with
-   | Some p ->
-     Na.set_policy (Na.get a) p;
-     Na.set_policy (Na.get b) p
+  (match quanta with
+   | Some q ->
+     Na.set_quanta (Na.get a) q;
+     Na.set_quanta (Na.get b) q
    | None -> ());
   let comms = Bhelp.mpi_pair grid a b in
   let mpi_w = fresh_window () in
@@ -119,7 +119,7 @@ let run () =
     (fun (mq, sq) ->
        let m, c, _ =
          scenario ~with_corba:true ~with_hog:false
-           ~policy:(Na.Static { Na.madio_quantum = mq; sysio_quantum = sq })
+           ~quanta:{ Na.madio_quantum = mq; sysio_quantum = sq }
            ()
        in
        Printf.printf "    madio:sysio = %2d:%-2d   MPI %s   CORBA %s\n" mq sq

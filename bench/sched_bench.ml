@@ -5,14 +5,12 @@
    (b) the latency/throughput Pareto front as the coalescing budget
        sweeps from 0 (off) to 50 us — burst rate and the worst-case
        latency a lone message pays waiting out the budget;
-   (c) adaptive arbitration: a MadIO-only workload next to one
-       watched-but-silent SysIO socket — charged idle polls under the
-       eager adaptive scheduler vs exponential backoff (>= 5x fewer),
-       with the static policy as the no-model baseline. *)
+   (c) arbitration beside a quiet socket: a MadIO ping-pong next to one
+       watched-but-silent SysIO socket. The idle connection is never on
+       the dispatcher's ready list, so it costs the ping-pong nothing. *)
 
 module Bb = Engine.Bytebuf
 module Madio = Netaccess.Madio
-module Na = Netaccess.Na_core
 module Sysio = Netaccess.Sysio
 
 let pattern ~seed n =
@@ -82,11 +80,11 @@ let lone_latency ?budget_ns ~agg () =
   !t1 - !t0
 
 (* Part (c): 300 MadIO ping-pongs on the SAN while one idle TCP
-   connection sits watched on the LAN. Returns the sender node's charged
-   idle SysIO polls and the ping-pong completion time. *)
+   connection sits watched on the LAN. Returns the ping-pong completion
+   time. *)
 let pingpong_iters = 300
 
-let polling policy =
+let pingpong_beside_socket () =
   let grid = Padico.create () in
   let a = Padico.add_node grid "a" in
   let b = Padico.add_node grid "b" in
@@ -96,8 +94,6 @@ let polling policy =
   let lan =
     Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ a; b ]
   in
-  Na.set_policy (Na.get a) policy;
-  Na.set_policy (Na.get b) policy;
   let sa = Sysio.get a and sb = Sysio.get b in
   let stack_a = Sysio.stack_on sa lan and stack_b = Sysio.stack_on sb lan in
   Sysio.listen sb stack_b ~port:80 (fun conn ->
@@ -119,7 +115,7 @@ let polling policy =
   Madio.send la ~dst:(Simnet.Node.id b) (pattern ~seed:0 msg_size);
   Bhelp.run grid;
   if !rounds < pingpong_iters then failwith "e12: ping-pong incomplete";
-  (Na.polls_idle (Na.get a), !t1)
+  !t1
 
 let run () =
   let rec_ = Bhelp.record ~experiment:"e12" in
@@ -159,28 +155,12 @@ let run () =
          (Printf.sprintf "agg_lone_latency_b%d_ns" budget_ns)
          (float_of_int lat))
     [ 1_000; 5_000; 20_000; 50_000 ];
-  (* (c) adaptive polling *)
-  let static_polls, static_t = polling Na.default_policy in
-  let eager_polls, eager_t =
-    polling (Na.Adaptive { Na.default_adaptive with Na.idle_backoff = false })
-  in
-  let backoff_polls, backoff_t = polling (Na.Adaptive Na.default_adaptive) in
-  let reduction = float_of_int eager_polls /. float_of_int (max backoff_polls 1) in
+  (* (c) ping-pong beside a watched-but-silent socket *)
+  let pp_t = pingpong_beside_socket () in
   Printf.printf
-    "(c) charged idle SysIO polls over %d ping-pongs:\n" pingpong_iters;
-  Printf.printf "    %-18s %6d polls   %8d ns total\n" "static (no model)"
-    static_polls static_t;
-  Printf.printf "    %-18s %6d polls   %8d ns total\n" "adaptive eager"
-    eager_polls eager_t;
-  Printf.printf "    %-18s %6d polls   %8d ns total   (%.1fx fewer)\n"
-    "adaptive backoff" backoff_polls backoff_t reduction;
-  rec_ "polls_idle_static" (float_of_int static_polls);
-  rec_ "polls_idle_eager" (float_of_int eager_polls);
-  rec_ "polls_idle_backoff" (float_of_int backoff_polls);
-  rec_ "poll_reduction" reduction;
-  rec_ "pingpong_static_ns" (float_of_int static_t);
-  rec_ "pingpong_backoff_ns" (float_of_int backoff_t);
+    "(c) %d ping-pongs beside a silent watched socket: %d ns total\n"
+    pingpong_iters pp_t;
+  rec_ "pingpong_static_ns" (float_of_int pp_t);
   print_endline
     "expected shape: (a) >= 2x; (b) rate flat past ~5 us budget, lone latency";
-  print_endline
-    "grows with the budget; (c) backoff >= 5x fewer charged idle polls."
+  print_endline "grows with the budget."

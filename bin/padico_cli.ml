@@ -755,16 +755,6 @@ let flow_cmd =
 (* ---------- sched ---------- *)
 
 let sched_cmd =
-  let policy_arg =
-    Arg.(value
-         & opt (enum [ ("static", `Static); ("adaptive", `Adaptive);
-                       ("adaptive-eager", `Eager) ])
-             `Adaptive
-         & info [ "policy" ] ~docv:"POLICY"
-           ~doc:"NetAccess dispatcher policy: $(b,static) (fixed quanta), \
-                 $(b,adaptive) (EWMA quanta + idle-scan backoff) or \
-                 $(b,adaptive-eager) (EWMA quanta, no backoff).")
-  in
   let iters_arg =
     Arg.(value & opt int 300
          & info [ "iters" ] ~docv:"N" ~doc:"MadIO ping-pong round trips.")
@@ -782,17 +772,7 @@ let sched_cmd =
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Seed.")
   in
-  let run policy iters burst no_agg seed =
-    let pol, pol_name =
-      match policy with
-      | `Static -> (Netaccess.Na_core.default_policy, "static")
-      | `Adaptive ->
-        (Netaccess.Na_core.(Adaptive default_adaptive), "adaptive")
-      | `Eager ->
-        (Netaccess.Na_core.(
-           Adaptive { default_adaptive with idle_backoff = false }),
-         "adaptive-eager")
-    in
+  let run iters burst no_agg seed =
     Engine.Bytebuf.Pool.reset ();
     let grid = Padico.create ~seed () in
     let a = Padico.add_node grid "a" in
@@ -800,21 +780,6 @@ let sched_cmd =
     let san =
       Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
     in
-    let lan =
-      Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ a; b ]
-    in
-    Netaccess.Na_core.set_policy (Netaccess.Na_core.get a) pol;
-    Netaccess.Na_core.set_policy (Netaccess.Na_core.get b) pol;
-    (* One watched-but-silent LAN socket: the adaptive scheduler's
-       idle-scan accounting needs registered SysIO interest to model. *)
-    let sa = Netaccess.Sysio.get a and sb = Netaccess.Sysio.get b in
-    let stack_a = Netaccess.Sysio.stack_on sa lan in
-    let stack_b = Netaccess.Sysio.stack_on sb lan in
-    Netaccess.Sysio.listen sb stack_b ~port:80 (fun conn ->
-        Netaccess.Sysio.watch sb conn (fun _ -> ()));
-    ignore
-      (Netaccess.Sysio.connect sa stack_a ~dst:(Simnet.Node.id b) ~port:80
-         (fun _ _ -> ()));
     let ma = Padico.madio grid a san and mb = Padico.madio grid b san in
     if not no_agg then begin
       Netaccess.Madio.set_aggregation ma true;
@@ -856,7 +821,9 @@ let sched_cmd =
              Netaccess.Madio.send l2a ~dst:(Simnet.Node.id b) (msg 64 i)
            done));
     Padico.run grid;
-    Printf.printf "policy       : %s\n" pol_name;
+    let q = Netaccess.Na_core.(quanta (get a)) in
+    Printf.printf "quanta       : madio:sysio = %d:%d\n"
+      q.Netaccess.Na_core.madio_quantum q.Netaccess.Na_core.sysio_quantum;
     Printf.printf "ping-pong    : %d round trips, %.1f us mean round trip\n"
       !rounds
       (float_of_int !t_pp /. float_of_int (max !rounds 1) /. 1e3);
@@ -871,22 +838,13 @@ let sched_cmd =
            (fun (kind, kname) ->
               Printf.printf
                 "dispatch %s/%-5s: %6d dispatched, depth peak %3d, \
-                 work-EWMA %5.2f, quantum %2d\n"
+                 mean wait %8.1f ns\n"
                 name kname
                 (Netaccess.Na_core.dispatched core kind)
                 (Netaccess.Na_core.queue_peak core kind)
-                (Netaccess.Na_core.work_ewma core kind)
-                (Netaccess.Na_core.current_quantum core kind))
+                (Netaccess.Na_core.mean_wait_ns core kind))
            [ (Netaccess.Na_core.Madio_work, "madio");
-             (Netaccess.Na_core.Sysio_work, "sysio") ];
-         Printf.printf
-           "polling  %s      : busy %d, idle (charged) %d, saved %d, \
-            scan gap %d\n"
-           name
-           (Netaccess.Na_core.polls_busy core)
-           (Netaccess.Na_core.polls_idle core)
-           (Netaccess.Na_core.polls_saved core)
-           (Netaccess.Na_core.scan_gap core))
+             (Netaccess.Na_core.Sysio_work, "sysio") ])
       [ (a, "a"); (b, "b") ];
     Printf.printf
       "aggregation  : %s — %d messages batched, %d batches, %d packets saved\n"
@@ -901,10 +859,9 @@ let sched_cmd =
   Cmd.v
     (Cmd.info "sched"
        ~doc:"Run a latency ping-pong plus a small-message burst on a \
-             SAN+LAN pair under a chosen dispatcher policy; print \
-             per-subsystem dispatch/poll statistics and aggregation \
-             counters.")
-    Term.(const run $ policy_arg $ iters_arg $ burst_arg $ no_agg_arg
+             Myrinet pair through the NetAccess dispatcher; print \
+             per-subsystem dispatch statistics and aggregation counters.")
+    Term.(const run $ iters_arg $ burst_arg $ no_agg_arg
           $ seed_arg)
 
 (* ---------- collect ---------- *)

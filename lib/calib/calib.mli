@@ -62,15 +62,15 @@ val sysio_callback_ns : int
 (** {2 Small-message aggregation (MadIO)} *)
 
 val madio_agg_threshold_bytes : int
-(** Default coalescing threshold: messages strictly smaller are eligible
-    for batching into one Madeleine packet. *)
+(** Coalescing threshold: messages strictly smaller are eligible for
+    batching into one Madeleine packet. *)
 
 val madio_agg_budget_ns : int
 (** Default latency budget: a batch flushes at most this long after its
     first message was queued. *)
 
 val madio_agg_max_batch_bytes : int
-(** Default cap on batched payload+sublength bytes per packet. *)
+(** Cap on batched payload+sublength bytes per packet. *)
 
 val madio_agg_permsg_ns : int
 (** Per-sub-message cost of batch assembly/demux (cheap pointer walk),

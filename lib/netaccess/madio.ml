@@ -11,13 +11,6 @@ module Log = (val Logs.src_log log : Logs.LOG)
 
 let magic = 0xAD10
 
-(* Small-message aggregation configuration (see {!set_aggregation}). *)
-type agg_cfg = {
-  agg_threshold : int; (* messages strictly smaller coalesce *)
-  agg_budget_ns : int; (* max queueing delay before a forced flush *)
-  agg_max_batch : int; (* cap on batched payload+sublength bytes *)
-}
-
 (* One pending coalescing batch for a (peer, logical channel) flow. *)
 type batch = {
   b_dst : int;
@@ -59,8 +52,9 @@ and t = {
   grants : (int * int, int ref) Hashtbl.t; (* (src, lchan) -> ungranted *)
   credit_waiters : (int * int, (int * (unit -> unit)) Queue.t) Hashtbl.t;
       (* (min space required, one-shot callback) *)
-  (* Small-message aggregation (None = disabled, the default). *)
-  mutable agg : agg_cfg option;
+  (* Small-message aggregation: the latency budget in ns (None = disabled,
+     the default). *)
+  mutable agg_budget : int option;
   aggq : (int * int, batch) Hashtbl.t; (* (dst, lchan) -> pending batch *)
   sent : Stats.Counter.t;
   received : Stats.Counter.t;
@@ -397,7 +391,7 @@ let init m =
             pending_header = Hashtbl.create 4; combining = true;
             window = 0; credits = Hashtbl.create 8; grants = Hashtbl.create 8;
             credit_waiters = Hashtbl.create 8;
-            agg = None; aggq = Hashtbl.create 8;
+            agg_budget = None; aggq = Hashtbl.create 8;
             sent = Metrics.fresh_counter scope "madio.sent";
             received = Metrics.fresh_counter scope "madio.received";
             credit_msgs = Metrics.fresh_counter scope "madio.credit_msgs";
@@ -458,12 +452,13 @@ let set_recv lc f =
    first message of a batch arms the latency-budget timer. The timer is
    epoch-guarded: a flush for any other reason bumps the epoch, so a
    stale timer firing into a newer batch is a no-op. *)
-let queue_batched t lc ~dst iov len a =
+let queue_batched t lc ~dst iov len ~budget_ns =
   let b = batch_cell t ~dst ~lchan:lc.id in
   if
     b.b_count >= 255
     || (b.b_count > 0
-        && b.b_bytes + len + (2 * (b.b_count + 1)) > a.agg_max_batch)
+        && b.b_bytes + len + (2 * (b.b_count + 1))
+           > Calib.madio_agg_max_batch_bytes)
   then flush_batch t b ~reason:"size";
   let first = b.b_count = 0 in
   b.b_parts <- (iov, len) :: b.b_parts;
@@ -473,7 +468,7 @@ let queue_batched t lc ~dst iov len a =
   agg_event t "queue" ~lchan:lc.id ~msgs:b.b_count ~bytes:b.b_bytes;
   if first then begin
     let epoch = b.b_epoch in
-    Sim.after (Simnet.Node.sim t.mio_node) a.agg_budget_ns (fun () ->
+    Sim.after (Simnet.Node.sim t.mio_node) budget_ns (fun () ->
         if b.b_epoch = epoch then flush_batch t b ~reason:"budget")
   end
 
@@ -500,9 +495,10 @@ let sendv lc ~dst iov =
     end;
     c := !c - len
   end;
-  match t.agg with
-  | Some a when t.combining && len > 0 && len < a.agg_threshold ->
-    queue_batched t lc ~dst iov len a
+  match t.agg_budget with
+  | Some budget_ns
+    when t.combining && len > 0 && len < Calib.madio_agg_threshold_bytes ->
+    queue_batched t lc ~dst iov len ~budget_ns
   | agg ->
     (* An over-threshold message flushes the flow's pending batch first,
        so aggregation never reorders messages within a logical channel. *)
@@ -602,27 +598,18 @@ let messages_received t = Stats.Counter.value t.received
 
 (* -- aggregation API ---------------------------------------------------- *)
 
-let set_aggregation t ?(threshold = Calib.madio_agg_threshold_bytes)
-    ?(budget_ns = Calib.madio_agg_budget_ns)
-    ?(max_batch = Calib.madio_agg_max_batch_bytes) on =
+let set_aggregation t ?(budget_ns = Calib.madio_agg_budget_ns) on =
   if on then begin
-    if threshold < 2 || threshold > 0xffff then
-      invalid_arg "Madio.set_aggregation: threshold must be in [2, 65535]";
     if budget_ns < 0 then
       invalid_arg "Madio.set_aggregation: negative budget";
-    if max_batch < threshold + 2 then
-      invalid_arg "Madio.set_aggregation: max_batch must exceed threshold + 2";
-    t.agg <-
-      Some
-        { agg_threshold = threshold; agg_budget_ns = budget_ns;
-          agg_max_batch = max_batch }
+    t.agg_budget <- Some budget_ns
   end
   else begin
     flush_all t;
-    t.agg <- None
+    t.agg_budget <- None
   end
 
-let aggregation_enabled t = t.agg <> None
+let aggregation_enabled t = t.agg_budget <> None
 
 let flush lc ~dst =
   flush_pending lc.owner ~dst ~lchan:lc.id ~reason:"explicit"

@@ -63,14 +63,12 @@ val header_combining : t -> bool
     one goes out in the legacy wire format. Disabled by default — the
     wire format is then byte-identical to pre-aggregation builds. *)
 
-val set_aggregation :
-  t -> ?threshold:int -> ?budget_ns:int -> ?max_batch:int -> bool -> unit
-(** Enable/disable coalescing. [threshold] (default
-    [Calib.madio_agg_threshold_bytes]): messages strictly smaller
-    coalesce, in [2, 65535]. [budget_ns] (default
-    [Calib.madio_agg_budget_ns]): max virtual-time queueing delay.
-    [max_batch] (default [Calib.madio_agg_max_batch_bytes]): cap on
-    batched payload+sublength bytes per packet. The budget timer is an
+val set_aggregation : t -> ?budget_ns:int -> bool -> unit
+(** Enable/disable coalescing. Messages strictly smaller than
+    [Calib.madio_agg_threshold_bytes] coalesce, up to
+    [Calib.madio_agg_max_batch_bytes] of payload+sublength bytes per
+    packet. [budget_ns] (default [Calib.madio_agg_budget_ns], [>= 0]):
+    max virtual-time queueing delay. The budget timer is an
     exact engine-heap timer: budgets of a few µs sit well below the
     ~66 µs slot of the shared timewheel. Disabling flushes everything
     pending. *)

@@ -13,24 +13,7 @@ type kind = Madio_work | Sysio_work
 
 type quanta = { madio_quantum : int; sysio_quantum : int }
 
-type adaptive = {
-  ewma_weight : float;
-  min_quantum : int;
-  max_quantum : int;
-  idle_backoff : bool;
-  max_scan_gap : int;
-  latency_boost : bool;
-}
-
-type policy = Static of quanta | Adaptive of adaptive
-
 let default_quanta = { madio_quantum = 4; sysio_quantum = 4 }
-
-let default_policy = Static default_quanta
-
-let default_adaptive =
-  { ewma_weight = 0.25; min_quantum = 1; max_quantum = 64;
-    idle_backoff = true; max_scan_gap = 64; latency_boost = true }
 
 type item = { work : unit -> unit; posted_at : int }
 
@@ -54,25 +37,15 @@ type queue_state = {
   count : Stats.Counter.t; (* dispatched *)
   wait : Stats.Summary.t; (* queueing time per item, ns *)
   shed_c : Stats.Counter.t;
-  mutable ewma : float; (* useful work per round (adaptive policy) *)
 }
 
 type t = {
   dnode : Simnet.Node.t;
   clk : Clock.t;
-  mutable pol : policy;
+  mutable quanta : quanta;
   madio : queue_state;
   sysio : queue_state;
   mutable waker : (unit -> unit) option; (* resumes the idle dispatcher *)
-  (* Adaptive-policy state. [sysio_interest] counts registered event
-     sources (watched sockets, listeners, UDP binds): with none, there is
-     nothing a SysIO scan could discover and the scan machinery is moot. *)
-  mutable sysio_interest : int;
-  mutable scan_gap : int; (* rounds between idle SysIO scans (backoff) *)
-  mutable rounds_since_scan : int;
-  polls_busy : Stats.Counter.t; (* scans with readiness events pending *)
-  polls_idle : Stats.Counter.t; (* charged scans that found nothing *)
-  polls_saved : Stats.Counter.t; (* idle scans elided by the backoff *)
   (* Readiness sources of watched connections; only sources with pending
      events are on [ready]. *)
   ready : source Queue.t;
@@ -91,25 +64,12 @@ let () =
 
 let node t = t.dnode
 
-let set_policy t p =
-  (match p with
-   | Static q ->
-     if q.madio_quantum < 1 || q.sysio_quantum < 1 then
-       invalid_arg "Na_core.set_policy: quanta must be >= 1"
-   | Adaptive a ->
-     if not (a.ewma_weight > 0.0 && a.ewma_weight <= 1.0) then
-       invalid_arg "Na_core.set_policy: ewma_weight must be in (0, 1]";
-     if a.min_quantum < 1 || a.max_quantum < a.min_quantum then
-       invalid_arg "Na_core.set_policy: need 1 <= min_quantum <= max_quantum";
-     if a.max_scan_gap < 1 then
-       invalid_arg "Na_core.set_policy: max_scan_gap must be >= 1");
-  t.pol <- p;
-  t.scan_gap <- 1;
-  t.rounds_since_scan <- 0;
-  t.madio.ewma <- 0.0;
-  t.sysio.ewma <- 0.0
+let set_quanta t q =
+  if q.madio_quantum < 1 || q.sysio_quantum < 1 then
+    invalid_arg "Na_core.set_quanta: quanta must be >= 1";
+  t.quanta <- q
 
-let policy t = t.pol
+let quanta t = t.quanta
 
 let qstate t = function Madio_work -> t.madio | Sysio_work -> t.sysio
 
@@ -142,128 +102,43 @@ let run_item t q =
              (Printexc.to_string e)));
     true
 
-let sched_event t action subsystem value =
-  if Trace.on () then
-    Trace.instant t.dnode (Padico_obs.Event.Sched { action; subsystem; value })
-
-(* Activity-driven quantum: track an EWMA of the useful work each
-   subsystem yields per round and size its quantum to ~1.5x that, so a
-   busy subsystem earns longer bursts (better batching) while an idle one
-   shrinks back to [min_quantum] (better latency for the other side). *)
-let quantum_of a ewma =
-  let q = int_of_float (Float.ceil (ewma *. 1.5)) in
-  max a.min_quantum (min a.max_quantum q)
-
-let update_ewma a q drained =
-  q.ewma <-
-    (a.ewma_weight *. float_of_int drained)
-    +. ((1.0 -. a.ewma_weight) *. q.ewma)
-
-(* One charged select()-style pass over registered-but-quiet sockets.
-   Only the adaptive policy models these: the legacy static path never
-   scans an empty queue, exactly as before this scheduler existed. *)
-let charge_idle_scan t a =
-  Stats.Counter.incr t.polls_idle;
-  sched_event t "scan" "sysio" t.scan_gap;
-  Simnet.Node.cpu t.dnode Calib.sysio_poll_ns;
-  t.rounds_since_scan <- 0;
-  if a.idle_backoff then begin
-    let g = min (t.scan_gap * 2) a.max_scan_gap in
-    if g <> t.scan_gap then begin
-      t.scan_gap <- g;
-      sched_event t "backoff" "sysio" g
-    end
-  end
-
-(* One adaptive interleaving round: MadIO first (SAN latency priority),
-   then SysIO — a charged productive poll when readiness events are
-   pending, otherwise the exponentially backed-off idle scan. *)
-let adaptive_round t a =
-  if not (Queue.is_empty t.madio.items) then begin
-    let base = quantum_of a t.madio.ewma in
-    let mq =
-      if a.latency_boost then begin
-        (* Latency-priority boost: pending SAN traffic drains entirely
-           this round rather than waiting out extra rounds' poll costs. *)
-        let pending = Queue.length t.madio.items in
-        if pending > base then begin
-          sched_event t "boost" "madio" pending;
-          pending
-        end
-        else base
-      end
-      else base
-    in
-    let rec go k = if k < mq && run_item t t.madio then go (k + 1) else k in
-    update_ewma a t.madio (go 0)
-  end
-  else update_ewma a t.madio 0;
-  if not (Queue.is_empty t.sysio.items) then begin
-    if Trace.on () then
-      Trace.instant t.dnode (Padico_obs.Event.Poll { kind = "sysio" });
-    Stats.Counter.incr t.polls_busy;
-    Simnet.Node.cpu t.dnode Calib.sysio_poll_ns;
-    let sq = quantum_of a t.sysio.ewma in
-    let rec go k = if k < sq && run_item t t.sysio then go (k + 1) else k in
-    update_ewma a t.sysio (go 0);
-    (* A productive scan resets the backoff: the socket side is live. *)
-    t.scan_gap <- 1;
-    t.rounds_since_scan <- 0
-  end
-  else if not (Queue.is_empty t.ready) then begin
-    (* Readiness pending on sources is a productive scan too; its poll is
-       charged where the ready list drains. *)
-    Stats.Counter.incr t.polls_busy;
-    t.scan_gap <- 1;
-    t.rounds_since_scan <- 0
-  end
-  else if t.sysio_interest > 0 then begin
-    update_ewma a t.sysio 0;
-    t.rounds_since_scan <- t.rounds_since_scan + 1;
-    if t.rounds_since_scan >= t.scan_gap then charge_idle_scan t a
-    else Stats.Counter.incr t.polls_saved
-  end
-
-(* Drain the ready list: one charged poll pass per round with readiness
-   pending (the epoll_wait), then up to the SysIO quantum of sources. A
+(* Drain the ready list: one charged poll pass per round with a live
+   source pending (the epoll_wait), then up to the SysIO quantum of
+   sources. The poll is paid on reaching the first live source, so dead
+   entries ahead of it (or alone on the list) are dropped uncharged; the
+   head is re-examined after the charge, since it may die meanwhile. A
    source is popped and its queued flag cleared {e before} its drain runs,
    so events arriving mid-drain re-enqueue it — no lost wakeups; the flag
    guarantees at most one list entry per source — no duplicate dispatch.
    Idle sources are not on the list and cost nothing here. *)
-let drain_ready t =
-  if not (Queue.is_empty t.ready) then begin
-    Stats.Counter.incr t.ready_polls;
-    if Trace.on () then
-      Trace.instant t.dnode (Padico_obs.Event.Poll { kind = "sysio" });
-    Simnet.Node.cpu t.dnode Calib.sysio_poll_ns;
-    let budget =
-      match t.pol with
-      | Static q -> q.sysio_quantum
-      | Adaptive a -> max a.min_quantum (quantum_of a t.sysio.ewma)
-    in
-    let rec go k =
-      if k < budget then
-        match Queue.take_opt t.ready with
-        | None -> ()
-        | Some s ->
-          s.s_queued <- false;
-          if s.s_live then begin
-            Stats.Counter.incr t.ready_drains;
-            (try s.s_drain ()
-             with e ->
-               Log.err (fun m ->
-                   m "%s: ready-source drain raised %s"
-                     (Simnet.Node.name t.dnode)
-                     (Printexc.to_string e)));
-            go (k + 1)
-          end
-          else go k (* dead source: free slot, no charge *)
-    in
-    go 0
-  end
+let rec drain_ready t ~charged k =
+  if k < t.quanta.sysio_quantum then
+    match Queue.peek_opt t.ready with
+    | None -> ()
+    | Some s when not s.s_live ->
+      ignore (Queue.pop t.ready);
+      s.s_queued <- false;
+      drain_ready t ~charged k
+    | Some _ when not charged ->
+      Stats.Counter.incr t.ready_polls;
+      if Trace.on () then
+        Trace.instant t.dnode (Padico_obs.Event.Poll { kind = "sysio" });
+      Simnet.Node.cpu t.dnode Calib.sysio_poll_ns;
+      drain_ready t ~charged:true k
+    | Some s ->
+      ignore (Queue.pop t.ready);
+      s.s_queued <- false;
+      Stats.Counter.incr t.ready_drains;
+      (try s.s_drain ()
+       with e ->
+         Log.err (fun m ->
+             m "%s: ready-source drain raised %s"
+               (Simnet.Node.name t.dnode)
+               (Printexc.to_string e)));
+      drain_ready t ~charged (k + 1)
 
-(* The unique receipt loop: alternate between the two subsystems according
-   to the policy, then sleep until new work is posted. *)
+(* The unique receipt loop: alternate between the two subsystems by their
+   quanta, then sleep until new work is posted. *)
 let dispatcher_loop t () =
   let rec wait_for_work () =
     if
@@ -281,19 +156,16 @@ let dispatcher_loop t () =
        pass (select()-like); MadIO completion polling is cheap and charged
        inside the MadIO costs, keeping the MadIO-over-Madeleine overhead at
        its measured < 0.1 us. *)
-    (match t.pol with
-     | Static pol ->
-       let rec drain q n = if n > 0 && run_item t q then drain q (n - 1) in
-       if not (Queue.is_empty t.madio.items) then
-         drain t.madio pol.madio_quantum;
-       if not (Queue.is_empty t.sysio.items) then begin
-         if Trace.on () then
-           Trace.instant t.dnode (Padico_obs.Event.Poll { kind = "sysio" });
-         Simnet.Node.cpu t.dnode Calib.sysio_poll_ns;
-         drain t.sysio pol.sysio_quantum
-       end
-     | Adaptive a -> adaptive_round t a);
-    drain_ready t;
+    let q = t.quanta in
+    let rec drain qs n = if n > 0 && run_item t qs then drain qs (n - 1) in
+    if not (Queue.is_empty t.madio.items) then drain t.madio q.madio_quantum;
+    if not (Queue.is_empty t.sysio.items) then begin
+      if Trace.on () then
+        Trace.instant t.dnode (Padico_obs.Event.Poll { kind = "sysio" });
+      Simnet.Node.cpu t.dnode Calib.sysio_poll_ns;
+      drain t.sysio q.sysio_quantum
+    end;
+    drain_ready t ~charged:false 0;
     (* Yield so co-located processes make progress between rounds. *)
     Proc.yield_on t.clk
   done
@@ -304,8 +176,7 @@ let make_queue node kname =
     { kname; items = Queue.create (); qhigh = max_int; peak = 0;
       count = Metrics.fresh_counter scope ("na." ^ kname ^ ".dispatched");
       wait = Metrics.fresh_summary scope ("na." ^ kname ^ ".wait_ns");
-      shed_c = Metrics.fresh_counter scope ("na." ^ kname ^ ".shed");
-      ewma = 0.0 }
+      shed_c = Metrics.fresh_counter scope ("na." ^ kname ^ ".shed") }
   in
   Metrics.gauge scope ("na." ^ kname ^ ".depth") (fun () ->
       float_of_int (Queue.length q.items));
@@ -321,14 +192,10 @@ let get dnode =
       | None ->
         let scope = Metrics.Node (Simnet.Node.name dnode) in
         let t =
-          { dnode; clk = Simnet.Node.clock dnode; pol = default_policy;
+          { dnode; clk = Simnet.Node.clock dnode; quanta = default_quanta;
             madio = make_queue dnode "madio";
             sysio = make_queue dnode "sysio";
             waker = None;
-            sysio_interest = 0; scan_gap = 1; rounds_since_scan = 0;
-            polls_busy = Metrics.fresh_counter scope "na.sysio.polls_busy";
-            polls_idle = Metrics.fresh_counter scope "na.sysio.polls_idle";
-            polls_saved = Metrics.fresh_counter scope "na.sysio.polls_saved";
             ready = Queue.create (); next_src = 0; nsources = 0;
             ready_drains = Metrics.fresh_counter scope "na.ready.drains";
             ready_polls = Metrics.fresh_counter scope "na.ready.polls" }
@@ -337,10 +204,6 @@ let get dnode =
             float_of_int (Queue.length t.ready));
         Metrics.gauge scope "na.ready.sources" (fun () ->
             float_of_int t.nsources);
-        Metrics.gauge scope "na.sched.scan_gap" (fun () ->
-            float_of_int t.scan_gap);
-        Metrics.gauge scope "na.madio.work_ewma" (fun () -> t.madio.ewma);
-        Metrics.gauge scope "na.sysio.work_ewma" (fun () -> t.sysio.ewma);
         Hashtbl.replace dispatchers id t;
         ignore (Simnet.Node.spawn dnode ~name:"netaccess" (dispatcher_loop t));
         t)
@@ -384,25 +247,9 @@ let mean_wait_ns t kind =
   let q = qstate t kind in
   if Stats.Summary.n q.wait = 0 then 0.0 else Stats.Summary.mean q.wait
 
-(* -- adaptive-policy observability / SysIO interest --------------------- *)
+let polls_busy _ = 0
 
-let add_sysio_interest t n =
-  t.sysio_interest <- max 0 (t.sysio_interest + n);
-  if t.sysio_interest = n && n > 0 then
-    (* First interest: start scanning eagerly again. *)
-    t.scan_gap <- 1
-
-let sysio_interest t = t.sysio_interest
-
-let polls_busy t = Stats.Counter.value t.polls_busy
-
-let polls_idle t = Stats.Counter.value t.polls_idle
-
-let polls_saved t = Stats.Counter.value t.polls_saved
-
-let scan_gap t = t.scan_gap
-
-let work_ewma t kind = (qstate t kind).ewma
+let polls_idle _ = 0
 
 (* -- readiness sources -------------------------------------------------- *)
 
@@ -441,11 +288,3 @@ let source_count t = t.nsources
 let ready_drains t = Stats.Counter.value t.ready_drains
 
 let ready_polls t = Stats.Counter.value t.ready_polls
-
-let current_quantum t kind =
-  match t.pol with
-  | Static q ->
-    (match kind with
-     | Madio_work -> q.madio_quantum
-     | Sysio_work -> q.sysio_quantum)
-  | Adaptive a -> quantum_of a (qstate t kind).ewma

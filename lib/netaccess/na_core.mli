@@ -4,10 +4,12 @@
     multiplexed access to every networking resource": all network events of
     a node — MadIO message arrivals and SysIO socket readiness — are funneled
     through a {e single} dispatcher process, so middleware systems never poll
-    competitively, never race, and never starve each other. The interleaving
-    between the two subsystems is a user-tunable policy ("to give more
-    priority to system sockets or high performance network depending on the
-    application").
+    competitively, never race, and never starve each other. Each round
+    dispatches up to a fixed quantum of MadIO work, then up to a fixed
+    quantum of SysIO work; the two quanta are the paper's user-tunable
+    interleaving policy ("to give more priority to system sockets or high
+    performance network depending on the application") and the
+    dispatcher's only knob ({!set_quanta}).
 
     Work items posted here must be {e non-blocking} (callback-based, à la
     Active Message, as the paper prescribes): an item that suspends would
@@ -22,52 +24,19 @@ type quanta = {
   sysio_quantum : int;  (** SysIO items dispatched per round *)
 }
 
-type adaptive = {
-  ewma_weight : float;
-      (** Weight of the newest work sample in the per-subsystem EWMA,
-          in (0, 1]. *)
-  min_quantum : int;  (** Quantum floor (>= 1). *)
-  max_quantum : int;  (** Quantum ceiling (>= min_quantum). *)
-  idle_backoff : bool;
-      (** Exponentially back off the charged SysIO scan while watched
-          sockets stay quiet ([false] = eager: scan every round). *)
-  max_scan_gap : int;
-      (** Backoff ceiling, in rounds between idle scans (>= 1). *)
-  latency_boost : bool;
-      (** Drain all pending MadIO work in the current round (SAN traffic
-          never waits out extra rounds' poll costs). *)
-}
-
-type policy =
-  | Static of quanta
-      (** The fixed round-robin interleaving. The default
-          [Static {madio_quantum = 4; sysio_quantum = 4}] is
-          byte-identical to the pre-adaptive dispatcher: same costs, same
-          event stream, same timings. *)
-  | Adaptive of adaptive
-      (** Activity-driven interleaving: per-subsystem EWMA of useful work
-          per round sizes the quanta; the expensive select()-like SysIO
-          scan is charged even when sockets are quiet (modelling the real
-          receipt loop) but exponentially backed off, with posts waking
-          the dispatcher directly (wake-on-post) so backing off never
-          delays delivery. *)
-
-val default_policy : policy
-(** [Static {madio_quantum = 4; sysio_quantum = 4}]. *)
-
 val default_quanta : quanta
-
-val default_adaptive : adaptive
-(** [{ewma_weight = 0.25; min_quantum = 1; max_quantum = 64;
-    idle_backoff = true; max_scan_gap = 64; latency_boost = true}]. *)
+(** [{madio_quantum = 4; sysio_quantum = 4}]. *)
 
 val get : Simnet.Node.t -> t
 (** The node's dispatcher; created (and its process spawned) on first use. *)
 
 val node : t -> Simnet.Node.t
 
-val set_policy : t -> policy -> unit
-val policy : t -> policy
+val set_quanta : t -> quanta -> unit
+(** Set the interleaving. Raises [Invalid_argument] unless both quanta
+    are [>= 1]. *)
+
+val quanta : t -> quanta
 
 val post : t -> kind -> (unit -> unit) -> unit
 (** Enqueue a work item; the dispatcher wakes if idle. Exceptions raised by
@@ -102,41 +71,13 @@ val shed_count : t -> kind -> int
 val mean_wait_ns : t -> kind -> float
 (** Average virtual time items of [kind] spent queued before dispatch. *)
 
-(** {2 Adaptive-policy state and observability}
-
-    The scan counters only move under [Adaptive]; the static policy keeps
-    the original cost model (no scan is charged unless SysIO work is
-    actually pending). *)
-
-val add_sysio_interest : t -> int -> unit
-(** Register [n] (possibly negative) SysIO event sources — watched
-    connections, listeners, UDP binds. Called by [Sysio]; the adaptive
-    scheduler only models idle socket scans while interest is positive.
-    Clamped at zero. *)
-
-val sysio_interest : t -> int
-
 val polls_busy : t -> int
-(** Adaptive-policy SysIO scans that found work pending: posted SysIO
-    items or readiness sources on the ready list. *)
+(** Always [0]: no round scans quiet sockets (idle connections are not
+    on the ready list), so there are no scans to count. Kept so that
+    existing metric readers still link. *)
 
 val polls_idle : t -> int
-(** Charged idle scans (sockets watched, nothing ready). *)
-
-val polls_saved : t -> int
-(** Idle scans elided by the exponential backoff — each one is
-    [Calib.sysio_poll_ns] of dispatcher CPU that eager polling would have
-    burned. *)
-
-val scan_gap : t -> int
-(** Current idle-scan backoff, in dispatcher rounds between scans. *)
-
-val work_ewma : t -> kind -> float
-(** The subsystem's EWMA of useful work per round. *)
-
-val current_quantum : t -> kind -> int
-(** The quantum the next round would grant [kind] (static: the policy
-    constant; adaptive: the EWMA-driven value before any boost). *)
+(** Always [0], like {!polls_busy}. *)
 
 (** {2 Readiness sources}
 
@@ -144,7 +85,8 @@ val current_quantum : t -> kind -> int
     connection owns one readiness {e source}. Events accumulate at the
     source, and the source sits on the ready list at most once until
     drained. A dispatch round charges one [Calib.sysio_poll_ns] poll when
-    the list is non-empty and drains up to the SysIO quantum of sources;
+    the list holds a live source and drains up to the SysIO quantum of
+    sources;
     {e idle connections are not on the list and cost zero}, so a round's
     cost is O(ready), not O(watched) nor O(events). *)
 
@@ -159,7 +101,8 @@ val no_source : source
     ignore it. A placeholder for state that has no source yet. *)
 
 val unregister_source : t -> source -> unit
-(** O(1); a queued entry of a dead source is skipped uncharged. *)
+(** O(1); a queued entry of a dead source is skipped uncharged: a round
+    whose ready list holds only dead sources pays no poll. *)
 
 val mark_ready : t -> source -> unit
 (** Enqueue the source on the ready list (no-op if already queued or

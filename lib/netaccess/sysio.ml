@@ -267,10 +267,6 @@ let attach t conn cb =
   end
 
 let watch t conn cb =
-  (* Interest registration drives the adaptive scheduler's idle-scan
-     model: each watched source is one more reason a real receipt loop
-     would keep select()ing. [watch]/[unwatch] must pair. *)
-  Na_core.add_sysio_interest t.core 1;
   let fresh = conn.src == no_src in
   let w = attach t conn cb in
   match conn.impl with
@@ -280,7 +276,6 @@ let watch t conn cb =
   | Sim_conn _ | Host_conn _ -> ()
 
 let unwatch t conn =
-  Na_core.add_sysio_interest t.core (-1);
   let w = conn.src in
   if w != no_src then begin
     Na_core.unregister_source t.core w.w_source;
@@ -294,7 +289,6 @@ let unwatch t conn =
 let mk_conn impl = { impl; src = no_src }
 
 let listen ?sndbuf ?rcvbuf t stack ~port cb =
-  Na_core.add_sysio_interest t.core 1;
   match stack with
   | Sim_stack st ->
     Tcp.listen ?sndbuf ?rcvbuf st ~port (fun conn ->
@@ -317,7 +311,6 @@ let listen ?sndbuf ?rcvbuf t stack ~port cb =
     Hashtbl.replace rendezvous key listener
 
 let connect ?sndbuf ?rcvbuf t stack ~dst ~port cb =
-  Na_core.add_sysio_interest t.core 1;
   let conn =
     match stack with
     | Sim_stack st ->
@@ -398,7 +391,6 @@ let abort conn =
   | Host_conn _ -> ()
 
 let watch_udp t udp ~port cb =
-  Na_core.add_sysio_interest t.core 1;
   Drivers.Udp.bind udp ~port (fun ~src ~src_port buf ->
       (* Datagrams are unreliable by contract: under overload they are shed
          rather than queued, and the datagram protocol's own retransmission

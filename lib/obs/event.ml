@@ -35,7 +35,6 @@ type t =
       retries : int;
       downtime_ns : int;
     }
-  | Sched of { action : string; subsystem : string; value : int }
   | Agg of { action : string; lchannel : int; msgs : int; bytes : int }
   | Coll_stage of {
       group : string;
@@ -54,7 +53,7 @@ let layer = function
   | Vl_connect _ | Vl_post _ | Vl_complete _ | Ct_pack _ | Ct_recv _
   | Adapter _ | Coll_stage _ | Coll_wan _ ->
     Abstraction
-  | Flow _ | Sched _ | Agg _ -> Arbitration
+  | Flow _ | Agg _ -> Arbitration
   | Choice _ -> Selection
   | Fault _ | Vl_timeout _ | Retry _ | Failover _ | Detect _ | Member _ ->
     Resilience
@@ -87,7 +86,6 @@ let name = function
   | Vl_timeout { op; _ } -> "vl.timeout." ^ op_name op
   | Retry _ -> "resilience.retry"
   | Failover _ -> "resilience.failover"
-  | Sched { action; _ } -> "sched." ^ action
   | Agg { action; _ } -> "agg." ^ action
   | Coll_stage _ -> "coll.stage"
   | Coll_wan _ -> "coll.wan"
@@ -129,8 +127,6 @@ let args = function
   | Failover { from_; to_; retries; downtime_ns } ->
     [ ("from", S from_); ("to", S to_); ("retries", I retries);
       ("downtime_ns", I downtime_ns) ]
-  | Sched { action = _; subsystem; value } ->
-    [ ("subsystem", S subsystem); ("value", I value) ]
   | Agg { action = _; lchannel; msgs; bytes } ->
     [ ("lchannel", I lchannel); ("msgs", I msgs); ("bytes", I bytes) ]
   | Coll_stage { group; op; stage; level; bytes } ->

@@ -1,7 +1,8 @@
 (** Typed trace-event taxonomy covering the layers of the stack.
 
     Arbitration events come from the NetAccess core (the single per-node
-    dispatcher) and its two subsystems; abstraction events from the VLink /
+    dispatcher, whose fixed-quanta rounds emit dispatch and poll events)
+    and its two subsystems; abstraction events from the VLink /
     Circuit APIs and the method adapters stacked on them; selection events
     from the strategy selector; resilience events from the fault injector
     (Padico_fault) and the failover machinery built on it. The taxonomy is
@@ -22,7 +23,8 @@ type t =
           waiting [queued_ns] of virtual time. Rendered as a span covering
           the queueing interval. *)
   | Poll of { kind : string }
-      (** A polling pass over a subsystem (SysIO select()-like scan). *)
+      (** A charged polling pass over a subsystem: a round that found
+          SysIO work posted or a live readiness source pending. *)
   | Header of { lchannel : int; bytes : int; combined : bool }
       (** MadIO multiplexing header emission: combined with the payload
           message, or sent as a separate message (the ablation). *)
@@ -77,13 +79,6 @@ type t =
     }
       (** A resilient link re-established on a different adapter stack:
           the switch, the retry count and the measured downtime. *)
-  | Sched of { action : string; subsystem : string; value : int }
-      (** Adaptive arbitration decision: [action] is "scan" (a charged
-          idle SysIO scan), "backoff" (idle-scan gap doubled), "boost"
-          (MadIO latency-priority quantum boost) or "quantum" (EWMA-driven
-          quantum change); [value] the new gap/quantum. Only the adaptive
-          policy emits these — the static policy's event stream is
-          byte-identical to pre-adaptive builds. *)
   | Agg of { action : string; lchannel : int; msgs : int; bytes : int }
       (** MadIO small-message aggregation: [action] is "queue" (message
           coalesced into the pending batch) or "flush.<reason>" with

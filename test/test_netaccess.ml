@@ -105,24 +105,31 @@ let test_dispatcher_policy_validation () =
   let net = Simnet.Net.create () in
   let a = Simnet.Net.add_node net "a" in
   let core = Na.get a in
-  Alcotest.check_raises "bad quantum"
-    (Invalid_argument "Na_core.set_policy: quanta must be >= 1") (fun () ->
-      Na.set_policy core (Na.Static { Na.madio_quantum = 0; sysio_quantum = 1 }));
-  Alcotest.check_raises "bad ewma weight"
-    (Invalid_argument "Na_core.set_policy: ewma_weight must be in (0, 1]")
-    (fun () ->
-       Na.set_policy core
-         (Na.Adaptive { Na.default_adaptive with Na.ewma_weight = 0.0 }));
-  Alcotest.check_raises "bad quantum range"
-    (Invalid_argument "Na_core.set_policy: need 1 <= min_quantum <= max_quantum")
-    (fun () ->
-       Na.set_policy core
-         (Na.Adaptive { Na.default_adaptive with Na.max_quantum = 0 }));
-  Alcotest.check_raises "bad scan gap"
-    (Invalid_argument "Na_core.set_policy: max_scan_gap must be >= 1")
-    (fun () ->
-       Na.set_policy core
-         (Na.Adaptive { Na.default_adaptive with Na.max_scan_gap = 0 }))
+  Alcotest.check_raises "bad madio quantum"
+    (Invalid_argument "Na_core.set_quanta: quanta must be >= 1") (fun () ->
+      Na.set_quanta core { Na.madio_quantum = 0; sysio_quantum = 1 });
+  Alcotest.check_raises "bad sysio quantum"
+    (Invalid_argument "Na_core.set_quanta: quanta must be >= 1") (fun () ->
+      Na.set_quanta core { Na.madio_quantum = 1; sysio_quantum = 0 });
+  Tutil.check_int "rejected quanta leave the default" 4
+    (Na.quanta core).Na.madio_quantum
+
+(* A source unregistered while queued must leave the ready list without
+   costing the dispatcher a poll. *)
+let test_dead_ready_source_uncharged () =
+  let net = Simnet.Net.create () in
+  let a = Simnet.Net.add_node net "a" in
+  let core = Na.get a in
+  let drained = ref 0 in
+  let src = Na.register_source core ~drain:(fun () -> incr drained) in
+  Na.mark_ready core src;
+  Na.unregister_source core src;
+  Tutil.run_net net;
+  Tutil.check_int "dead source not drained" 0 !drained;
+  Tutil.check_int "ready_drains" 0 (Na.ready_drains core);
+  Tutil.check_int "ready_polls" 0 (Na.ready_polls core);
+  Tutil.check_int "ready list emptied" 0 (Na.ready_depth core);
+  Tutil.check_int "no cpu charged" 0 (Simnet.Node.cpu_busy_until a)
 
 let test_dispatcher_survives_exceptions () =
   let net = Simnet.Net.create () in
@@ -140,7 +147,7 @@ let test_policy_interleaving () =
   let net = Simnet.Net.create () in
   let a = Simnet.Net.add_node net "a" in
   let core = Na.get a in
-  Na.set_policy core (Na.Static { Na.madio_quantum = 1; sysio_quantum = 4 });
+  Na.set_quanta core { Na.madio_quantum = 1; sysio_quantum = 4 };
   let order = ref [] in
   for _ = 1 to 8 do
     Na.post core Na.Madio_work (fun () -> order := `M :: !order)
@@ -199,6 +206,8 @@ let () =
        [ Alcotest.test_case "dispatch" `Quick test_dispatcher_runs_posted_work;
          Alcotest.test_case "policy validation" `Quick
            test_dispatcher_policy_validation;
+         Alcotest.test_case "dead ready source pays no poll" `Quick
+           test_dead_ready_source_uncharged;
          Alcotest.test_case "exception isolation" `Quick
            test_dispatcher_survives_exceptions;
          Alcotest.test_case "interleaving policy" `Quick

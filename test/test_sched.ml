@@ -1,18 +1,16 @@
-(* PR 5 — adaptive arbitration & small-message aggregation.
+(* Arbitration & small-message aggregation.
 
-   Covers: the Na_core adaptive policy (idle-scan accounting, backoff,
-   wake-on-post), MadIO aggregation semantics (no loss, no reorder,
-   boundary preservation, flush triggers), the Bytebuf slab pool, the
-   Streamq O(1) front slot — and regression pins asserting that the
-   default [static] policy keeps the E2/E9/E10/E11 code paths
-   byte-identical in virtual time (any drift in the shared fast path
-   shows up as an exact-equality failure here). *)
+   Covers: MadIO aggregation semantics (no loss, no reorder, boundary
+   preservation, flush triggers), the Bytebuf slab pool, the Streamq O(1)
+   front slot — and regression pins asserting that the fixed-quanta
+   dispatcher keeps the E2/E9/E10/E11/E12(c) code paths byte-identical in
+   virtual time (any drift in the shared fast path shows up as an
+   exact-equality failure here). *)
 
 module Bb = Engine.Bytebuf
 module Time = Engine.Time
 module Vl = Vlink.Vl
 module Madio = Netaccess.Madio
-module Na = Netaccess.Na_core
 module Sysio = Netaccess.Sysio
 module Plan = Padico_fault.Plan
 module Inject = Padico_fault.Inject
@@ -27,12 +25,12 @@ let madio_grid ?(seed = 7) () =
   let grid, a, b, seg = Tutil.grid_pair ~seed Simnet.Presets.myrinet2000 in
   (grid, a, b, Padico.madio grid a seg, Padico.madio grid b seg)
 
-(* ---------- static-policy regression pins ----------
+(* ---------- fixed-quanta regression pins ----------
 
    Each scenario walks one experiment's code path (E2 vlink echo, E9 raw
-   MadIO ping-pong, E10 failover, E11 credit window) under the default
-   static policy and must finish at the exact pinned virtual time: the
-   adaptive scheduler and the aggregation machinery are new code that
+   MadIO ping-pong, E10 failover, E11 credit window, E12(c) ping-pong
+   beside a silent socket) under the default quanta and must finish at
+   the exact pinned virtual time: the aggregation machinery is opt-in and
    must not perturb the default path by a single nanosecond. *)
 
 (* E2 path: vlink echo round trip over Myrinet (selector picks madio). *)
@@ -167,8 +165,45 @@ let e11_scenario () =
     (Madio.credit_messages mb > 0);
   !t_done
 
-(* Measured once with the pre-adaptive static dispatcher; exact equality
-   required (see header comment). *)
+(* E12(c) path: 300 MadIO ping-pongs on the SAN beside one
+   watched-but-silent TCP connection on the LAN. The idle connection is
+   never on the ready list, so it must not cost the ping-pong a poll. *)
+let silent_socket_scenario () =
+  let grid = Padico.create ~seed:5 () in
+  let a = Padico.add_node grid "a" in
+  let b = Padico.add_node grid "b" in
+  let san =
+    Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
+  in
+  let lan =
+    Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ a; b ]
+  in
+  let sa = Sysio.get a and sb = Sysio.get b in
+  let stack_a = Sysio.stack_on sa lan and stack_b = Sysio.stack_on sb lan in
+  Sysio.listen sb stack_b ~port:80 (fun conn ->
+      Sysio.watch sb conn (fun _ -> ()));
+  ignore
+    (Sysio.connect sa stack_a ~dst:(Simnet.Node.id b) ~port:80
+       (fun _ _ -> ()));
+  let ma = Padico.madio grid a san and mb = Padico.madio grid b san in
+  let la = Madio.open_lchannel ma ~id:1 in
+  let lb = Madio.open_lchannel mb ~id:1 in
+  let iters = 300 in
+  let rounds = ref 0 and t_done = ref (-1) in
+  Madio.set_recv lb (fun ~src buf -> Madio.send lb ~dst:src buf);
+  Madio.set_recv la (fun ~src:_ _ ->
+      incr rounds;
+      if !rounds < iters then
+        Madio.send la ~dst:(Simnet.Node.id b)
+          (Tutil.pattern_buf ~seed:!rounds 64)
+      else t_done := Padico.now grid);
+  Madio.send la ~dst:(Simnet.Node.id b) (Tutil.pattern_buf ~seed:0 64);
+  Tutil.run_grid grid;
+  check_int "ping-pong completed" iters !rounds;
+  !t_done
+
+(* Measured once on the default quanta; exact equality required (see
+   header comment). *)
 let pin_e2_ns = 38_308
 
 let pin_e9_ns = 749_400
@@ -176,6 +211,8 @@ let pin_e9_ns = 749_400
 let pin_e10 = (5_154_461, 1, 1_104_788)
 
 let pin_e11_ns = 432_885
+
+let pin_silent_socket_ns = 4_535_862
 
 let test_static_pins () =
   let e2 = e2_scenario () in
@@ -189,6 +226,10 @@ let test_static_pins () =
   check_int "E10 adapter switches" p_sw e10_sw;
   check_int "E10 downtime" p_down e10_down;
   check_int "E11 credit-window virtual time" pin_e11_ns e11
+
+let test_silent_socket_pin () =
+  check_int "ping-pong beside a silent socket virtual time"
+    pin_silent_socket_ns (silent_socket_scenario ())
 
 (* ---------- aggregation semantics ---------- *)
 
@@ -307,63 +348,6 @@ let test_agg_throughput_2x () =
     true
     (t_off >= 2 * t_on)
 
-(* ---------- adaptive polling ---------- *)
-
-(* A MadIO-only workload next to one watched-but-silent socket: the
-   eager adaptive scheduler charges an idle SysIO scan every busy round;
-   exponential backoff must cut those charged polls by >= 5x. The static
-   policy never models idle scans at all. *)
-let test_adaptive_poll_reduction () =
-  let polls_idle policy =
-    let grid = Padico.create ~seed:5 () in
-    let a = Padico.add_node grid "a" in
-    let b = Padico.add_node grid "b" in
-    let san =
-      Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
-    in
-    let lan =
-      Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ a; b ]
-    in
-    Na.set_policy (Na.get a) policy;
-    Na.set_policy (Na.get b) policy;
-    (* One idle-but-watched TCP connection on the LAN. *)
-    let sa = Sysio.get a and sb = Sysio.get b in
-    let stack_a = Sysio.stack_on sa lan and stack_b = Sysio.stack_on sb lan in
-    Sysio.listen sb stack_b ~port:80 (fun conn ->
-        Sysio.watch sb conn (fun _ -> ()));
-    ignore
-      (Sysio.connect sa stack_a ~dst:(Simnet.Node.id b) ~port:80
-         (fun _ _ -> ()));
-    (* Busy MadIO ping-pong on the SAN. *)
-    let ma = Padico.madio grid a san and mb = Padico.madio grid b san in
-    let la = Madio.open_lchannel ma ~id:1 in
-    let lb = Madio.open_lchannel mb ~id:1 in
-    let iters = 300 in
-    let rounds = ref 0 in
-    Madio.set_recv lb (fun ~src buf -> Madio.send lb ~dst:src buf);
-    Madio.set_recv la (fun ~src:_ _ ->
-        incr rounds;
-        if !rounds < iters then
-          Madio.send la ~dst:(Simnet.Node.id b)
-            (Tutil.pattern_buf ~seed:!rounds 64));
-    Madio.send la ~dst:(Simnet.Node.id b) (Tutil.pattern_buf ~seed:0 64);
-    Tutil.run_grid grid;
-    check_int "ping-pong completed" iters !rounds;
-    Na.polls_idle (Na.get a)
-  in
-  let static = polls_idle Na.default_policy in
-  let eager =
-    polls_idle (Na.Adaptive { Na.default_adaptive with Na.idle_backoff = false })
-  in
-  let backoff = polls_idle (Na.Adaptive Na.default_adaptive) in
-  check_int "static models no idle scans" 0 static;
-  check_bool "eager adaptive charges idle scans" true (eager > 0);
-  check_bool
-    (Printf.sprintf "backoff cuts charged idle polls >= 5x (%d -> %d)" eager
-       backoff)
-    true
-    (eager >= 5 * max backoff 1)
-
 (* ---------- Bytebuf slab pool ---------- *)
 
 let test_bytebuf_pool () =
@@ -435,7 +419,9 @@ let () =
   Alcotest.run "sched"
     [ ("pins",
        [ Alcotest.test_case "static policy E2/E9/E10/E11 byte-identical"
-           `Quick test_static_pins ]);
+           `Quick test_static_pins;
+         Alcotest.test_case "madio ping-pong beside a silent socket" `Quick
+           test_silent_socket_pin ]);
       ("aggregation",
        [ Alcotest.test_case "no loss, no reorder, boundaries" `Quick
            test_agg_no_loss_no_reorder;
@@ -443,9 +429,6 @@ let () =
          Alcotest.test_case "explicit flush" `Quick test_agg_explicit_flush;
          Alcotest.test_case "small-message throughput >= 2x" `Quick
            test_agg_throughput_2x ]);
-      ("adaptive",
-       [ Alcotest.test_case "idle poll reduction >= 5x" `Quick
-           test_adaptive_poll_reduction ]);
       ("pool",
        [ Alcotest.test_case "slab reuse and bypass" `Quick test_bytebuf_pool ]);
       ("streamq",
