@@ -7,8 +7,8 @@ include Scenario
 let backend = ref Padico.Sim
 
 (* Worker-domain count for experiments that can run their grids on the
-   sharded parallel engine (set once by main from --domains; 1 = classic
-   single-heap execution). *)
+   sharded parallel engine (set once by main from --domains; 1 runs every
+   shard on the calling domain). *)
 let domains = ref 1
 
 (* Machine-readable results: experiments record named metrics as they print

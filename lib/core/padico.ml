@@ -54,9 +54,11 @@ let register_builtins () =
 let create ?seed ?(prefs = Prefs.default) ?(backend = Sim) ?shards () =
   register_builtins ();
   (match backend, shards with
-   | Host, Some _ ->
+   | Host, Some n when n > 1 ->
      invalid_arg
-       "Padico.create: ~shards needs the simulated backend (the Host         reactor runs on one real clock; conservative synchronization         does not apply)"
+       "Padico.create: ~shards needs the simulated backend (the Host \
+        reactor runs on one real clock; conservative synchronization \
+        does not apply)"
    | _ -> ());
   let ploop, clock =
     match backend with

@@ -30,9 +30,10 @@ val create :
     {!Hostio.Loop} reactor whose monotonic clock every node runs on, so
     the same program does real socket I/O.
 
-    [shards] partitions the grid for the conservative parallel engine
-    (see [Simnet.Net.create]); place nodes with {!add_node}'s [?shard]
-    and run with {!run}'s [?domains]. [Sim] backend only. *)
+    [shards] (default 1) is the number of slices of the grid (see
+    [Simnet.Net.create]); place nodes with {!add_node}'s [?shard] and run
+    several shards on {!run}'s [?domains]. More than one shard needs the
+    [Sim] backend. *)
 
 val net : t -> Simnet.Net.t
 val sim : t -> Engine.Sim.t
@@ -103,12 +104,12 @@ val circuit : t -> name:string -> Simnet.Node.t list -> Circuit.Ct.t array
 val run : ?until:int -> ?domains:int -> t -> unit
 (** Drive the grid until quiescence. [until] bounds execution: virtual ns
     on [Sim], wall-clock ns since reactor creation on [Host]. [domains]
-    (sharded [Sim] grids only) sets the worker-domain count for the
-    parallel engine. *)
+    ([Sim] grids of several shards only) sets the worker-domain count
+    for the parallel engine. *)
 
 val now : t -> int
 (** Current time on the grid's clock: virtual ns ([Sim]; the maximum
-    across shard clocks on a sharded grid) or monotonic wall ns
+    across shard clocks) or monotonic wall ns
     ([Host]). *)
 
 val reset : unit -> unit

@@ -185,7 +185,9 @@ let counters c =
         rx_bytes = 0 };
   c.ctrs
 
-let sim c = Simnet.Segment.sim c.stack.seg
+(* RTT samples read the stack's own node clock: a segment may span shards,
+   and only the local shard's clock is this connection's time. *)
+let sim c = Simnet.Node.sim c.stack.snode
 
 (* Per-connection timers (RTO, persist probes) go on the node's slotted
    timewheel: 100k armed retransmit timers cost one engine event per

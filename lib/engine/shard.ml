@@ -296,7 +296,7 @@ let round t sh ~until =
       incr executed;
       if Sim.stopped sh.sim then begin
         (* Sim.stop from inside a sharded run stops the whole parallel
-           run, mirroring the classic single-heap semantics. *)
+           run, as it stops [Sim.run] on a one-shard grid. *)
         Atomic.set t.stop_flag true;
         continue := false
       end

@@ -12,8 +12,8 @@
     the worker count, and frames merge with local events by the
     canonical key (timestamp, source shard, channel push order) — so a
     run over S shards is byte-identical whether 1 or N domains drive it.
-    Simnet wires this up from [Net.create ~shards]; the classic
-    single-heap engine is untouched and remains the default. *)
+    Simnet builds it for a grid of several shards ([Net.create ~shards]);
+    a one-shard grid runs on its single {!Sim.t} directly. *)
 
 type t
 

@@ -24,13 +24,13 @@ let generate ?seed ?prefs ?backend ?(sharded = false)
     invalid_arg "Gridgen.generate: nodes_per_cluster < 1";
   let grid =
     Padico.create ?seed ?prefs ?backend
-      ?shards:(if sharded then Some clusters else None) ()
+      ~shards:(if sharded then clusters else 1) ()
   in
   let islands =
     List.init clusters (fun c ->
         List.init nodes_per_cluster (fun i ->
             Padico.add_node
-              ?shard:(if sharded then Some c else None)
+              ~shard:(if sharded then c else 0)
               grid (Printf.sprintf "c%d-n%d" c i)))
   in
   List.iteri
@@ -66,7 +66,6 @@ type edge = {
   e_tail : float;
   e_seed : int;
   e_bufsize : int;  (* per-connection snd/rcv buffer budget *)
-  e_sharded : bool;
 }
 
 type edge_stats = {
@@ -96,22 +95,22 @@ let edge ?(seed = 42) ?prefs ?backend ?(sharded = false)
   if tail <= 1.0 then invalid_arg "Gridgen.edge: tail must exceed 1.0";
   let grid =
     Padico.create ~seed ?prefs ?backend
-      ?shards:(if sharded then Some (shards + client_nodes) else None) ()
+      ~shards:(if sharded then shards + client_nodes else 1) ()
   in
-  let place i = if sharded then Some i else None in
+  let place i = if sharded then i else 0 in
   let sh =
     List.init shards (fun i ->
-        Padico.add_node ?shard:(place i) grid (Printf.sprintf "edge-s%d" i))
+        Padico.add_node ~shard:(place i) grid (Printf.sprintf "edge-s%d" i))
   in
   let cl =
     List.init client_nodes (fun i ->
-        Padico.add_node ?shard:(place (shards + i)) grid
+        Padico.add_node ~shard:(place (shards + i)) grid
           (Printf.sprintf "edge-c%d" i))
   in
   let wan_seg = Padico.add_segment grid wan ~name:"edge-wan" (sh @ cl) in
   { e_grid = grid; e_shards = sh; e_clients = cl; e_wan = wan_seg;
     e_port = edge_port; e_nclients = clients; e_churn = churn; e_tail = tail;
-    e_seed = seed; e_bufsize = bufsize; e_sharded = sharded }
+    e_seed = seed; e_bufsize = bufsize }
 
 (* Heavy-tailed request sizes: Pareto(xm = 64, alpha = tail) clamped to
    [64 B, 64 KB] — most requests tiny, the tail real. *)
@@ -319,32 +318,23 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
     starts.(i) <- start
   done;
   (* Ramped arrivals: a flash crowd is modelled by a short ramp, steady
-     load by a long one. The ramp is a cascade — each start schedules the
-     next — so the engine heap holds one pending arrival at a time
-     instead of the whole population (100k up-front events would tax
-     every heap operation with the population's log factor). *)
-  if e.e_nclients > 0 then begin
-    if e.e_sharded then
-      (* The cascade below hops nodes — client [i]'s start would run on
-         client 0's shard and dial through a foreign TCP stack. Sharded
-         runs pre-schedule every arrival on its own node's clock instead;
-         setup is single-threaded, so seeding every shard's heap here is
-         safe, and the arrival times are identical to the cascade's. *)
-      for i = 0 to e.e_nclients - 1 do
-        let clk = Simnet.Node.clock cnodes.(i mod Array.length cnodes) in
-        Clock.after clk (i * ramp_ns) starts.(i)
-      done
-    else begin
-      let clk0 = Simnet.Node.clock (Array.get cnodes 0) in
-      let rec kick i =
-        if i < e.e_nclients then begin
-          starts.(i) ();
-          Clock.after clk0 ramp_ns (fun () -> kick (i + 1))
-        end
-      in
-      kick 0
-    end
-  end;
+     load by a long one. Client [i] starts at [i * ramp_ns], on its own
+     node's clock (so on its own shard). Each client node runs one
+     cascade — each start schedules the node's next — so the engine heap
+     holds one pending arrival per client node instead of the whole
+     population (100k up-front events would tax every heap operation with
+     the population's log factor). *)
+  let ncnodes = Array.length cnodes in
+  for k = 0 to min ncnodes e.e_nclients - 1 do
+    let clk = Simnet.Node.clock cnodes.(k) in
+    let rec kick i () =
+      if i < e.e_nclients then begin
+        starts.(i) ();
+        Clock.after clk (ncnodes * ramp_ns) (kick (i + ncnodes))
+      end
+    in
+    Clock.after clk (k * ramp_ns) (kick k)
+  done;
   (match until with
    | Some u -> Padico.run e.e_grid ~until:u ?domains
    | None -> Padico.run e.e_grid ?domains);

@@ -5,15 +5,32 @@
     bandwidth on egress and on ingress, so two senders targeting the same
     receiver contend for its input port — the effect the NetAccess
     arbitration experiment (E6) relies on. Frames are dropped independently
-    with the model's loss probability. *)
+    with the model's loss probability.
+
+    A segment may span several shards of its grid (see {!Net}). Every
+    mutable cell of a send belongs to one port, and so to one shard: the
+    source port owns its egress state, tx counters and loss/jitter
+    generator, and the destination port owns its ingress state and rx
+    counters. A send runs on the source node's simulator. A frame whose
+    destination node runs on another simulator goes through the segment's
+    cross-shard hook at its arrival time, which is never earlier than
+    [now + latency]; ingress contention is then resolved on the
+    destination's shard. On a one-shard grid the hook is never called. *)
 
 type t
 
-val create : Engine.Sim.t -> Linkmodel.t -> name:string -> t
+val create :
+  rng:Engine.Rng.t ->
+  cross:(src:int -> dst:int -> ts:int -> (unit -> unit) -> unit) ->
+  Linkmodel.t -> name:string -> t
+(** [create ~rng ~cross model ~name] splits the segment's generator off
+    [rng] (the grid root's; [rng] advances). Each port draws from a keyed
+    child of that generator, fixed at {!attach}. [cross ~src ~dst ~ts f]
+    must run [f] at virtual time [ts] on the shard of node id [dst];
+    [Net] passes [Engine.Shard.post] behind a node→shard lookup. *)
 
 val name : t -> string
 val model : t -> Linkmodel.t
-val sim : t -> Engine.Sim.t
 
 val uid : t -> int
 (** Process-wide unique identity (distinct across simulations). *)
@@ -35,30 +52,6 @@ val send : t -> Packet.t -> unit
 (** Inject a frame at the source port. Raises [Invalid_argument] when source
     or destination is not attached, or when the frame exceeds the MTU. The
     frame is delivered asynchronously (or lost). *)
-
-(** {1 Sharded mode}
-
-    Wired up by [Net] when the grid is created with [~shards]: every send
-    then takes virtual time from the {e source node's} shard simulator,
-    randomness from a per-port generator, and counters land in per-port
-    cells — so sends racing on a shared segment from different shards never
-    touch the same mutable state. Frames whose destination lives on another
-    shard cross through [post] at their computed arrival time (always
-    [>= now + latency], the floor the conservative runtime's lookahead is
-    built from); destination-side ingress contention is resolved on the
-    shard that owns the receiving port. *)
-
-val enable_sharding :
-  t ->
-  shard_of:(int -> int) ->
-  post:(src:int -> dst:int -> ts:int -> (unit -> unit) -> unit) ->
-  unit
-(** [enable_sharding t ~shard_of ~post] switches {!send} to the sharded
-    path. [shard_of] maps a node id to its shard index; [post] is
-    [Engine.Shard.post] partially applied to the runtime. Ports attached
-    later inherit the sharded setup. *)
-
-val sharded : t -> bool
 
 (** {1 Dynamic fault overlay}
 
@@ -99,7 +92,8 @@ val unblock_pair : t -> int -> int -> unit
 val clear_blocked : t -> unit
 val pair_blocked : t -> int -> int -> bool
 
-(** Observability for tests and benchmarks. *)
+(** Observability for tests and benchmarks: totals summed over the ports,
+    exact once the run has returned. *)
 val frames_sent : t -> int
 
 val frames_faulted : t -> int

@@ -208,11 +208,11 @@ let pin_e2_ns = 38_308
 
 let pin_e9_ns = 749_400
 
-let pin_e10 = (5_154_461, 1, 1_104_788)
+let pin_e10 = (5_154_957, 1, 1_105_237)
 
 let pin_e11_ns = 432_885
 
-let pin_silent_socket_ns = 4_535_862
+let pin_silent_socket_ns = 4_527_862
 
 let test_static_pins () =
   let e2 = e2_scenario () in

@@ -14,6 +14,7 @@ module Bb = Engine.Bytebuf
 module Group = Collectives.Group
 module Gridgen = Scenario.Gridgen
 module Segment = Simnet.Segment
+module Tcp = Drivers.Tcp
 
 let domain_counts = [ 1; 2; 4; 8 ]
 
@@ -239,6 +240,64 @@ let test_edge_determinism () =
          Alcotest.failf "edge digest differs: %d domains vs 1" domains)
     (List.tl domain_counts)
 
+(* ---------- TCP RTT on a segment that spans shards ---------- *)
+
+(* 200 kB over a jitter-free LAN from [a] (shard 0) to [b]. The segment
+   lists [b] first: TCP must time its RTT samples on its own node's
+   clock, never on the clock of whichever shard a segment's first node
+   lives on. With no randomness on the wire, the smoothed RTT is the
+   same on one shard and on two, whatever the domain count. *)
+let tcp_srtt ~shards ~domains =
+  Padico.reset ();
+  let net = Simnet.Net.create ~seed:3 ~shards () in
+  let a = Simnet.Net.add_node ~shard:0 net "a" in
+  let b = Simnet.Net.add_node ~shard:(shards - 1) net "b" in
+  let lan =
+    { Simnet.Presets.ethernet100 with Simnet.Linkmodel.jitter_ns = 0 }
+  in
+  let seg = Simnet.Net.add_segment net lan [ b; a ] in
+  let sa = Tcp.attach seg a and sb = Tcp.attach seg b in
+  let total = 200_000 in
+  let received = ref 0 in
+  Tcp.listen sb ~port:80 (fun conn ->
+      Tcp.set_event_cb conn (fun ev ->
+          if ev = Tcp.Readable then
+            let rec drain () =
+              match Tcp.read conn ~max:65_536 with
+              | Some buf ->
+                received := !received + Bb.length buf;
+                drain ()
+              | None -> ()
+            in
+            drain ()));
+  let c = Tcp.connect sa ~dst:(Simnet.Node.id b) ~port:80 in
+  let msg = Bb.create total in
+  Bb.fill_zero msg;
+  let sent = ref 0 in
+  Tcp.set_event_cb c (fun ev ->
+      match ev with
+      | Tcp.Established | Tcp.Writable ->
+        if !sent < total then
+          sent := !sent + Tcp.write c (Bb.sub msg !sent (total - !sent))
+      | _ -> ());
+  Simnet.Net.run ~domains net;
+  Tutil.check_int
+    (Printf.sprintf "all bytes received (shards=%d, domains=%d)" shards
+       domains)
+    total !received;
+  Tcp.srtt_ns c
+
+let test_tcp_rtt () =
+  let one_shard = tcp_srtt ~shards:1 ~domains:1 in
+  Tutil.check_bool "rtt sampled" true (one_shard > 0);
+  List.iter
+    (fun domains ->
+       Tutil.check_int
+         (Printf.sprintf "srtt on 2 shards, %d domains = on 1 shard" domains)
+         one_shard
+         (tcp_srtt ~shards:2 ~domains))
+    [ 1; 2; 4 ]
+
 (* ---------- guard rails ---------- *)
 
 let test_validation () =
@@ -253,15 +312,16 @@ let test_validation () =
   (match Simnet.Net.run net with
    | exception Invalid_argument _ -> ()
    | () -> Alcotest.fail "zero-latency cross-shard segment accepted");
-  (* Classic grids reject shard placement and multi-domain runs. *)
+  (* A one-shard grid rejects placement on a second shard and
+     multi-domain runs. *)
   let net = Simnet.Net.create () in
   (match Simnet.Net.add_node ~shard:1 net "x" with
    | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "classic grid accepted ~shard");
+   | _ -> Alcotest.fail "one-shard grid accepted ~shard:1");
   ignore (Simnet.Net.add_node net "y");
   (match Simnet.Net.run ~domains:4 net with
    | exception Invalid_argument _ -> ()
-   | () -> Alcotest.fail "classic grid accepted ~domains");
+   | () -> Alcotest.fail "one-shard grid accepted ~domains");
   (* Host backend cannot shard. *)
   match Padico.create ~backend:Padico.Host ~shards:2 () with
   | exception Invalid_argument _ -> ()
@@ -277,4 +337,6 @@ let () =
        [ Alcotest.test_case "collectives determinism matrix" `Quick
            test_collective_determinism;
          Alcotest.test_case "edge determinism matrix" `Quick
-           test_edge_determinism ]) ]
+           test_edge_determinism;
+         Alcotest.test_case "tcp rtt on a segment spanning shards" `Quick
+           test_tcp_rtt ]) ]

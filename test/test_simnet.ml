@@ -75,23 +75,51 @@ let test_unattached_rejected () =
     (Invalid_argument "Segment test: node 2 not attached (send destination)")
     (fun () -> Seg.send seg (raw ~src:(Simnet.Node.id a) ~dst:(Simnet.Node.id c) 10))
 
-let test_loss_statistics () =
-  let net, a, b, seg = mk_pair ~loss:0.3 () in
+(* Frame conservation at quiescence, on a one-shard grid and on a segment
+   spanning two shards (tx counters on the sender's shard, rx counters on
+   the receiver's): every frame sent is fault-dropped, lost, delivered or
+   unclaimed. Frame 7 meets a blocked pair; every 50th frame carries a
+   protocol nobody handles. *)
+let loss_conservation ~shards =
+  let net = Simnet.Net.create ~shards () in
+  let a = Simnet.Net.add_node net "a" in
+  let b = Simnet.Net.add_node ~shard:(shards - 1) net "b" in
+  let seg = Simnet.Net.add_segment net (mk_model ~loss:0.3 ()) [ a; b ] in
+  let ida = Simnet.Node.id a and idb = Simnet.Node.id b in
   Seg.set_handler seg b ~proto:99 (fun _ -> ());
   let n = 5_000 in
   let rec send_next i =
     if i < n then begin
-      Seg.send seg (raw ~src:(Simnet.Node.id a) ~dst:(Simnet.Node.id b) 100);
-      Sim.after (Simnet.Net.sim net) 10_000 (fun () -> send_next (i + 1))
+      let proto = if i mod 50 = 0 then 98 else 99 in
+      let pkt =
+        Simnet.Packet.make ~src:ida ~dst:idb ~proto ~size:100
+          (Simnet.Packet.Raw (Bb.create 100))
+      in
+      if i = 7 then begin
+        Seg.block_pair seg ida idb;
+        Seg.send seg pkt;
+        Seg.unblock_pair seg ida idb
+      end
+      else Seg.send seg pkt;
+      Sim.after (Simnet.Node.sim a) 10_000 (fun () -> send_next (i + 1))
     end
   in
-  send_next 0;
+  Sim.at (Simnet.Node.sim a) 0 (fun () -> send_next 0);
   Tutil.run_net net ~until:(Engine.Time.sec 10);
+  let what s = Printf.sprintf "%s (%d shards)" s shards in
   let lost = Seg.frames_lost seg in
   let ratio = float_of_int lost /. float_of_int n in
-  Tutil.check_bool "loss near 30%" true (ratio > 0.26 && ratio < 0.34);
-  Tutil.check_int "lost + delivered = sent" n
-    (Seg.frames_lost seg + Seg.frames_delivered seg)
+  Tutil.check_bool (what "loss near 30%") true (ratio > 0.26 && ratio < 0.34);
+  Tutil.check_int (what "sent") n (Seg.frames_sent seg);
+  Tutil.check_int (what "one fault drop") 1 (Seg.frames_faulted seg);
+  Tutil.check_bool (what "some unclaimed") true (Seg.frames_unclaimed seg > 0);
+  Tutil.check_int (what "sent = faulted + lost + delivered + unclaimed") n
+    (Seg.frames_faulted seg + lost + Seg.frames_delivered seg
+     + Seg.frames_unclaimed seg)
+
+let test_loss_statistics () =
+  loss_conservation ~shards:1;
+  loss_conservation ~shards:2
 
 let test_egress_serializes () =
   (* Two frames sent back-to-back: second arrives one serialization later. *)
