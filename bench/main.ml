@@ -15,7 +15,7 @@ let experiments =
     ("obs", "E9: tracing overhead on the MadIO hot path", Obs_bench.run);
     ("fault", "E10: fault injection and failover resilience", Fault_bench.run);
     ("flow", "E11: flow control and overload protection", Flow_bench.run);
-    ("sched", "E12: adaptive arbitration and small-message aggregation",
+    ("sched", "E12: arbitration and small-message coalescing",
      Sched_bench.run);
     ("collect", "E13: topology-aware collectives at grid scale",
      Coll_bench.run);

@@ -764,15 +764,10 @@ let sched_cmd =
          & info [ "burst" ] ~docv:"N"
            ~doc:"Small messages (64 B) in the one-way burst phase.")
   in
-  let no_agg_arg =
-    Arg.(value & flag
-         & info [ "no-agg" ]
-           ~doc:"Disable small-message aggregation for the burst.")
-  in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Seed.")
   in
-  let run iters burst no_agg seed =
+  let run iters burst seed =
     Engine.Bytebuf.Pool.reset ();
     let grid = Padico.create ~seed () in
     let a = Padico.add_node grid "a" in
@@ -781,33 +776,25 @@ let sched_cmd =
       Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
     in
     let ma = Padico.madio grid a san and mb = Padico.madio grid b san in
-    if not no_agg then begin
-      Netaccess.Madio.set_aggregation ma true;
-      Netaccess.Madio.set_aggregation mb true
-    end;
     let msg n seed =
       let m = Engine.Bytebuf.create n in
       Engine.Bytebuf.fill_pattern m ~seed;
       m
     in
-    (* Latency phase: ping-pong on lchannel 1 (explicitly flushed, the
-       latency-critical pattern). *)
+    (* Latency phase: ping-pong on lchannel 1 (each message finds its flow
+       idle, so none waits to coalesce). *)
     let la = Netaccess.Madio.open_lchannel ma ~id:1 in
     let lb = Netaccess.Madio.open_lchannel mb ~id:1 in
     let rounds = ref 0 and t_pp = ref 0 in
     Netaccess.Madio.set_recv lb (fun ~src buf ->
-        Netaccess.Madio.send lb ~dst:src buf;
-        Netaccess.Madio.flush lb ~dst:src);
+        Netaccess.Madio.send lb ~dst:src buf);
     Netaccess.Madio.set_recv la (fun ~src:_ _ ->
         incr rounds;
-        if !rounds < iters then begin
-          Netaccess.Madio.send la ~dst:(Simnet.Node.id b) (msg 64 !rounds);
-          Netaccess.Madio.flush la ~dst:(Simnet.Node.id b)
-        end
+        if !rounds < iters then
+          Netaccess.Madio.send la ~dst:(Simnet.Node.id b) (msg 64 !rounds)
         else t_pp := Padico.now grid);
     Netaccess.Madio.send la ~dst:(Simnet.Node.id b) (msg 64 0);
-    Netaccess.Madio.flush la ~dst:(Simnet.Node.id b);
-    (* Throughput phase: one-way 64 B burst on lchannel 2 (batchable). *)
+    (* Throughput phase: one-way 64 B burst on lchannel 2 (coalesces). *)
     let l2a = Netaccess.Madio.open_lchannel ma ~id:2 in
     let l2b = Netaccess.Madio.open_lchannel mb ~id:2 in
     let got = ref 0 and t0 = ref 0 and t1 = ref 0 in
@@ -847,8 +834,7 @@ let sched_cmd =
              (Netaccess.Na_core.Sysio_work, "sysio") ])
       [ (a, "a"); (b, "b") ];
     Printf.printf
-      "aggregation  : %s — %d messages batched, %d batches, %d packets saved\n"
-      (if Netaccess.Madio.aggregation_enabled ma then "on" else "off")
+      "coalescing   : %d messages batched, %d batches, %d packets saved\n"
       (Netaccess.Madio.messages_batched ma)
       (Netaccess.Madio.batches_sent ma)
       (Netaccess.Madio.packets_saved ma);
@@ -860,9 +846,8 @@ let sched_cmd =
     (Cmd.info "sched"
        ~doc:"Run a latency ping-pong plus a small-message burst on a \
              Myrinet pair through the NetAccess dispatcher; print \
-             per-subsystem dispatch statistics and aggregation counters.")
-    Term.(const run $ iters_arg $ burst_arg $ no_agg_arg
-          $ seed_arg)
+             per-subsystem dispatch statistics and coalescing counters.")
+    Term.(const run $ iters_arg $ burst_arg $ seed_arg)
 
 (* ---------- collect ---------- *)
 

@@ -34,9 +34,8 @@ let madio_header_bytes = 14
 let sysio_poll_ns = 500
 let sysio_callback_ns = 300
 
-(* Small-message aggregation (MadIO coalescing queue). *)
+(* Small-message coalescing (MadIO). *)
 let madio_agg_threshold_bytes = 256
-let madio_agg_budget_ns = 5_000
 let madio_agg_max_batch_bytes = 4_096
 let madio_agg_permsg_ns = 25
 

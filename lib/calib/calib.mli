@@ -59,15 +59,11 @@ val sysio_poll_ns : int
 
 val sysio_callback_ns : int
 
-(** {2 Small-message aggregation (MadIO)} *)
+(** {2 Small-message coalescing (MadIO)} *)
 
 val madio_agg_threshold_bytes : int
-(** Coalescing threshold: messages strictly smaller are eligible for
-    batching into one Madeleine packet. *)
-
-val madio_agg_budget_ns : int
-(** Default latency budget: a batch flushes at most this long after its
-    first message was queued. *)
+(** Coalescing threshold: messages strictly smaller coalesce into one
+    Madeleine packet while their flow has a packet in flight. *)
 
 val madio_agg_max_batch_bytes : int
 (** Cap on batched payload+sublength bytes per packet. *)

@@ -78,24 +78,6 @@ let resilient_env () =
     oneway = false; strict_eof = true; expect_driver = Some "resilient";
     xfer = 65_536 }
 
-(* The madio stack with small-message aggregation coalescing both
-   directions: every obligation (no-loss, no-reorder, boundary
-   preservation, flush-on-budget for the probe exchanges, handshakes and
-   teardown under Eof/close/timeout) must hold with batching live, under
-   every schedule policy the kit explores. *)
-let madio_agg_env () =
-  let grid = Padico.create ~prefs:bare_prefs () in
-  let c = Padico.add_node grid "c" in
-  let s = Padico.add_node grid "s" in
-  let seg = Padico.add_segment grid Presets.myrinet2000 ~name:"link" [ c; s ] in
-  Netaccess.Madio.set_aggregation (Padico.madio grid c seg) true;
-  Netaccess.Madio.set_aggregation (Padico.madio grid s seg) true;
-  { grid; client = c; server = s;
-    dial = (fun ~port -> Padico.connect grid ~src:c ~dst:s ~port);
-    bind = (fun ~port accept -> Padico.listen grid s ~port accept);
-    oneway = false; strict_eof = true; expect_driver = Some "madio";
-    xfer = 65_536 }
-
 let vlink_fixtures =
   [ { fname = "loopback"; skip = []; build = loopback_env };
     { fname = "sysio"; skip = [];
@@ -108,7 +90,6 @@ let vlink_fixtures =
         (fun () ->
            pair_env ~model:Presets.myrinet2000 ~prefs:bare_prefs
              ~expect_driver:"madio" ()) };
-    { fname = "madio-agg"; skip = []; build = madio_agg_env };
     { fname = "pstream"; skip = [];
       build =
         (fun () ->

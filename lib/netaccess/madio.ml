@@ -1,5 +1,4 @@
 module Bytebuf = Engine.Bytebuf
-module Sim = Engine.Sim
 module Mad = Madeleine.Mad
 module Stats = Engine.Stats
 module Trace = Padico_obs.Trace
@@ -11,19 +10,23 @@ module Log = (val Logs.src_log log : Logs.LOG)
 
 let magic = 0xAD10
 
-(* One pending coalescing batch for a (peer, logical channel) flow. *)
-type batch = {
-  b_dst : int;
-  b_lchan : int;
-  mutable b_parts : (Bytebuf.t list * int) list; (* (iov, len), newest first *)
-  mutable b_bytes : int; (* payload bytes queued *)
-  mutable b_count : int;
-  mutable b_epoch : int; (* bumps on flush; stale budget timers no-op *)
+(* One (peer, logical channel) flow: its packets posted to Madeleine but
+   not yet send-completed, and the sub-threshold messages coalescing
+   behind them. Invariant: a non-empty batch implies [in_flight > 0] —
+   every send completion flushes the batch. *)
+type flow = {
+  f_dst : int;
+  f_lchan : int;
+  mutable in_flight : int; (* packets between end_packing and on_tx *)
+  mutable parts : (Bytebuf.t list * int) list; (* (iov, len), newest first *)
+  mutable bytes : int; (* payload bytes queued *)
+  mutable count : int;
 }
 
 type lchannel = {
   owner : t;
   id : int;
+  flows : (int, flow) Hashtbl.t; (* dst -> flow *)
   mutable recv : (src:int -> Bytebuf.t -> unit) option;
   mutable open_ : bool;
   mutable manual_grant : bool;
@@ -52,16 +55,12 @@ and t = {
   grants : (int * int, int ref) Hashtbl.t; (* (src, lchan) -> ungranted *)
   credit_waiters : (int * int, (int * (unit -> unit)) Queue.t) Hashtbl.t;
       (* (min space required, one-shot callback) *)
-  (* Small-message aggregation: the latency budget in ns (None = disabled,
-     the default). *)
-  mutable agg_budget : int option;
-  aggq : (int * int, batch) Hashtbl.t; (* (dst, lchan) -> pending batch *)
   sent : Stats.Counter.t;
   received : Stats.Counter.t;
   credit_msgs : Stats.Counter.t;
   credit_stalls : Stats.Counter.t;
-  batched : Stats.Counter.t; (* messages that went through a batch *)
-  batches : Stats.Counter.t; (* flushes (wire packets for batched msgs) *)
+  batched : Stats.Counter.t; (* messages in packets of >= 2 messages *)
+  batches : Stats.Counter.t; (* packets carrying >= 2 messages *)
   pkts_saved : Stats.Counter.t; (* packets avoided: sum of (count - 1) *)
 }
 
@@ -78,10 +77,9 @@ let mad t = t.mio_mad
 let header_len = Calib.madio_header_bytes
 
 (* Header layout (14 bytes): magic u16 | lchannel u16 | length u32 |
-   combined u8 | credit u32 | count u8. [count] is the aggregation
-   sub-message count: 0 (and 1) mean a plain single-message payload —
-   the pre-aggregation wire format, whose count byte was the spare zero
-   byte — while count >= 2 announces a batch of [u16 sublen | bytes]
+   combined u8 | credit u32 | count u8. [count] is the coalescing
+   sub-message count: 0 (and 1) mean a plain single-message payload,
+   while count >= 2 announces a batch of [u16 sublen | bytes]
    records. Pooled headers come back dirty, so every byte is written
    explicitly here. *)
 let encode_header ?(pooled = false) ~lchan ~len ~combined ~credit ~count () =
@@ -151,69 +149,77 @@ let credit_arrived t ~src ~lchan n =
       Queue.transfer keep q
   end
 
-(* -- small-message aggregation ------------------------------------------ *)
+(* -- small-message coalescing ------------------------------------------- *)
 
 let agg_event t action ~lchan ~msgs ~bytes =
   if Trace.on () then
     Trace.instant t.mio_node
       (Padico_obs.Event.Agg { action; lchannel = lchan; msgs; bytes })
 
-(* Emit one combined-header message. [count] is the header's sub-message
-   count: 0 = plain single message (legacy wire format), >= 2 = batch.
+let flow lc ~dst =
+  match Hashtbl.find_opt lc.flows dst with
+  | Some f -> f
+  | None ->
+    let f =
+      { f_dst = dst; f_lchan = lc.id; in_flight = 0; parts = []; bytes = 0;
+        count = 0 }
+    in
+    Hashtbl.replace lc.flows dst f;
+    f
+
+(* Post one packet of flow [f]. It is in flight until Madeleine's send
+   completion, which reclaims its [pooled] slabs and sends whatever
+   coalesced behind it meanwhile. A packet refused at [end_packing] (link
+   down) never was in flight, so the flow cannot wedge on it. *)
+let rec post t f out ~pooled =
+  f.in_flight <- f.in_flight + 1;
+  try
+    Mad.end_packing out ~on_tx:(fun () ->
+        List.iter Bytebuf.Pool.release pooled;
+        f.in_flight <- f.in_flight - 1;
+        flush_batch t f ~reason:"cork")
+  with e ->
+    f.in_flight <- f.in_flight - 1;
+    List.iter Bytebuf.Pool.release pooled;
+    raise e
+
+(* Emit one message in the plain combined-header format (count byte 0).
    When a payload follows, the header rides in a pooled slab: the payload
    pieces in the same driver fragment force the gather copy, so the slab
-   is dead at send completion and reclaimed in [on_tx]. A payload-less
-   header (credit-only) would travel by reference, so it takes a fresh
-   buffer instead. *)
-let emit_combined t ~lchan ~dst ~len ~credit ~count iov =
+   is dead at send completion and reclaimed there. A payload-less header
+   would travel by reference, so it takes a fresh buffer instead. *)
+and emit_combined t f ~len ~credit iov =
   let pooled = len > 0 in
   let hdr =
-    encode_header ~pooled ~lchan ~len ~combined:true ~credit ~count ()
+    encode_header ~pooled ~lchan:f.f_lchan ~len ~combined:true ~credit
+      ~count:0 ()
   in
-  let out = Mad.begin_packing t.hw_chan ~dst in
+  let out = Mad.begin_packing t.hw_chan ~dst:f.f_dst in
   Mad.pack out hdr;
   List.iter (Mad.pack out) iov;
   Simnet.Node.cpu_async t.mio_node Calib.madio_combined_ns (fun () -> ());
-  if pooled then (
-    try Mad.end_packing ~on_tx:(fun () -> Bytebuf.Pool.release hdr) out
-    with e ->
-      Bytebuf.Pool.release hdr;
-      raise e)
-  else Mad.end_packing out
+  post t f out ~pooled:(if pooled then [ hdr ] else [])
 
-let batch_cell t ~dst ~lchan =
-  match Hashtbl.find_opt t.aggq (dst, lchan) with
-  | Some b -> b
-  | None ->
-    let b =
-      { b_dst = dst; b_lchan = lchan; b_parts = []; b_bytes = 0;
-        b_count = 0; b_epoch = 0 }
-    in
-    Hashtbl.replace t.aggq (dst, lchan) b;
-    b
-
-(* Push a pending batch onto the wire as one Madeleine packet. A batch of
-   one degenerates to the legacy single-message format — aggregation only
-   changes the wire format when it actually saves a packet. Any grant
-   accumulated for the reverse flow rides the batch header for free. *)
-let flush_batch t b ~reason =
-  if b.b_count > 0 then begin
-    let parts = List.rev b.b_parts in
-    let count = b.b_count and bytes = b.b_bytes in
-    b.b_parts <- [];
-    b.b_count <- 0;
-    b.b_bytes <- 0;
-    b.b_epoch <- b.b_epoch + 1;
-    let lchan = b.b_lchan and dst = b.b_dst in
-    agg_event t ("flush." ^ reason) ~lchan ~msgs:count ~bytes;
-    Stats.Counter.incr t.batches;
+(* Push the flow's batch onto the wire as one Madeleine packet. A batch of
+   one goes out in the plain format, untraced — the wire format and the
+   trace only change when a packet is saved. Any grant accumulated for
+   the reverse flow rides the batch header for free. *)
+and flush_batch t f ~reason =
+  if f.count > 0 then begin
+    let parts = List.rev f.parts in
+    let count = f.count and bytes = f.bytes in
+    f.parts <- [];
+    f.count <- 0;
+    f.bytes <- 0;
+    let lchan = f.f_lchan and dst = f.f_dst in
     let credit = take_grant t ~dst ~lchan in
     try
       if count = 1 then begin
         let iov, len = List.hd parts in
-        emit_combined t ~lchan ~dst ~len ~credit ~count:0 iov
+        emit_combined t f ~len ~credit iov
       end
       else begin
+        agg_event t ("flush." ^ reason) ~lchan ~msgs:count ~bytes;
         let total = bytes + (2 * count) in
         let hdr =
           encode_header ~pooled:true ~lchan ~len:total ~combined:true
@@ -232,16 +238,9 @@ let flush_batch t b ~reason =
         Simnet.Node.cpu_async t.mio_node
           (Calib.madio_combined_ns + (count * Calib.madio_agg_permsg_ns))
           (fun () -> ());
-        (try
-           Mad.end_packing
-             ~on_tx:(fun () ->
-                 Bytebuf.Pool.release hdr;
-                 Bytebuf.Pool.release subs)
-             out
-         with e ->
-           Bytebuf.Pool.release hdr;
-           Bytebuf.Pool.release subs;
-           raise e);
+        post t f out ~pooled:[ hdr; subs ];
+        Stats.Counter.incr t.batches;
+        Stats.Counter.add t.batched count;
         Stats.Counter.add t.pkts_saved (count - 1)
       end
     with Mad.Link_down _ ->
@@ -251,13 +250,20 @@ let flush_batch t b ~reason =
       ()
   end
 
-let flush_pending t ~dst ~lchan ~reason =
-  match Hashtbl.find_opt t.aggq (dst, lchan) with
-  | Some b -> flush_batch t b ~reason
-  | None -> ()
-
-let flush_all t =
-  Hashtbl.iter (fun _ b -> flush_batch t b ~reason:"explicit") t.aggq
+(* Coalesce one sub-threshold message into the flow's batch, first
+   sending the batch if the message would overflow it. *)
+let queue t f iov len =
+  if
+    f.count >= 255
+    || (f.count > 0
+        && f.bytes + len + (2 * (f.count + 1))
+           > Calib.madio_agg_max_batch_bytes)
+  then flush_batch t f ~reason:"size";
+  f.parts <- (iov, len) :: f.parts;
+  f.count <- f.count + 1;
+  f.bytes <- f.bytes + len;
+  if f.count >= 2 then
+    agg_event t "queue" ~lchan:f.f_lchan ~msgs:f.count ~bytes:f.bytes
 
 (* Queue the accumulated grant and flush it explicitly when it gets large.
    Normally grants piggyback on reverse traffic for free; the explicit
@@ -271,11 +277,11 @@ let rec add_grant t lc ~src n =
   end
 
 and send_credit_only t lc ~dst =
-  match Hashtbl.find_opt t.aggq (dst, lc.id) with
-  | Some b when b.b_count > 0 ->
+  match Hashtbl.find_opt lc.flows dst with
+  | Some f when f.count > 0 ->
     (* A pending batch is the cheapest vehicle: the grant rides its
        combined header, costing zero extra messages. *)
-    flush_batch t b ~reason:"credit"
+    flush_batch t f ~reason:"credit"
   | _ ->
     let credit = take_grant t ~dst ~lchan:lc.id in
     if credit > 0 then begin
@@ -391,7 +397,6 @@ let init m =
             pending_header = Hashtbl.create 4; combining = true;
             window = 0; credits = Hashtbl.create 8; grants = Hashtbl.create 8;
             credit_waiters = Hashtbl.create 8;
-            agg_budget = None; aggq = Hashtbl.create 8;
             sent = Metrics.fresh_counter scope "madio.sent";
             received = Metrics.fresh_counter scope "madio.received";
             credit_msgs = Metrics.fresh_counter scope "madio.credit_msgs";
@@ -417,8 +422,8 @@ let open_lchannel t ~id =
     invalid_arg
       (Printf.sprintf "Madio.open_lchannel: channel %d already open" id);
   let lc =
-    { owner = t; id; recv = None; open_ = true; manual_grant = false;
-      pending_rx = Queue.create () }
+    { owner = t; id; flows = Hashtbl.create 4; recv = None; open_ = true;
+      manual_grant = false; pending_rx = Queue.create () }
   in
   Hashtbl.replace t.lchannels id lc;
   lc
@@ -427,9 +432,7 @@ let close_lchannel lc =
   if lc.open_ then begin
     let t = lc.owner in
     (* Closing must not strand coalesced messages. *)
-    Hashtbl.iter
-      (fun _ b -> if b.b_lchan = lc.id then flush_batch t b ~reason:"explicit")
-      t.aggq;
+    Hashtbl.iter (fun _ f -> flush_batch t f ~reason:"close") lc.flows;
     lc.open_ <- false;
     Hashtbl.remove t.lchannels lc.id
   end
@@ -447,30 +450,6 @@ let set_recv lc f =
         f ~src payload;
         if not lc.manual_grant then add_grant t lc ~src (Bytebuf.length payload))
   done
-
-(* Coalesce one sub-threshold message into the flow's pending batch; the
-   first message of a batch arms the latency-budget timer. The timer is
-   epoch-guarded: a flush for any other reason bumps the epoch, so a
-   stale timer firing into a newer batch is a no-op. *)
-let queue_batched t lc ~dst iov len ~budget_ns =
-  let b = batch_cell t ~dst ~lchan:lc.id in
-  if
-    b.b_count >= 255
-    || (b.b_count > 0
-        && b.b_bytes + len + (2 * (b.b_count + 1))
-           > Calib.madio_agg_max_batch_bytes)
-  then flush_batch t b ~reason:"size";
-  let first = b.b_count = 0 in
-  b.b_parts <- (iov, len) :: b.b_parts;
-  b.b_count <- b.b_count + 1;
-  b.b_bytes <- b.b_bytes + len;
-  Stats.Counter.incr t.batched;
-  agg_event t "queue" ~lchan:lc.id ~msgs:b.b_count ~bytes:b.b_bytes;
-  if first then begin
-    let epoch = b.b_epoch in
-    Sim.after (Simnet.Node.sim t.mio_node) budget_ns (fun () ->
-        if b.b_epoch = epoch then flush_batch t b ~reason:"budget")
-  end
 
 let sendv lc ~dst iov =
   if not lc.open_ then invalid_arg "Madio.sendv: logical channel closed";
@@ -495,43 +474,43 @@ let sendv lc ~dst iov =
     end;
     c := !c - len
   end;
-  match t.agg_budget with
-  | Some budget_ns
-    when t.combining && len > 0 && len < Calib.madio_agg_threshold_bytes ->
-    queue_batched t lc ~dst iov len ~budget_ns
-  | agg ->
-    (* An over-threshold message flushes the flow's pending batch first,
-       so aggregation never reorders messages within a logical channel. *)
-    (match agg with
-     | Some _ -> flush_pending t ~dst ~lchan:lc.id ~reason:"large"
-     | None -> ());
-    let credit = take_grant t ~dst ~lchan:lc.id in
-    try
-      if t.combining then
-        (* Header combining: the multiplexing header rides in the first
-           packet of the payload message (one Madeleine message, one DMA
-           post). *)
-        emit_combined t ~lchan:lc.id ~dst ~len ~credit ~count:0 iov
+  try
+    if t.combining then begin
+      let f = flow lc ~dst in
+      if f.in_flight > 0 && len > 0 && len < Calib.madio_agg_threshold_bytes
+      then
+        (* The flow is busy: coalesce behind its in-flight packet. *)
+        queue t f iov len
       else begin
-        (* Ablation: header as its own message — a full extra message
-           through the whole driver stack. *)
-        let hdr = Mad.begin_packing t.hw_chan ~dst in
-        Mad.pack hdr
-          (encode_header ~lchan:lc.id ~len ~combined:false ~credit ~count:0
-             ());
-        Mad.end_packing hdr;
-        let out = Mad.begin_packing t.hw_chan ~dst in
-        List.iter (Mad.pack out) iov;
-        Simnet.Node.cpu_async t.mio_node Calib.madio_separate_ns
-          (fun () -> ());
-        Mad.end_packing out
+        (* A message that does not coalesce sends the flow's batch first,
+           so coalescing never reorders a logical channel. Header
+           combining: the multiplexing header rides in the first packet
+           of the payload message (one Madeleine message, one DMA post). *)
+        flush_batch t f ~reason:"large";
+        emit_combined t f ~len ~credit:(take_grant t ~dst ~lchan:lc.id) iov
       end
-    with Mad.Link_down _ ->
-      (* Same fail-fast drop as [flush_batch]: the message vanishes with
-         the carrier and the link watcher tears down the users above.
-         Without this the exception escapes a scheduler callback and
-         aborts the whole run instead of failing one flow. *)
-      ()
+    end
+    else begin
+      (* Ablation: header as its own message — a full extra message
+         through the whole driver stack. *)
+      let credit = take_grant t ~dst ~lchan:lc.id in
+      let hdr = Mad.begin_packing t.hw_chan ~dst in
+      Mad.pack hdr
+        (encode_header ~lchan:lc.id ~len ~combined:false ~credit ~count:0
+           ());
+      Mad.end_packing hdr;
+      let out = Mad.begin_packing t.hw_chan ~dst in
+      List.iter (Mad.pack out) iov;
+      Simnet.Node.cpu_async t.mio_node Calib.madio_separate_ns
+        (fun () -> ());
+      Mad.end_packing out
+    end
+  with Mad.Link_down _ ->
+    (* Same fail-fast drop as [flush_batch]: the message vanishes with
+       the carrier and the link watcher tears down the users above.
+       Without this the exception escapes a scheduler callback and
+       aborts the whole run instead of failing one flow. *)
+    ()
 
 let send lc ~dst buf = sendv lc ~dst [ buf ]
 
@@ -587,7 +566,13 @@ let credit_messages t = Stats.Counter.value t.credit_msgs
 let set_header_combining t v =
   (* Pending batches assume the combined wire format: push them out under
      the format they were queued for before switching. *)
-  if not v then flush_all t;
+  if not v then
+    Hashtbl.iter
+      (fun _ lc ->
+         Hashtbl.iter
+           (fun _ f -> flush_batch t f ~reason:"combining")
+           lc.flows)
+      t.lchannels;
   t.combining <- v
 
 let header_combining t = t.combining
@@ -596,23 +581,7 @@ let messages_sent t = Stats.Counter.value t.sent
 
 let messages_received t = Stats.Counter.value t.received
 
-(* -- aggregation API ---------------------------------------------------- *)
-
-let set_aggregation t ?(budget_ns = Calib.madio_agg_budget_ns) on =
-  if on then begin
-    if budget_ns < 0 then
-      invalid_arg "Madio.set_aggregation: negative budget";
-    t.agg_budget <- Some budget_ns
-  end
-  else begin
-    flush_all t;
-    t.agg_budget <- None
-  end
-
-let aggregation_enabled t = t.agg_budget <> None
-
-let flush lc ~dst =
-  flush_pending lc.owner ~dst ~lchan:lc.id ~reason:"explicit"
+(* -- coalescing counters ------------------------------------------------ *)
 
 let messages_batched t = Stats.Counter.value t.batched
 

@@ -43,52 +43,41 @@ val set_recv : lchannel -> (src:int -> Engine.Bytebuf.t -> unit) -> unit
 val set_header_combining : t -> bool -> unit
 (** Default [true]. [false] sends the multiplexing header as its own
     Madeleine message — the ablation measured by experiment E3. Pending
-    aggregation batches are flushed first. *)
+    coalescing batches are sent first; no message coalesces while
+    combining is off. *)
 
 val header_combining : t -> bool
 
-(** {2 Small-message aggregation}
+(** {2 Small-message coalescing}
 
-    A per-(peer, logical channel) coalescing queue: messages strictly
-    smaller than the threshold are packed into one Madeleine packet
-    instead of paying the fixed per-packet costs each. The combined
-    header's count byte announces a batch; its payload is a sequence of
-    [u16 sublen | bytes] records, demultiplexed on the receive side as
-    zero-copy sub-slices in order. A batch flushes when its latency
-    budget expires (engine timer), when an over-threshold message on the
-    same flow must keep its place in the stream, when the batch would
-    exceed the byte cap or 255 messages, on {!flush}/{!flush_all}, when
-    the channel closes, and on credit-only grants (the grant rides the
-    flush). Ordering within a logical channel is preserved; a batch of
-    one goes out in the legacy wire format. Disabled by default — the
-    wire format is then byte-identical to pre-aggregation builds. *)
+    A flow is one (peer, logical channel) pair. A message strictly smaller
+    than [Calib.madio_agg_threshold_bytes] goes out at once when its flow
+    has no packet in flight — posted to Madeleine but not yet
+    send-completed ([Mad.end_packing ~on_tx]) — so a lone message pays no
+    coalescing delay. Otherwise it joins the flow's batch, which leaves as
+    one Madeleine packet when an in-flight packet of the flow completes,
+    or earlier: when it would exceed [Calib.madio_agg_max_batch_bytes] of
+    payload+sublength bytes or 255 messages, when an over-threshold
+    message on the flow must keep its place in the stream, on a
+    credit-only grant (the grant rides the batch), when the channel
+    closes, and when header combining is switched off. MadIO arms no
+    timers.
 
-val set_aggregation : t -> ?budget_ns:int -> bool -> unit
-(** Enable/disable coalescing. Messages strictly smaller than
-    [Calib.madio_agg_threshold_bytes] coalesce, up to
-    [Calib.madio_agg_max_batch_bytes] of payload+sublength bytes per
-    packet. [budget_ns] (default [Calib.madio_agg_budget_ns], [>= 0]):
-    max virtual-time queueing delay. The budget timer is an
-    exact engine-heap timer: budgets of a few µs sit well below the
-    ~66 µs slot of the shared timewheel. Disabling flushes everything
-    pending. *)
-
-val aggregation_enabled : t -> bool
-
-val flush : lchannel -> dst:int -> unit
-(** Flush the pending batch of this (channel, peer) flow, if any. *)
-
-val flush_all : t -> unit
+    The combined header's count byte announces a batch; its payload is a
+    sequence of [u16 sublen | bytes] records, demultiplexed on the receive
+    side as zero-copy sub-slices in order. A batch of one goes out in the
+    plain single-message format. Ordering within a logical channel is
+    preserved. *)
 
 val messages_batched : t -> int
-(** Messages that went through a coalescing batch. *)
+(** Messages sent inside packets that carry >= 2 messages. *)
 
 val batches_sent : t -> int
-(** Batch flushes (wire packets that carried batched messages). *)
+(** Packets that carried >= 2 messages. *)
 
 val packets_saved : t -> int
-(** Madeleine packets avoided by aggregation: sum over batches of
-    (messages - 1). *)
+(** Madeleine packets avoided by coalescing: sum over batches of
+    (messages - 1), i.e. [messages_batched - batches_sent]. *)
 
 (** {2 Credit-based flow control}
 

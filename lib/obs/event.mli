@@ -80,10 +80,13 @@ type t =
       (** A resilient link re-established on a different adapter stack:
           the switch, the retry count and the measured downtime. *)
   | Agg of { action : string; lchannel : int; msgs : int; bytes : int }
-      (** MadIO small-message aggregation: [action] is "queue" (message
-          coalesced into the pending batch) or "flush.<reason>" with
-          reason "budget" | "size" | "large" | "credit" | "explicit";
-          [msgs]/[bytes] the batch contents. *)
+      (** MadIO small-message coalescing, recorded only for messages that
+          share a packet: [action] is "queue" (a message joined a flow's
+          non-empty batch) or "flush.<reason>" (a batch of >= 2 messages
+          left) with reason "cork" (an in-flight packet of the flow
+          completed) | "size" | "large" | "credit" | "close" |
+          "combining" (header combining switched off); [msgs]/[bytes] the
+          batch contents. *)
   | Coll_stage of {
       group : string;
       op : string;

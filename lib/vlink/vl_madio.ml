@@ -63,13 +63,7 @@ let send_ctl t ~dst ~kind ~conn_id ~extra =
      incoming SYN answered while the carrier just dropped): swallow the
      fail-fast signal here — connection teardown is driven by the link
      watcher, not by a lost control frame. *)
-  try
-    Madio.send t.lchan ~dst (header ~kind ~conn_id ~extra);
-    (* Handshake/teardown frames are latency-critical: when small-message
-       aggregation is coalescing this channel, push the frame out now
-       instead of waiting out the batch budget. DATA frames (sent by
-       o_write, not through here) stay eligible for batching. *)
-    Madio.flush t.lchan ~dst
+  try Madio.send t.lchan ~dst (header ~kind ~conn_id ~extra)
   with Madeleine.Mad.Link_down _ -> ()
 
 (* Teardown: whatever sits unread in the rx queue will never be drained

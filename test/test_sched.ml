@@ -1,11 +1,12 @@
-(* Arbitration & small-message aggregation.
+(* Arbitration & small-message coalescing.
 
-   Covers: MadIO aggregation semantics (no loss, no reorder, boundary
-   preservation, flush triggers), the Bytebuf slab pool, the Streamq O(1)
-   front slot — and regression pins asserting that the fixed-quanta
-   dispatcher keeps the E2/E9/E10/E11/E12(c) code paths byte-identical in
-   virtual time (any drift in the shared fast path shows up as an
-   exact-equality failure here). *)
+   Covers: MadIO coalescing semantics (no loss, no reorder, boundary
+   preservation, no delay on an idle flow, send-completion and link-down
+   behaviour), the Bytebuf slab pool, the Streamq O(1) front slot — and
+   regression pins asserting that the fixed-quanta dispatcher keeps the
+   E2/E9/E10/E11/E12(c) code paths byte-identical in virtual time (any
+   drift in the shared fast path shows up as an exact-equality failure
+   here). *)
 
 module Bb = Engine.Bytebuf
 module Time = Engine.Time
@@ -14,6 +15,7 @@ module Madio = Netaccess.Madio
 module Sysio = Netaccess.Sysio
 module Plan = Padico_fault.Plan
 module Inject = Padico_fault.Inject
+module Trace = Padico_obs.Trace
 
 let check_int = Tutil.check_int
 
@@ -30,8 +32,9 @@ let madio_grid ?(seed = 7) () =
    Each scenario walks one experiment's code path (E2 vlink echo, E9 raw
    MadIO ping-pong, E10 failover, E11 credit window, E12(c) ping-pong
    beside a silent socket) under the default quanta and must finish at
-   the exact pinned virtual time: the aggregation machinery is opt-in and
-   must not perturb the default path by a single nanosecond. *)
+   the exact pinned virtual time: a message only coalesces behind its
+   flow's in-flight packet, so none of these paths may move by a single
+   nanosecond. *)
 
 (* E2 path: vlink echo round trip over Myrinet (selector picks madio). *)
 let e2_scenario () =
@@ -231,122 +234,219 @@ let test_silent_socket_pin () =
   check_int "ping-pong beside a silent socket virtual time"
     pin_silent_socket_ns (silent_socket_scenario ())
 
-(* ---------- aggregation semantics ---------- *)
+(* ---------- small-message coalescing ---------- *)
 
-(* Mixed sizes straddling the threshold: everything must arrive exactly
-   once, in order, with boundaries intact (no merge, no split). *)
+(* Coalescing counters must agree with each other: packets saved is one
+   per batched message beyond the first of each batch. *)
+let check_counters m =
+  check_int "packets_saved = messages_batched - batches_sent"
+    (Madio.messages_batched m - Madio.batches_sent m)
+    (Madio.packets_saved m)
+
+(* Mixed sizes straddling the threshold, interleaved over two peers and
+   two logical channels: every message must arrive exactly once, in order
+   within its (peer, channel) flow, with boundaries intact (no merge, no
+   split). *)
 let test_agg_no_loss_no_reorder () =
-  let grid, _a, b, ma, mb = madio_grid ~seed:3 () in
-  Madio.set_aggregation ma true;
-  Madio.set_aggregation mb true;
-  let la = Madio.open_lchannel ma ~id:2 in
-  let lb = Madio.open_lchannel mb ~id:2 in
+  let grid = Padico.create ~seed:3 () in
+  let a = Padico.add_node grid "a" in
+  let b = Padico.add_node grid "b" in
+  let c = Padico.add_node grid "c" in
+  let seg = Padico.add_segment grid Simnet.Presets.myrinet2000 [ a; b; c ] in
+  let ma = Padico.madio grid a seg in
   let sizes = [| 8; 100; 255; 256; 300; 1000; 16; 64; 4000; 2 |] in
   let n = 200 in
-  let sent = Array.init n (fun i ->
-      let sz = max 4 sizes.(i mod Array.length sizes) in
-      let m = Tutil.pattern_buf ~seed:i sz in
-      Bb.set_u16 m 0 i;
-      m)
+  let flows =
+    List.concat_map
+      (fun id ->
+         let tx = Madio.open_lchannel ma ~id in
+         List.map
+           (fun peer ->
+              let rx = Madio.open_lchannel (Padico.madio grid peer seg) ~id in
+              let dst = Simnet.Node.id peer in
+              let sent =
+                Array.init n (fun i ->
+                    let sz = sizes.((i + dst + id) mod Array.length sizes) in
+                    let m = Tutil.pattern_buf ~seed:((id * n) + i) (max 4 sz) in
+                    Bb.set_u16 m 0 i;
+                    m)
+              in
+              let next = ref 0 in
+              Madio.set_recv rx (fun ~src:_ buf ->
+                  let seq = Bb.get_u16 buf 0 in
+                  check_int "in-order sequence within the flow" !next seq;
+                  check_bool
+                    (Printf.sprintf "message %d boundary+content intact" seq)
+                    true (Bb.equal buf sent.(seq));
+                  incr next);
+              (tx, dst, sent, next))
+           [ b; c ])
+      [ 2; 3 ]
   in
-  let next = ref 0 in
-  Madio.set_recv lb (fun ~src:_ buf ->
-      let seq = Bb.get_u16 buf 0 in
-      check_int "in-order sequence" !next seq;
-      check_bool
-        (Printf.sprintf "message %d boundary+content intact" seq)
-        true
-        (Bb.equal buf sent.(seq));
-      incr next);
   ignore
-    (Padico.spawn grid _a ~name:"src" (fun () ->
-         Array.iter (fun m -> Madio.send la ~dst:(Simnet.Node.id b) m) sent));
+    (Padico.spawn grid a ~name:"src" (fun () ->
+         for i = 0 to n - 1 do
+           List.iter
+             (fun (tx, dst, sent, _) -> Madio.send tx ~dst sent.(i))
+             flows
+         done));
   Tutil.run_grid grid;
-  check_int "all messages delivered" n !next;
-  check_bool "aggregation actually batched" true (Madio.messages_batched ma > 0);
+  List.iter (fun (_, _, _, next) -> check_int "all delivered" n !next) flows;
   check_bool "packets were saved" true (Madio.packets_saved ma > 0);
-  check_bool "over-threshold sizes forced large-flushes too" true
-    (Madio.batches_sent ma > 0)
+  check_counters ma
 
-(* A lone sub-threshold message sits in the queue for exactly the latency
-   budget, then the engine-timer flush delivers it. *)
-let test_agg_flush_on_budget () =
-  let budget = 50_000 in
-  let delivery_time agg =
-    let grid, _a, b, ma, mb = madio_grid ~seed:4 () in
-    if agg then begin
-      Madio.set_aggregation ma ~budget_ns:budget true;
-      Madio.set_aggregation mb true
-    end;
-    let la = Madio.open_lchannel ma ~id:1 in
-    let lb = Madio.open_lchannel mb ~id:1 in
-    let t = ref (-1) in
-    Madio.set_recv lb (fun ~src:_ _ -> t := Padico.now grid);
-    ignore
-      (Padico.spawn grid _a ~name:"src" (fun () ->
-           Madio.send la ~dst:(Simnet.Node.id b) (Tutil.pattern_buf ~seed:1 48)));
-    Tutil.run_grid grid;
-    !t
-  in
-  let t_off = delivery_time false in
-  let t_on = delivery_time true in
-  check_bool "un-aggregated delivery is below the budget" true
-    (t_off > 0 && t_off < budget);
-  check_bool "budget flush waits out the budget" true (t_on >= budget);
-  check_bool "budget flush happens promptly after expiry" true
-    (t_on < budget + t_off + 10_000)
+let agg_records () =
+  List.filter_map
+    (fun r ->
+       match r.Trace.ev with
+       | Padico_obs.Event.Agg { action; msgs; _ } ->
+         Some (r.Trace.ts, action, msgs)
+       | _ -> None)
+    (Trace.records ())
 
-(* An explicit flush must not wait for the budget timer. *)
-let test_agg_explicit_flush () =
-  let grid, _a, b, ma, mb = madio_grid ~seed:5 () in
-  Madio.set_aggregation ma ~budget_ns:(Time.ms 10) true;
-  Madio.set_aggregation mb true;
+(* Run [f] with tracing on; return its result and the Agg records. *)
+let traced f =
+  Trace.enable ();
+  Fun.protect ~finally:(fun () -> Trace.disable (); Trace.clear ())
+    (fun () ->
+       let v = f () in
+       (v, agg_records ()))
+
+(* A lone 64 B message, sent at virtual time 0 on an idle Myrinet pair,
+   on the uncoalesced path (the E12(b) figure). *)
+let pin_lone_ns = 7_494
+
+(* A lone message finds its flow idle and leaves at once: no coalescing
+   delay, no coalescing trace, no batch counted. *)
+let test_agg_lone_no_delay () =
+  let grid, a, b, ma, mb = madio_grid ~seed:4 () in
   let la = Madio.open_lchannel ma ~id:1 in
   let lb = Madio.open_lchannel mb ~id:1 in
   let t = ref (-1) in
   Madio.set_recv lb (fun ~src:_ _ -> t := Padico.now grid);
-  ignore
-    (Padico.spawn grid _a ~name:"src" (fun () ->
-         Madio.send la ~dst:(Simnet.Node.id b) (Tutil.pattern_buf ~seed:1 32);
-         Madio.flush la ~dst:(Simnet.Node.id b)));
-  Tutil.run_grid grid;
-  check_bool "delivered well before the 10ms budget" true
-    (!t > 0 && !t < Time.ms 1)
-
-(* The headline perf claim: >= 2x small-message throughput at equal
-   goodput for a 500-message 64 B burst. *)
-let test_agg_throughput_2x () =
-  let burst agg =
-    let grid, _a, b, ma, mb = madio_grid ~seed:6 () in
-    if agg then begin
-      Madio.set_aggregation ma true;
-      Madio.set_aggregation mb true
-    end;
-    let la = Madio.open_lchannel ma ~id:3 in
-    let lb = Madio.open_lchannel mb ~id:3 in
-    let n = 500 in
-    let got = ref 0 and sum = ref 0 and t_done = ref (-1) in
-    Madio.set_recv lb (fun ~src:_ buf ->
-        incr got;
-        sum := !sum + Bb.checksum buf;
-        if !got = n then t_done := Padico.now grid);
-    ignore
-      (Padico.spawn grid _a ~name:"src" (fun () ->
-           for i = 1 to n do
-             Madio.send la ~dst:(Simnet.Node.id b) (Tutil.pattern_buf ~seed:i 64)
-           done));
-    Tutil.run_grid grid;
-    check_int "all delivered" n !got;
-    (!t_done, !sum)
+  let (), aggs =
+    traced (fun () ->
+        ignore
+          (Padico.spawn grid a ~name:"src" (fun () ->
+               Madio.send la ~dst:(Simnet.Node.id b)
+                 (Tutil.pattern_buf ~seed:1 64)));
+        Tutil.run_grid grid)
   in
-  let t_off, sum_off = burst false in
-  let t_on, sum_on = burst true in
-  check_int "equal goodput (checksums match)" sum_off sum_on;
+  check_int "delivered on the uncoalesced path's time" pin_lone_ns !t;
+  check_int "no Agg trace records" 0 (List.length aggs);
+  check_int "messages_batched" 0 (Madio.messages_batched ma);
+  check_int "batches_sent" 0 (Madio.batches_sent ma)
+
+(* Two messages sent right behind a first one wait for its send
+   completion — Madeleine's [on_tx], once the combined header and the
+   Madeleine send are charged — and then leave together as one packet. *)
+let test_agg_cork () =
+  let grid, a, b, ma, mb = madio_grid ~seed:5 () in
+  let la = Madio.open_lchannel ma ~id:1 in
+  let lb = Madio.open_lchannel mb ~id:1 in
+  let got = ref [] in
+  Madio.set_recv lb (fun ~src:_ buf -> got := Bb.get_u8 buf 0 :: !got);
+  let msg i =
+    let m = Tutil.pattern_buf ~seed:i 32 in
+    Bb.set_u8 m 0 i;
+    m
+  in
+  let (), aggs =
+    traced (fun () ->
+        ignore
+          (Padico.spawn grid a ~name:"src" (fun () ->
+               for i = 1 to 3 do
+                 Madio.send la ~dst:(Simnet.Node.id b) (msg i)
+               done));
+        Tutil.run_grid grid)
+  in
+  check_bool "delivered once, in order" true (List.rev !got = [ 1; 2; 3 ]);
+  let queued = List.filter (fun (_, act, _) -> act = "queue") aggs in
+  check_int "one queue record: the follower joining a non-empty batch" 1
+    (List.length queued);
+  (match List.filter (fun (_, act, _) -> act <> "queue") aggs with
+   | [ (ts, "flush.cork", msgs) ] ->
+     check_int "batch size" 2 msgs;
+     check_int "batch leaves at the first packet's send completion"
+       (Calib.madio_combined_ns + Calib.mad_send_ns) ts
+   | _ -> Alcotest.fail "expected exactly one flush.cork record");
+  check_int "Madeleine packets" 2
+    (Madeleine.Mad.messages_sent (Madio.mad ma));
+  check_int "batches_sent" 1 (Madio.batches_sent ma);
+  check_int "messages_batched" 2 (Madio.messages_batched ma);
+  check_counters ma
+
+(* The throughput claim: a 64 B burst puts at most 1/30 as many packets
+   on the wire as messages, every message intact and in order. *)
+let test_agg_burst_packets () =
+  let grid, a, b, ma, mb = madio_grid ~seed:6 () in
+  let la = Madio.open_lchannel ma ~id:3 in
+  let lb = Madio.open_lchannel mb ~id:3 in
+  let n = 2_000 in
+  let got = ref 0 in
+  Madio.set_recv lb (fun ~src:_ buf ->
+      incr got;
+      check_bool "burst message intact and in order" true
+        (Bb.equal buf (Tutil.pattern_buf ~seed:!got 64)));
+  ignore
+    (Padico.spawn grid a ~name:"src" (fun () ->
+         for i = 1 to n do
+           Madio.send la ~dst:(Simnet.Node.id b) (Tutil.pattern_buf ~seed:i 64)
+         done));
+  Tutil.run_grid grid;
+  check_int "all delivered" n !got;
+  let packets = Madeleine.Mad.messages_sent (Madio.mad ma) in
   check_bool
-    (Printf.sprintf "aggregation >= 2x faster (off %d ns, on %d ns)" t_off
-       t_on)
+    (Printf.sprintf "%d packets for %d messages (<= 1/30)" packets n)
     true
-    (t_off >= 2 * t_on)
+    (packets * 30 <= n);
+  check_counters ma
+
+(* A fault plan drops the Myrinet segment while a batch waits behind an
+   in-flight packet. No exception escapes; the packet and the batch are
+   lost with the carrier (fail-fast SAN); after link-up the flow sends at
+   once again — its in-flight count did not stay stuck. *)
+let test_agg_link_down () =
+  let grid = Padico.create ~seed:8 () in
+  let a = Padico.add_node grid "a" in
+  let b = Padico.add_node grid "b" in
+  let san =
+    Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
+  in
+  let ma = Padico.madio grid a san and mb = Padico.madio grid b san in
+  let la = Madio.open_lchannel ma ~id:1 in
+  let lb = Madio.open_lchannel mb ~id:1 in
+  let got = ref [] in
+  Madio.set_recv lb (fun ~src:_ buf ->
+      got := (Bb.get_u8 buf 0, Padico.now grid) :: !got);
+  let msg i =
+    let m = Tutil.pattern_buf ~seed:i 64 in
+    Bb.set_u8 m 0 i;
+    m
+  in
+  (match Plan.parse "at 1ms link-down san\nat 2ms link-up san\n" with
+   | Ok plan -> ignore (Inject.apply (Padico.net grid) plan)
+   | Error e -> Alcotest.failf "plan: %s" e);
+  let sim = Simnet.Node.sim a and dst = Simnet.Node.id b in
+  let h =
+    Padico.spawn grid a ~name:"src" (fun () ->
+        (* The first packet's send completion falls after the link-down. *)
+        Engine.Proc.sleep sim (Time.ms 1 - 100);
+        for i = 1 to 3 do
+          Madio.send la ~dst (msg i)
+        done;
+        Engine.Proc.sleep sim (Time.ms 2);
+        Madio.send la ~dst (msg 4))
+  in
+  Tutil.run_grid grid;
+  Tutil.assert_done h;
+  match !got with
+  | [ (4, t) ] ->
+    check_int "after link-up a lone message leaves at once"
+      (Time.ms 3 - 100 + pin_lone_ns) t
+  | l ->
+    Alcotest.failf "expected only message 4, got [%s]"
+      (String.concat "; " (List.map (fun (i, _) -> string_of_int i) l))
 
 (* ---------- Bytebuf slab pool ---------- *)
 
@@ -425,10 +525,14 @@ let () =
       ("aggregation",
        [ Alcotest.test_case "no loss, no reorder, boundaries" `Quick
            test_agg_no_loss_no_reorder;
-         Alcotest.test_case "flush on budget" `Quick test_agg_flush_on_budget;
-         Alcotest.test_case "explicit flush" `Quick test_agg_explicit_flush;
-         Alcotest.test_case "small-message throughput >= 2x" `Quick
-           test_agg_throughput_2x ]);
+         Alcotest.test_case "lone message: no coalescing delay" `Quick
+           test_agg_lone_no_delay;
+         Alcotest.test_case "batch leaves at send completion" `Quick
+           test_agg_cork;
+         Alcotest.test_case "64-byte burst: <= 1/30 packets/msg" `Quick
+           test_agg_burst_packets;
+         Alcotest.test_case "link down while a batch waits" `Quick
+           test_agg_link_down ]);
       ("pool",
        [ Alcotest.test_case "slab reuse and bypass" `Quick test_bytebuf_pool ]);
       ("streamq",
