@@ -65,3 +65,40 @@ let write_results ?(file = "BENCH_results.json") () =
   output_string oc "}\n";
   close_out oc;
   Printf.printf "\n%d metrics -> %s\n" (List.length entries) file
+
+(* Engine throughput of a run: events dispatched by every simulator of the
+   grid, host wall time, and minor-heap words allocated by the calling
+   domain (so meaningful for runs on one domain). *)
+type engine_cost = { events : int; wall_s : float; minor_words : float }
+
+let no_engine_cost = { events = 0; wall_s = 0.; minor_words = 0. }
+
+let add_engine_cost a b =
+  { events = a.events + b.events; wall_s = a.wall_s +. b.wall_s;
+    minor_words = a.minor_words +. b.minor_words }
+
+let events_dispatched grid =
+  let net = Padico.net grid in
+  let n = ref 0 in
+  for i = 0 to Simnet.Net.shards net - 1 do
+    n := !n + Engine.Sim.events_dispatched (Simnet.Net.shard_sim net i)
+  done;
+  !n
+
+let engine_cost grid run =
+  let e0 = events_dispatched grid and w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  run ();
+  let wall_s = Unix.gettimeofday () -. t0 in
+  { events = events_dispatched grid - e0; wall_s;
+    minor_words = Gc.minor_words () -. w0 }
+
+let report_engine_cost ~experiment c =
+  let per_s = float_of_int c.events /. c.wall_s in
+  let words = c.minor_words /. float_of_int (max 1 c.events) in
+  Printf.printf
+    "engine: %d events in %.2f s, %.0f events/s, %.1f minor words/event\n"
+    c.events c.wall_s per_s words;
+  record ~experiment "events" (float_of_int c.events);
+  record ~experiment "events_per_s" per_s;
+  record ~experiment "minor_words_per_event" words

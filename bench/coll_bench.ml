@@ -29,6 +29,9 @@ type meas = {
   ns : int;  (* virtual completion time *)
 }
 
+(* Engine cost summed over every operation of both strategies. *)
+let engine = ref Bhelp.no_engine_cost
+
 (* Run [body r member] as one process per rank, to quiescence; return the
    WAN traffic this operation added and the summed delivery checksum. *)
 let measure g nodes groups label body =
@@ -49,7 +52,10 @@ let measure g nodes groups label body =
               t1 := max !t1 (Padico.now g.Gridgen.grid)))
       nodes
   in
-  Scenario.run g.Gridgen.grid;
+  let cost =
+    Bhelp.engine_cost g.Gridgen.grid (fun () -> Scenario.run g.Gridgen.grid)
+  in
+  engine := Bhelp.add_engine_cost !engine cost;
   Array.iter Scenario.fail_on_error hs;
   { msgs = Group.wan_messages gm0 - m0;
     bytes = Group.wan_bytes gm0 - b0;
@@ -155,6 +161,8 @@ let run () =
   let byte_ratio =
     float_of_int f_bcast.bytes /. float_of_int (max 1 m_bcast.bytes)
   in
+  print_newline ();
+  Bhelp.report_engine_cost ~experiment:"e13" !engine;
   Bhelp.record ~experiment:"e13" "bcast.wan_msg_ratio" msg_ratio;
   Bhelp.record ~experiment:"e13" "bcast.wan_byte_ratio" byte_ratio;
   Printf.printf

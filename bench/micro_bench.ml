@@ -47,16 +47,25 @@ let test_crypto =
   Test.make ~name:"crypto.encrypt 64KB"
     (Staged.stage (fun () -> ignore (Methods.Crypto.encrypt crypto_key payload_64k)))
 
-let test_heap =
-  Test.make ~name:"heap push+pop x1000"
+(* Event-queue hold model, the simulator's steady state: at a standing
+   depth, each round dispatches the earliest event and schedules one at a
+   later time. 2k and 16k are the mean queue depths of the benchmark's
+   grid_collectives and edge_churn workloads. *)
+let heap_hold depth name =
+  let h = Engine.Heap.create ~dummy:ignore in
+  let rng = Engine.Rng.create 11 in
+  for _ = 1 to depth do
+    Engine.Heap.push h ~prio:(Engine.Rng.int rng 1_000_000) ignore
+  done;
+  Test.make ~name
     (Staged.stage (fun () ->
-         let h = Engine.Heap.create () in
-         for i = 0 to 999 do
-           Engine.Heap.push h ~prio:(i * 7919 mod 1000) i
-         done;
-         while not (Engine.Heap.is_empty h) do
-           ignore (Engine.Heap.pop h)
-         done))
+         let now = Engine.Heap.min_prio h in
+         let f = Engine.Heap.pop h in
+         Engine.Heap.push h ~prio:(now + 1 + Engine.Rng.int rng 1_000_000) f))
+
+let test_heap_hold_2k = heap_hold 2_000 "heap.hold depth=2k"
+
+let test_heap_hold_16k = heap_hold 16_000 "heap.hold depth=16k"
 
 let test_base64 =
   Test.make ~name:"soap.base64 64KB"
@@ -94,7 +103,8 @@ let benchmark () =
   let tests =
     Test.make_grouped ~name:"padico"
       [ test_lz_compress; test_lz_decompress; test_cdr_encode_zero_copy;
-        test_cdr_encode_copying; test_crypto; test_heap; test_base64;
+        test_cdr_encode_copying; test_crypto; test_heap_hold_2k;
+        test_heap_hold_16k; test_base64;
         test_streamq_shallow; test_streamq_deep ]
   in
   let ols =
@@ -122,9 +132,6 @@ let run () =
        | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
        | _ -> Printf.printf "%-32s (no estimate)\n" name)
     results;
-  (* The O(1) claim, asserted: a 64x deeper queue must not make the
-     split-pop meaningfully slower (8x is far beyond measurement noise
-     but far below the O(depth) behaviour of front re-insertion). *)
   let estimate sub =
     Hashtbl.fold
       (fun name ols acc ->
@@ -135,6 +142,16 @@ let run () =
            | _ -> None)
       results None
   in
+  List.iter
+    (fun (sub, key) ->
+       match estimate sub with
+       | Some ns -> Bhelp.record ~experiment:"micro" key ns
+       | None -> failwith (sub ^ " estimate missing"))
+    [ ("heap.hold depth=2k", "heap_hold_2k_ns");
+      ("heap.hold depth=16k", "heap_hold_16k_ns") ];
+  (* The O(1) claim, asserted: a 64x deeper queue must not make the
+     split-pop meaningfully slower (8x is far beyond measurement noise
+     but far below the O(depth) behaviour of front re-insertion). *)
   match (estimate "streamq.pop depth=1k", estimate "streamq.pop depth=64k") with
   | Some shallow, Some deep ->
     Printf.printf

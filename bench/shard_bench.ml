@@ -40,7 +40,7 @@ let pattern n seed =
   b
 
 (* One full run under [domains] workers: fresh grid, every rank allreduce
-   + bcast, drained to quiescence. Returns (wall seconds, digest). *)
+   + bcast, drained to quiescence. Returns (engine cost, digest). *)
 let run_once ~domains =
   Padico.reset ();
   let g =
@@ -68,15 +68,16 @@ let run_once ~domains =
               ignore (Atomic.fetch_and_add sum (Bb.checksum b))))
       nodes
   in
-  let t0 = Unix.gettimeofday () in
-  Padico.run g.Gridgen.grid ~until:(Engine.Time.sec 3600) ~domains;
-  let wall = Unix.gettimeofday () -. t0 in
+  let cost =
+    Bhelp.engine_cost g.Gridgen.grid (fun () ->
+        Padico.run g.Gridgen.grid ~until:(Engine.Time.sec 3600) ~domains)
+  in
   Array.iter Scenario.fail_on_error hs;
   let digest =
     ( Padico.now g.Gridgen.grid, Atomic.get sum,
       Group.wan_messages groups.(0), Group.wan_bytes groups.(0) )
   in
-  (wall, digest)
+  (cost, digest)
 
 let run () =
   let cores = Domain.recommended_domain_count () in
@@ -90,11 +91,13 @@ let run () =
   rec_ "shards" (float_of_int clusters);
   rec_ "cores" (float_of_int cores);
   let reference = ref None in
-  let wall_of d =
-    let best = ref infinity in
+  let best_of d =
+    let best = ref None in
     for _ = 1 to repeats do
-      let wall, digest = run_once ~domains:d in
-      best := Stdlib.min !best wall;
+      let cost, digest = run_once ~domains:d in
+      (match !best with
+       | Some b when b.Bhelp.wall_s <= cost.Bhelp.wall_s -> ()
+       | _ -> best := Some cost);
       match !reference with
       | None -> reference := Some digest
       | Some r ->
@@ -106,14 +109,17 @@ let run () =
           exit 1
         end
     done;
-    !best
+    Option.get !best
   in
-  let wall1 = wall_of 1 in
+  let cost1 = best_of 1 in
+  let wall1 = cost1.Bhelp.wall_s in
   Printf.printf "  %d domains  %7.0f ms  (baseline)\n%!" 1 (wall1 *. 1e3);
   rec_ "wall_ms.d1" (wall1 *. 1e3);
+  print_string "  ";
+  Bhelp.report_engine_cost ~experiment:"e16" cost1;
   List.iter
     (fun d ->
-       let wall = wall_of d in
+       let wall = (best_of d).Bhelp.wall_s in
        let speedup = wall1 /. wall in
        Printf.printf "  %d domains  %7.0f ms  speedup %.2fx%s\n%!" d
          (wall *. 1e3) speedup

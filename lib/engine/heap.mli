@@ -1,13 +1,22 @@
-(** Array-based binary min-heap with integer priorities.
+(** Array-based 4-ary min-heap with integer priorities.
 
-    Used as the event queue of the simulator: priorities are virtual times in
+    The event queue of the simulator, of the sharded runtime's staging
+    channels and of the Hostio timer list: priorities are times in
     nanoseconds, and entries with equal priority are dequeued in insertion
-    order (FIFO), which keeps simulations deterministic. *)
+    order (FIFO), which keeps simulations deterministic.
+
+    Keys are held unboxed in int arrays; {!push}, {!pop} and {!min_prio}
+    allocate nothing except when {!push} grows the arrays, so queueing
+    and dispatching an event costs no minor-heap words. Each heap carries
+    a caller-supplied filler value, [dummy], that occupies every slot not
+    holding a queued entry: a popped or removed value is no longer
+    reachable from the heap. *)
 
 type 'a t
 
-val create : unit -> 'a t
-(** [create ()] is an empty heap. *)
+val create : dummy:'a -> 'a t
+(** [create ~dummy] is an empty heap whose vacant slots hold [dummy].
+    [dummy] is never returned. *)
 
 val length : 'a t -> int
 (** [length h] is the number of queued entries. *)
@@ -17,21 +26,26 @@ val is_empty : 'a t -> bool
 val push : 'a t -> prio:int -> 'a -> unit
 (** [push h ~prio v] inserts [v] with priority [prio]. *)
 
-val pop : 'a t -> (int * 'a) option
-(** [pop h] removes and returns the entry with the smallest priority,
-    breaking ties by insertion order. *)
+val min_prio : 'a t -> int
+(** [min_prio h] is the smallest queued priority, or [max_int] when [h]
+    is empty. *)
 
-val peek_prio : 'a t -> int option
-(** [peek_prio h] is the smallest priority without removing its entry. *)
+val pop : 'a t -> 'a
+(** [pop h] removes and returns the entry with the smallest priority,
+    breaking ties by insertion order; read its priority with {!min_prio}
+    first. Raises [Invalid_argument] when [h] is empty. *)
 
 val min_count : 'a t -> int
 (** [min_count h] is the number of entries sharing the smallest priority
     (the same-instant bucket); [0] when empty. O(n) scan — used only by
     non-FIFO schedule policies, never on the default path. *)
 
-val pop_min_nth : 'a t -> int -> (int * 'a) option
+val pop_min_nth : 'a t -> int -> 'a
 (** [pop_min_nth h n] removes and returns the [n]-th entry — 0-based, in
-    insertion order — of the smallest-priority bucket. [n] is clamped to
-    the bucket, so [pop_min_nth h 0] behaves like {!pop}. O(n). *)
+    insertion order — of the smallest-priority bucket, whose priority is
+    {!min_prio}. [n] is clamped to the bucket, so [pop_min_nth h 0]
+    behaves like {!pop}. O(n). Raises [Invalid_argument] when [h] is
+    empty. *)
 
 val clear : 'a t -> unit
+(** [clear h] drops every entry and releases the arrays. *)

@@ -29,6 +29,9 @@
 
 type frame = { f_ts : int; f_run : unit -> unit }
 
+(* Filler for the vacant slots of the stage heaps. *)
+let no_frame = { f_ts = max_int; f_run = ignore }
+
 (* Bounded SPSC ring with a producer-side overflow list. The producer
    never blocks on a full ring (its domain may be the one that is
    supposed to drain the peer, so spinning could self-deadlock); it
@@ -106,7 +109,8 @@ let create ?(ring_capacity = default_ring) ~lookahead sims =
     Array.init n (fun src ->
         Array.init n (fun dst ->
             { ring = Array.make cap None; head = Atomic.make 0;
-              tail = Atomic.make 0; overflow = []; stage = Heap.create ();
+              tail = Atomic.make 0; overflow = [];
+              stage = Heap.create ~dummy:no_frame;
               look = (if src = dst then max_int else lookahead.(src).(dst)) }))
   in
   let shards =
@@ -222,12 +226,13 @@ let min_staged sh =
   let ts = ref max_int and ch = ref (-1) in
   Array.iteri
     (fun j c ->
-       if j <> sh.idx then
-         match Heap.peek_prio c.stage with
-         | Some p when p < !ts ->
+       if j <> sh.idx then begin
+         let p = Heap.min_prio c.stage in
+         if p < !ts then begin
            ts := p;
            ch := j
-         | _ -> ())
+         end
+       end)
     sh.inbox;
   (!ts, !ch)
 
@@ -271,9 +276,7 @@ let round t sh ~until =
   let continue = ref true in
   while !continue do
     let f_ts, f_ch = min_staged sh in
-    let l_ts =
-      match Sim.peek_next sh.sim with Some p -> p | None -> max_int
-    in
+    let l_ts = Sim.peek_next sh.sim in
     let cand = if f_ts < l_ts then f_ts else l_ts in
     if cand = max_int || cand > until || cand >= !horizon then
       continue := false
@@ -286,11 +289,9 @@ let round t sh ~until =
          at t exists in every execution of this topology, so the rule is
          canonical across worker counts. *)
       if f_ts <= l_ts then begin
-        match Heap.pop sh.inbox.(f_ch).stage with
-        | Some (ts, fr) ->
-          Sim.advance_to sh.sim ts;
-          fr.f_run ()
-        | None -> assert false
+        let fr = Heap.pop sh.inbox.(f_ch).stage in
+        Sim.advance_to sh.sim fr.f_ts;
+        fr.f_run ()
       end
       else ignore (Sim.step sh.sim);
       incr executed;
@@ -310,7 +311,7 @@ let round t sh ~until =
      horizon (we may yet execute a frame arriving exactly there; any
      send it produces clears the horizon by one lookahead). *)
   let f_ts, _ = min_staged sh in
-  let l_ts = match Sim.peek_next sh.sim with Some p -> p | None -> max_int in
+  let l_ts = Sim.peek_next sh.sim in
   let cand = if f_ts < l_ts then f_ts else l_ts in
   let eff = if cand > until then max_int else cand in
   publish_lb sh (if eff < !horizon then eff else !horizon);
@@ -372,9 +373,7 @@ let run ?(domains = 1) ?until t =
           is never touched from a worker domain. *)
        ignore (Sim.clock sh.sim);
        let f_ts, _ = min_staged sh in
-       let l_ts =
-         match Sim.peek_next sh.sim with Some p -> p | None -> max_int
-       in
+       let l_ts = Sim.peek_next sh.sim in
        let cand = if f_ts < l_ts then f_ts else l_ts in
        sh.was_active <- cand <= until_v;
        if sh.was_active then incr work;

@@ -32,6 +32,7 @@ type t = {
   mutable policy : policy;
   mutable sched_rng : Rng.t; (* consulted only under [Random] *)
   mutable cap : Clock.t option; (* cached capability view, built on demand *)
+  mutable dispatched : int;
 }
 
 (* Every live simulator, so [Lifecycle.reset_registries] (= [Padico.reset])
@@ -49,8 +50,9 @@ let () =
 
 let create ?(seed = 42) () =
   let t =
-    { clock = 0; events = Heap.create (); root_rng = Rng.create seed;
-      stopped = false; policy = Fifo; sched_rng = Rng.create 0; cap = None }
+    { clock = 0; events = Heap.create ~dummy:ignore;
+      root_rng = Rng.create seed; stopped = false; policy = Fifo;
+      sched_rng = Rng.create 0; cap = None; dispatched = 0 }
   in
   live := t :: !live;
   t
@@ -77,6 +79,8 @@ let after t dt f =
 
 let pending t = Heap.length t.events
 
+let events_dispatched t = t.dispatched
+
 let pick_index t n =
   match t.policy with
   | Fifo -> 0
@@ -85,47 +89,37 @@ let pick_index t n =
   | Starve_oldest -> if n > 1 then 1 else 0
 
 let step t =
-  match t.policy with
-  | Fifo ->
-    (* Default path, byte-identical to the pre-policy simulator. *)
-    (match Heap.pop t.events with
-     | None -> false
-     | Some (time, f) ->
-       t.clock <- time;
-       f ();
-       true)
-  | _ ->
-    let n = Heap.min_count t.events in
-    if n = 0 then false
-    else begin
-      match Heap.pop_min_nth t.events (pick_index t n) with
-      | None -> false
-      | Some (time, f) ->
-        t.clock <- time;
-        f ();
-        true
-    end
+  if Heap.is_empty t.events then false
+  else begin
+    t.clock <- Heap.min_prio t.events;
+    let f =
+      match t.policy with
+      | Fifo -> Heap.pop t.events
+      | _ ->
+        Heap.pop_min_nth t.events (pick_index t (Heap.min_count t.events))
+    in
+    t.dispatched <- t.dispatched + 1;
+    f ();
+    true
+  end
 
 let run ?until t =
   t.stopped <- false;
+  let until = match until with Some u -> u | None -> max_int in
   let continue = ref true in
   while !continue do
-    if t.stopped then continue := false
-    else
-      match Heap.peek_prio t.events with
-      | None -> continue := false
-      | Some time ->
-        (match until with
-         | Some u when time > u ->
-           (* Advance (never rewind) to the horizon. The guard matters when
-              a previous run was stopped beyond [u]: the old unconditional
-              assignment dragged the clock backward, so a later [at] could
-              legally schedule into what had already been the past. Both
-              exits now agree the clock is monotone: [stop] freezes it at
-              the last dispatched event, this branch clamps it forward. *)
-           if u > t.clock then t.clock <- u;
-           continue := false
-         | _ -> ignore (step t))
+    if t.stopped || Heap.is_empty t.events then continue := false
+    else if Heap.min_prio t.events > until then begin
+      (* Advance (never rewind) to the horizon. The guard matters when a
+         previous run was stopped beyond [until]: the old unconditional
+         assignment dragged the clock backward, so a later [at] could
+         legally schedule into what had already been the past. Both exits
+         now agree the clock is monotone: [stop] freezes it at the last
+         dispatched event, this branch clamps it forward. *)
+      if until > t.clock then t.clock <- until;
+      continue := false
+    end
+    else ignore (step t)
   done
 
 let stop t = t.stopped <- true
@@ -140,7 +134,7 @@ let clear_stopped t = t.stopped <- false
    frames, and either [step]s or force-advances the clock to a frame's
    timestamp before running the frame's closure. *)
 
-let peek_next t = Heap.peek_prio t.events
+let peek_next t = Heap.min_prio t.events
 
 let advance_to t time =
   if time < t.clock then

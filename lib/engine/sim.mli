@@ -56,6 +56,11 @@ val after : t -> int -> (unit -> unit) -> unit
 val pending : t -> int
 (** Number of queued events. *)
 
+val events_dispatched : t -> int
+(** Number of events this simulator has dispatched from its own queue
+    since {!create} (by {!run} or {!step}). Frames a sharded runtime
+    runs on the simulator without queueing them are not counted. *)
+
 val run : ?until:int -> t -> unit
 (** [run t] dispatches events in time order until the queue is empty or the
     clock passes [until] (events strictly after [until] stay queued).
@@ -89,8 +94,9 @@ val clear_stopped : t -> unit
     cross-shard frames, and either {!step} or force-advance the clock to a
     frame's timestamp before running its closure. *)
 
-val peek_next : t -> int option
-(** Timestamp of the earliest queued event, if any. *)
+val peek_next : t -> int
+(** Timestamp of the earliest queued event; [max_int] when none is
+    queued. *)
 
 val advance_to : t -> int -> unit
 (** [advance_to t time] sets the clock to [time]. Raises

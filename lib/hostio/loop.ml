@@ -7,20 +7,23 @@ module Log = (val Logs.src_log log : Logs.LOG)
 
 type timer = {
   mutable tcb : (unit -> unit) option; (* None once fired or cancelled *)
-  owner : t;
+  live : int ref; (* the owning loop's live-timer count *)
 }
 
-and fd_state = {
+(* Filler for the timer heap's vacant slots. *)
+let no_timer = { tcb = None; live = ref 0 }
+
+type fd_state = {
   mutable on_read : (unit -> unit) option;
   mutable on_write : (unit -> unit) option;
   passive : bool;
 }
 
-and t = {
+type t = {
   t0 : float;
   mutable last_now : int; (* monotonicity clamp over gettimeofday *)
   timers : timer Heap.t;
-  mutable live_timers : int;
+  live_timers : int ref;
   fds : (Unix.file_descr, fd_state) Hashtbl.t;
   (* Interest sets: exactly the fds with a read/write callback, so a
      select round is O(interested), not O(watched) — an idle watched
@@ -43,9 +46,9 @@ let now_ns t =
 
 let arm t ~after_ns f =
   let after_ns = if after_ns < 0 then 0 else after_ns in
-  let tm = { tcb = Some f; owner = t } in
+  let tm = { tcb = Some f; live = t.live_timers } in
   Heap.push t.timers ~prio:(now_ns t + after_ns) tm;
-  t.live_timers <- t.live_timers + 1;
+  incr t.live_timers;
   tm
 
 let cancel tm =
@@ -53,7 +56,7 @@ let cancel tm =
   | None -> ()
   | Some _ ->
     tm.tcb <- None;
-    tm.owner.live_timers <- tm.owner.live_timers - 1
+    decr tm.live
 
 (* Recover the loop behind a Clock.t capability: keyed by Clock.id so the
    engine stays free of any Hostio dependency. *)
@@ -79,8 +82,9 @@ let clock t =
 let of_clock c = Hashtbl.find_opt by_clock (Clock.id c)
 
 let create () =
-  { t0 = Unix.gettimeofday (); last_now = 0; timers = Heap.create ();
-    live_timers = 0; fds = Hashtbl.create 64; read_set = Hashtbl.create 64;
+  { t0 = Unix.gettimeofday (); last_now = 0;
+    timers = Heap.create ~dummy:no_timer; live_timers = ref 0;
+    fds = Hashtbl.create 64; read_set = Hashtbl.create 64;
     write_set = Hashtbl.create 64; active_fds = 0;
     stopped = false; cap = None; iterations = 0; timers_fired = 0;
     fd_events = 0 }
@@ -141,21 +145,19 @@ let fire_due t =
      of green threads) that must run before we go back to select. Bound the
      burst so runaway yield loops still reach the fd poll. *)
   while !continue && !fired < 100_000 do
-    match Heap.peek_prio t.timers with
-    | None -> continue := false
-    | Some deadline when deadline > now_ns t -> continue := false
-    | Some _ ->
-      (match Heap.pop t.timers with
-       | None -> continue := false
-       | Some (_, tm) ->
-         (match tm.tcb with
-          | None -> ()
-          | Some f ->
-            tm.tcb <- None;
-            t.live_timers <- t.live_timers - 1;
-            t.timers_fired <- t.timers_fired + 1;
-            incr fired;
-            f ()))
+    if Heap.is_empty t.timers || Heap.min_prio t.timers > now_ns t then
+      continue := false
+    else begin
+      let tm = Heap.pop t.timers in
+      match tm.tcb with
+      | None -> ()
+      | Some f ->
+        tm.tcb <- None;
+        decr t.live_timers;
+        t.timers_fired <- t.timers_fired + 1;
+        incr fired;
+        f ()
+    end
   done
 
 let select_once t ~timeout =
@@ -195,19 +197,18 @@ let run ?until_ns t =
          bound on the next live one): at worst we wake early, pop it as a
          no-op, and re-estimate — never late. The quiesce check below uses
          the exact [live_timers] count, not the heap. *)
-      let next = if t.live_timers > 0 then Heap.peek_prio t.timers else None in
-      let now = now_ns t in
-      let expired =
-        match until_ns with Some u -> now >= u | None -> false
+      let next =
+        if !(t.live_timers) > 0 then Heap.min_prio t.timers else max_int
       in
-      if expired || (next = None && t.active_fds = 0) then continue := false
+      let now = now_ns t in
+      let until = match until_ns with Some u -> u | None -> max_int in
+      if now >= until || (next = max_int && t.active_fds = 0) then
+        continue := false
       else begin
+        let horizon = min next until in
         let horizon =
-          match next, until_ns with
-          | Some d, Some u -> min d u
-          | Some d, None -> d
-          | None, Some u -> u
-          | None, None -> now + int_of_float (max_idle_slice *. 1e9)
+          if horizon = max_int then now + int_of_float (max_idle_slice *. 1e9)
+          else horizon
         in
         let timeout =
           min max_idle_slice (float_of_int (max 0 (horizon - now)) /. 1e9)
@@ -224,6 +225,6 @@ let stop t = t.stopped <- true
 let iterations t = t.iterations
 let timers_fired t = t.timers_fired
 let fd_events t = t.fd_events
-let live_timers t = t.live_timers
+let live_timers t = !(t.live_timers)
 let watched_fds t = Hashtbl.length t.fds
 let active_fds t = t.active_fds

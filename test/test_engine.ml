@@ -4,22 +4,32 @@ module Proc = Engine.Proc
 
 (* ---------- Heap ---------- *)
 
+module Heap = Engine.Heap
+
 let test_heap_basic () =
-  let h = Engine.Heap.create () in
-  Tutil.check_bool "empty" true (Engine.Heap.is_empty h);
-  Engine.Heap.push h ~prio:5 "five";
-  Engine.Heap.push h ~prio:1 "one";
-  Engine.Heap.push h ~prio:3 "three";
-  Tutil.check_int "length" 3 (Engine.Heap.length h);
-  Tutil.check_int "peek" 1 (Option.get (Engine.Heap.peek_prio h));
-  let order = List.init 3 (fun _ -> snd (Option.get (Engine.Heap.pop h))) in
+  let h = Heap.create ~dummy:"" in
+  Tutil.check_bool "empty" true (Heap.is_empty h);
+  Tutil.check_int "empty min_prio" max_int (Heap.min_prio h);
+  Heap.push h ~prio:5 "five";
+  Heap.push h ~prio:1 "one";
+  Heap.push h ~prio:3 "three";
+  Tutil.check_int "length" 3 (Heap.length h);
+  Tutil.check_int "min_prio" 1 (Heap.min_prio h);
+  let order = List.init 3 (fun _ -> Heap.pop h) in
   Alcotest.(check (list string)) "order" [ "one"; "three"; "five" ] order;
-  Tutil.check_bool "empty again" true (Engine.Heap.is_empty h)
+  Tutil.check_bool "empty again" true (Heap.is_empty h);
+  Tutil.check_int "drained min_prio" max_int (Heap.min_prio h);
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Heap.pop: empty heap") (fun () ->
+      ignore (Heap.pop h));
+  Alcotest.check_raises "pop_min_nth on empty"
+    (Invalid_argument "Heap.pop_min_nth: empty heap") (fun () ->
+      ignore (Heap.pop_min_nth h 0))
 
 let test_heap_fifo_ties () =
-  let h = Engine.Heap.create () in
-  List.iter (fun v -> Engine.Heap.push h ~prio:7 v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> snd (Option.get (Engine.Heap.pop h))) in
+  let h = Heap.create ~dummy:0 in
+  List.iter (fun v -> Heap.push h ~prio:7 v) [ 1; 2; 3; 4 ];
+  let order = List.init 4 (fun _ -> Heap.pop h) in
   Alcotest.(check (list int)) "fifo on equal priorities" [ 1; 2; 3; 4 ] order
 
 let prop_heap_sorts =
@@ -27,15 +37,152 @@ let prop_heap_sorts =
     ~count:200
     QCheck.(list small_int)
     (fun prios ->
-       let h = Engine.Heap.create () in
-       List.iter (fun p -> Engine.Heap.push h ~prio:p p) prios;
+       let h = Heap.create ~dummy:0 in
+       List.iter (fun p -> Heap.push h ~prio:p p) prios;
        let rec drain acc =
-         match Engine.Heap.pop h with
-         | None -> List.rev acc
-         | Some (p, _) -> drain (p :: acc)
+         if Heap.is_empty h then List.rev acc
+         else begin
+           let p = Heap.min_prio h in
+           ignore (Heap.pop h);
+           drain (p :: acc)
+         end
        in
        let out = drain [] in
        out = List.sort compare prios)
+
+(* Model-based check: random interleavings of push, pop and pop_min_nth
+   against a reference list kept sorted by (priority, push order). Values
+   are unique push indices, so every (priority, value) pair pins the exact
+   entry returned, FIFO order on equal priorities included. *)
+type heap_op = Push of int | Pop | Pop_nth of int
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun p -> Push p) (int_range 0 7));
+        (2, return Pop);
+        (1, map (fun n -> Pop_nth n) (int_range (-1) 4)) ])
+
+let heap_op_print = function
+  | Push p -> Printf.sprintf "push %d" p
+  | Pop -> "pop"
+  | Pop_nth n -> Printf.sprintf "pop_min_nth %d" n
+
+let heap_model ops =
+  let h = Heap.create ~dummy:(-1) in
+  (* Reference: (prio, value) pairs, sorted by prio then push order. *)
+  let model = ref [] and next = ref 0 in
+  let bucket () =
+    match !model with
+    | [] -> []
+    | (p, _) :: _ -> List.filter (fun (q, _) -> q = p) !model
+  in
+  (* Remove the [n]-th entry of the smallest bucket through [pop] and from
+     the model: both must return it, or both be empty. *)
+  let take pop n =
+    match bucket () with
+    | [] -> Heap.is_empty h
+    | b ->
+      let want = List.nth b (max 0 (min n (List.length b - 1))) in
+      model := List.filter (fun e -> e != want) !model;
+      let p = Heap.min_prio h in
+      (p, pop ()) = want
+  in
+  List.for_all
+    (fun op ->
+       let agree =
+         match op with
+         | Push p ->
+           let v = !next in
+           incr next;
+           Heap.push h ~prio:p v;
+           model :=
+             List.stable_sort (fun (a, _) (b, _) -> compare a b)
+               (!model @ [ (p, v) ]);
+           true
+         | Pop -> take (fun () -> Heap.pop h) 0
+         | Pop_nth n -> take (fun () -> Heap.pop_min_nth h n) n
+       in
+       agree
+       && Heap.length h = List.length !model
+       && Heap.min_prio h
+          = (match !model with [] -> max_int | (p, _) :: _ -> p)
+       && Heap.min_count h = List.length (bucket ()))
+    ops
+
+let prop_heap_model_short =
+  QCheck.Test.make ~name:"heap model: small sizes"
+    ~count:500
+    QCheck.(make ~print:(Print.list heap_op_print)
+              Gen.(list_size (int_range 0 14) heap_op_gen))
+    heap_model
+
+let prop_heap_model_long =
+  QCheck.Test.make ~name:"heap model: across growth"
+    ~count:100
+    QCheck.(make ~print:(Print.list heap_op_print)
+              Gen.(
+                map2 (fun fill ops -> List.map (fun p -> Push p) fill @ ops)
+                  (list_size (int_range 60 90) (int_range 0 7))
+                  (list_size (int_range 50 250) heap_op_gen)))
+    heap_model
+
+(* Queued values are tracked through weak pointers only: after
+   [Gc.full_major] a value is alive iff something still references it.
+   The helpers are not inlined so no stack slot of the test keeps one. *)
+let[@inline never] push_tracked h w ~prio i =
+  let b = Bytes.make 16 'x' in
+  Weak.set w i (Some b);
+  Heap.push h ~prio b
+
+let[@inline never] pop_n h n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Heap.pop h))
+  done
+
+let alive w =
+  Gc.full_major ();
+  let n = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr n
+  done;
+  !n
+
+let test_heap_releases_popped () =
+  let h = Heap.create ~dummy:Bytes.empty in
+  let w = Weak.create 100 in
+  for i = 0 to 99 do
+    push_tracked h w ~prio:((i * 37) mod 11) i
+  done;
+  pop_n h 100;
+  Tutil.check_int "fired values still alive after a drain" 0 (alive w);
+  ignore (Sys.opaque_identity h);
+  (* The first entry pushed is the minimum; growing past 64 slots must
+     not fill the new slots with it. *)
+  let h = Heap.create ~dummy:Bytes.empty in
+  let w = Weak.create 65 in
+  for i = 0 to 64 do
+    push_tracked h w ~prio:i i
+  done;
+  pop_n h 1;
+  Tutil.check_int "popped minimum released after growth" 64 (alive w);
+  Tutil.check_bool "the popped one is the dead one" false (Weak.check w 0);
+  ignore (Sys.opaque_identity h)
+
+let test_heap_releases_pop_min_nth () =
+  let h = Heap.create ~dummy:Bytes.empty in
+  let w = Weak.create 5 in
+  for i = 0 to 4 do
+    push_tracked h w ~prio:3 i
+  done;
+  (* The newest entry of the bucket sits in the last slot: removing it
+     vacates that slot without refilling it. *)
+  ignore (Sys.opaque_identity (Heap.pop_min_nth h 4));
+  ignore (Sys.opaque_identity (Heap.pop_min_nth h 1));
+  Tutil.check_int "alive after two removals" 3 (alive w);
+  Tutil.check_bool "entry 4 released" false (Weak.check w 4);
+  Tutil.check_bool "entry 1 released" false (Weak.check w 1);
+  ignore (Sys.opaque_identity h)
 
 (* ---------- Rng ---------- *)
 
@@ -424,8 +571,13 @@ let () =
   Alcotest.run "engine"
     [ ("heap",
        [ Alcotest.test_case "basic order" `Quick test_heap_basic;
-         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties ]);
-      Tutil.qsuite "heap-props" [ prop_heap_sorts ];
+         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
+         Alcotest.test_case "drained heap releases values" `Quick
+           test_heap_releases_popped;
+         Alcotest.test_case "pop_min_nth releases its slot" `Quick
+           test_heap_releases_pop_min_nth ]);
+      Tutil.qsuite "heap-props"
+        [ prop_heap_sorts; prop_heap_model_short; prop_heap_model_long ];
       ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
          Alcotest.test_case "bounds" `Quick test_rng_bounds;
