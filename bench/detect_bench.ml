@@ -83,7 +83,6 @@ let scenario g ~label ~victim ~heal ~crash_at ~deadline_ns ~until =
   let want = expected_xor ~n ~victim in
   let gm0 = groups.(0) in
   let recovery_ns = ref 0 in
-  let wan_before = ref (0, 0) in
   let wan_after = ref (0, 0) in
   ignore
     (Inject.apply (Padico.net grid)
@@ -95,7 +94,6 @@ let scenario g ~label ~victim ~heal ~crash_at ~deadline_ns ~until =
          Padico.spawn grid node ~name:(Printf.sprintf "e14-%s-%d" label r)
            (fun () ->
               let gm = groups.(r) in
-              let m0 = Group.wan_messages gm0 and b0 = Group.wan_bytes gm0 in
               (try
                  ignore
                    (Group.allreduce gm ~op:Group.Bxor
@@ -111,13 +109,6 @@ let scenario g ~label ~victim ~heal ~crash_at ~deadline_ns ~until =
                 let now = Padico.now grid in
                 if now < ops_at then
                   Proc.sleep_on (Node.clock node) (ops_at - now);
-                (* By now the warm-up's cross-cluster tail has drained and
-                   no eviction traffic exists yet (detection needs several
-                   intervals of silence), so the delta is exactly one
-                   full-group allreduce. *)
-                if r = 0 then
-                  wan_before :=
-                    (Group.wan_messages gm0 - m0, Group.wan_bytes gm0 - b0);
                 let res =
                   Group.allreduce gm ~op:Group.Bxor (pattern payload (r + 1))
                 in
@@ -146,6 +137,17 @@ let scenario g ~label ~victim ~heal ~crash_at ~deadline_ns ~until =
               end))
       nodes
   in
+  (* The warm-up's WAN cost, read between two runs, when every shard
+     stands at one clock just before the measured allreduce is posted:
+     the warm-up's cross-cluster tail has drained and no eviction traffic
+     exists yet (detection needs several intervals of silence), so the
+     delta is exactly one full-group allreduce. Read inside rank 0's
+     process at [ops_at], the group-wide counters would already hold the
+     measured allreduce's first WAN frame from an island whose shard ran
+     up to one WAN latency ahead. *)
+  let m0 = Group.wan_messages gm0 and b0 = Group.wan_bytes gm0 in
+  Padico.run grid ~until:(ops_at - 1);
+  let mb = Group.wan_messages gm0 - m0 and bb = Group.wan_bytes gm0 - b0 in
   Padico.run grid ~until;
   Array.iter Group.retire groups;
   Array.iteri
@@ -166,7 +168,7 @@ let scenario g ~label ~victim ~heal ~crash_at ~deadline_ns ~until =
       (Group.epoch gm0);
     exit 1
   end;
-  let mb, bb = !wan_before and ma, ba = !wan_after in
+  let ma, ba = !wan_after in
   { recovery_ns = !recovery_ns; wan_msgs_before = mb; wan_bytes_before = bb;
     wan_msgs_after = ma; wan_bytes_after = ba }
 

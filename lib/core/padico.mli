@@ -104,13 +104,13 @@ val circuit : t -> name:string -> Simnet.Node.t list -> Circuit.Ct.t array
 val run : ?until:int -> ?domains:int -> t -> unit
 (** Drive the grid until quiescence. [until] bounds execution: virtual ns
     on [Sim], wall-clock ns since reactor creation on [Host]. [domains]
-    ([Sim] grids of several shards only) sets the worker-domain count
-    for the parallel engine. *)
+    ([Sim] only) sets the worker-domain count for the parallel engine,
+    clamped to the shard count. *)
 
 val now : t -> int
-(** Current time on the grid's clock: virtual ns ([Sim]; the maximum
-    across shard clocks) or monotonic wall ns
-    ([Host]). *)
+(** Current time on the grid's clock: virtual ns ([Sim]; inside an event
+    the time of the shard executing it, between runs the one grid clock)
+    or monotonic wall ns ([Host]). *)
 
 val reset : unit -> unit
 (** Drop every module-level registry (TCP stacks, NetAccess dispatchers,

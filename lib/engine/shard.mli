@@ -12,8 +12,8 @@
     the worker count, and frames merge with local events by the
     canonical key (timestamp, source shard, channel push order) — so a
     run over S shards is byte-identical whether 1 or N domains drive it.
-    Simnet builds it for a grid of several shards ([Net.create ~shards]);
-    a one-shard grid runs on its single {!Sim.t} directly. *)
+    Simnet runs every grid on it ([Net.create ~shards]); a one-shard grid
+    is a 1x1 lookahead matrix with no channel. *)
 
 type t
 
@@ -22,8 +22,9 @@ val create : ?ring_capacity:int -> lookahead:int array array -> Sim.t array -> t
     shard). [lookahead.(i).(j)] is the minimum delay, in virtual ns, of
     any frame posted from shard [i] to shard [j] — it must be strictly
     positive for every pair that ever communicates (use [max_int] for
-    pairs that cannot). [ring_capacity] (default 4096, rounded up to a
-    power of two) sizes each SPSC ring; overflow degrades to a
+    pairs that cannot: they get no channel). [ring_capacity] (default
+    4096, rounded up to a power of two) sizes the SPSC ring of each pair
+    with a finite lookahead; overflow degrades to a
     producer-side parking list, throttling the producer's published
     bound rather than blocking. Raises [Invalid_argument] on a
     non-square matrix or a non-positive cross-shard lookahead. *)
@@ -32,6 +33,11 @@ val shard_count : t -> int
 
 val sim : t -> int -> Sim.t
 (** The shard's simulator. *)
+
+val now : t -> int
+(** The virtual time of the caller: inside an item a worker executes, the
+    executing shard's clock; otherwise shard 0's, which between runs that
+    were not stopped is every shard's clock (see {!run}). *)
 
 val post : t -> src:int -> dst:int -> ts:int -> (unit -> unit) -> unit
 (** [post t ~src ~dst ~ts f] schedules [f] to run on shard [dst] at
@@ -46,22 +52,21 @@ val run : ?domains:int -> ?until:int -> t -> unit
     [until]) on [domains] worker domains (default 1; clamped to the
     shard count; the calling domain is one of the workers). Terminates
     via an exact global-quiescence ledger — no timeout heuristics.
-    Per-shard clock semantics on exit mirror {!Sim.run}: an exhausted
-    shard keeps its last event's time, a shard with pending work beyond
-    [until] is clamped forward to [until]. [Sim.stop] from inside any
-    event, or {!stop}, ends the whole parallel run. A worker exception
-    aborts the run and is re-raised here. Not reentrant. *)
-
-val stop : t -> unit
-(** Make the current {!run} return at the next scheduling round. *)
-
-val stopped : t -> bool
-(** Whether the current/last run was stopped (or aborted). *)
+    Every run may be bounded: the prologue seeds each shard's published
+    bound with the global minimum next timestamp, so items injected
+    between runs are safe. Clock semantics on exit mirror {!Sim.run}, for
+    one grid clock: unless the run was stopped, every shard ends at
+    [until] when work remains beyond it, else at the latest shard clock
+    (clocks never move backward). [Sim.stop] from inside any event ends
+    the whole parallel run and leaves each clock at its shard's last
+    item. A worker exception aborts the run and is re-raised here. Not
+    reentrant. *)
 
 (** {1 Introspection (tests, benches)} *)
 
 val executed : t -> int -> int
-(** Events + frames executed by shard [i] since creation. *)
+(** Events + frames executed by shard [i] since creation; over a run, the
+    growth of its simulator's {!Sim.events_dispatched}. *)
 
 val posted : t -> int -> int
 (** Cross-shard frames posted by shard [i] since creation. *)

@@ -131,8 +131,8 @@ let clear_stopped t = t.stopped <- false
 (* ---------- sharded-runtime hooks (see Shard) ----------
    A shard worker drives its simulator manually instead of through [run]:
    it peeks the next local timestamp, merges it against staged cross-shard
-   frames, and either [step]s or force-advances the clock to a frame's
-   timestamp before running the frame's closure. *)
+   frames, and either [step]s or dispatches a frame's closure at the
+   frame's timestamp. *)
 
 let peek_next t = Heap.min_prio t.events
 
@@ -142,6 +142,11 @@ let advance_to t time =
       (Printf.sprintf "Sim.advance_to: time %d is in the past (now %d)" time
          t.clock);
   t.clock <- time
+
+let dispatch_at t time f =
+  advance_to t time;
+  t.dispatched <- t.dispatched + 1;
+  f ()
 
 let clock t =
   match t.cap with

@@ -58,8 +58,8 @@ val pending : t -> int
 
 val events_dispatched : t -> int
 (** Number of events this simulator has dispatched from its own queue
-    since {!create} (by {!run} or {!step}). Frames a sharded runtime
-    runs on the simulator without queueing them are not counted. *)
+    since {!create} (by {!run} or {!step}), plus the cross-shard frames
+    a sharded runtime ran on it through {!dispatch_at}. *)
 
 val run : ?until:int -> t -> unit
 (** [run t] dispatches events in time order until the queue is empty or the
@@ -91,8 +91,7 @@ val clear_stopped : t -> unit
 
     Used by {!Shard} workers, which drive a simulator manually instead of
     through {!run}: peek the next local timestamp, merge against staged
-    cross-shard frames, and either {!step} or force-advance the clock to a
-    frame's timestamp before running its closure. *)
+    cross-shard frames, and either {!step} or {!dispatch_at} a frame. *)
 
 val peek_next : t -> int
 (** Timestamp of the earliest queued event; [max_int] when none is
@@ -102,6 +101,12 @@ val advance_to : t -> int -> unit
 (** [advance_to t time] sets the clock to [time]. Raises
     [Invalid_argument] when [time] is in the past — the conservative
     synchronization protocol guarantees a shard never needs to. *)
+
+val dispatch_at : t -> int -> (unit -> unit) -> unit
+(** [dispatch_at t time f] advances the clock to [time] (as {!advance_to})
+    and runs [f] as one dispatched event, counted by
+    {!events_dispatched}: how a sharded runtime runs a cross-shard frame
+    on its destination's simulator. *)
 
 val clock : t -> Clock.t
 (** The simulator's virtual {!Clock.t} capability — cached, so repeated

@@ -3,7 +3,14 @@
    WAN segment (the vthd/transcontinental backbone of the paper's testbed).
    This is the scaled-up stage for topology-aware collectives — thousands
    of simulated nodes in a shape where flat and multilevel strategies
-   differ by an order of magnitude in WAN crossings. *)
+   differ by an order of magnitude in WAN crossings.
+
+   On the simulated backend every SAN island is its own shard of the
+   conservative parallel engine — the natural cut: intra-island traffic
+   (the SAN, the loopbacks) stays shard-local and only WAN frames cross,
+   with the WAN latency as lookahead. Run on several cores with
+   [Padico.run ~domains]. The Host backend runs on one real clock, so
+   there the grid is one shard. *)
 
 type t = {
   grid : Padico.t;
@@ -12,18 +19,15 @@ type t = {
   wan : Simnet.Segment.t;
 }
 
-(* [sharded] places every SAN island on its own shard of the conservative
-   parallel engine — the natural cut: intra-island traffic (the SAN, the
-   loopbacks) stays shard-local and only WAN frames cross, with the WAN
-   latency as lookahead. Run with [Padico.run ~domains]. *)
-let generate ?seed ?prefs ?backend ?(sharded = false)
+let generate ?seed ?prefs ?(backend = Padico.Sim)
     ?(san = Simnet.Presets.myrinet2000)
     ?(wan = Simnet.Presets.vthd) ~clusters ~nodes_per_cluster () =
   if clusters < 1 then invalid_arg "Gridgen.generate: clusters < 1";
   if nodes_per_cluster < 1 then
     invalid_arg "Gridgen.generate: nodes_per_cluster < 1";
+  let sharded = backend = Padico.Sim in
   let grid =
-    Padico.create ?seed ?prefs ?backend
+    Padico.create ?seed ?prefs ~backend
       ~shards:(if sharded then clusters else 1) ()
   in
   let islands =

@@ -1,10 +1,10 @@
 (* A grid is [shards] >= 1 slices, one simulator heap each. Shard 0's
    simulator is the grid's root [sim], so setup code that schedules
    through [Net.sim] works at any shard count. The partition is fixed at
-   node creation (per-node [?shard]). One shard runs on its simulator
-   directly; with more, the conservative [Engine.Shard] runtime is built
-   on the first [run], when every cross-shard segment's latency becomes
-   the (i, j) lookahead floor. *)
+   node creation (per-node [?shard]). Every grid runs on the conservative
+   [Engine.Shard] runtime, built on the first [run], when every
+   cross-shard segment's latency becomes the (i, j) lookahead floor; one
+   shard is a 1x1 matrix with no channel. *)
 type t = {
   sims : Engine.Sim.t array; (* sims.(0) is the grid's root sim *)
   shard_by_node : (int, int) Hashtbl.t;
@@ -72,10 +72,9 @@ let segments t = List.rev t.segments_rev
    spikes only add), so that minimum is a sound conservative bound — and
    it must be strictly positive, or the shards could never run ahead of
    each other. *)
-let finalize t =
+let shard_runtime t =
   match t.runtime with
-  | Some r -> Some r
-  | None when Array.length t.sims = 1 -> None
+  | Some r -> r
   | None ->
     let n = Array.length t.sims in
     let lookahead = Array.make_matrix n n max_int in
@@ -107,21 +106,19 @@ let finalize t =
       (segments t);
     let r = Engine.Shard.create ~lookahead t.sims in
     t.runtime <- Some r;
-    Some r
+    r
 
-let shard_runtime t = finalize t
-
-(* The segments' cross-shard hook. Only a frame between nodes on
-   different simulators calls it, so a one-shard grid never does. *)
+(* The segments' cross-shard hook: only a frame between nodes on
+   different simulators calls it, during a run. *)
 let cross t ~src ~dst ~ts f =
-  match finalize t with
-  | Some r ->
-    Engine.Shard.post r ~src:(shard_of_id t src) ~dst:(shard_of_id t dst)
-      ~ts f
-  | None -> assert false
+  Engine.Shard.post (shard_runtime t) ~src:(shard_of_id t src)
+    ~dst:(shard_of_id t dst) ~ts f
 
+(* The runtime fixes the lookahead matrix and the shards' ownership of
+   nodes, so the first run freezes a grid of several shards. One shard
+   has no channel and no lookahead to invalidate: it stays open. *)
 let check_mutable t what =
-  if Option.is_some t.runtime then
+  if Option.is_some t.runtime && Array.length t.sims > 1 then
     invalid_arg
       (Printf.sprintf
          "Net.%s: the sharded runtime is already built (topology is \
@@ -201,19 +198,13 @@ let links_between t a b =
 let best_link t a b =
   match links_between t a b with [] -> None | s :: _ -> Some s
 
-let run ?until ?domains t =
-  match finalize t with
-  | Some r -> Engine.Shard.run ?domains ?until r
-  | None ->
-    (match domains with
-     | Some d when d > 1 ->
-       invalid_arg "Net.run: ~domains beyond 1 needs a grid of several \
-                    shards (Net.create ~shards)"
-     | _ -> ());
-    Engine.Sim.run ?until t.sims.(0)
+let run ?until ?domains t = Engine.Shard.run ?domains ?until (shard_runtime t)
 
+(* Outside a run, and before the runtime exists, shard 0's clock. *)
 let now t =
-  Array.fold_left (fun acc sim -> max acc (Engine.Sim.now sim)) 0 t.sims
+  match t.runtime with
+  | Some r -> Engine.Shard.now r
+  | None -> Engine.Sim.now t.sims.(0)
 
 let spawn t node ?name f =
   ignore t;

@@ -6,13 +6,13 @@
     topology managed by PadicoTM".
 
     A grid is a set of [shards >= 1] slices, one simulator heap each, and
-    every node lives on one of them. One shard (the default) runs on its
-    simulator directly. Several shards run under the conservative parallel
-    runtime ({!Engine.Shard}), on [~domains] worker domains: segments that
-    span shards post their frames across, and the least latency between
-    two shards is their lookahead. Outcomes depend on the {e partition},
-    never on the domain count — the same grid gives byte-identical results
-    on 1 or N domains. *)
+    every node lives on one of them. Every grid runs under the
+    conservative parallel runtime ({!Engine.Shard}), on up to [~domains]
+    worker domains: segments that span shards post their frames across,
+    and the least latency between two shards is their lookahead. One
+    shard (the default) is the degenerate case with no channel. Outcomes
+    depend on the {e partition}, never on the domain count — the same
+    grid gives byte-identical results on 1 or N domains. *)
 
 type t
 
@@ -20,7 +20,8 @@ val create : ?seed:int -> ?clock:Engine.Clock.t -> ?shards:int -> unit -> t
 (** [?clock] is the execution backend every node of this grid runs on
     (default: the grid's own simulator clock). [?shards] (default 1) is
     the number of slices; the partition is chosen per node at {!add_node}
-    and frozen by the first run of a grid with several shards. Several
+    and the topology of a grid of several shards is frozen by its first
+    {!run} (a one-shard grid may grow between runs). Several
     shards are incompatible with [?clock] (the Host backend runs in real
     time; conservative synchronization needs simulated clocks). *)
 
@@ -40,15 +41,15 @@ val shard_of : t -> Node.t -> int
 val shard_sim : t -> int -> Engine.Sim.t
 (** Shard [i]'s simulator. Raises [Invalid_argument] out of range. *)
 
-val shard_runtime : t -> Engine.Shard.t option
-(** The conservative runtime of a grid with several shards — built on
-    first use (freezing the topology), [None] for one shard. Exposed for
-    benches and tests ([Shard.executed] / [Shard.posted]). *)
+val shard_runtime : t -> Engine.Shard.t
+(** The grid's conservative runtime — built on first use, which freezes
+    the topology of a grid of several shards. Exposed for benches and
+    tests ([Shard.executed] / [Shard.posted]). *)
 
 val add_node : ?shard:int -> t -> string -> Node.t
 (** Create a node. Each node automatically gets a private loopback
     segment. [?shard] (default 0) places the node on that slice; raises
-    [Invalid_argument] out of range, or once the runtime of a grid with
+    [Invalid_argument] out of range, or once the runtime of a grid of
     several shards is built. *)
 
 val add_segment : t -> Linkmodel.t -> ?name:string -> Node.t list -> Segment.t
@@ -79,14 +80,17 @@ val best_link : t -> Node.t -> Node.t -> Segment.t option
 (** Highest-bandwidth segment between the two nodes. *)
 
 val run : ?until:int -> ?domains:int -> t -> unit
-(** Run the grid. One shard: its simulator ([~domains] beyond 1 is
-    rejected — there is nothing to run in parallel). Several shards:
-    builds the runtime on first call (validating that every cross-shard
-    segment has strictly positive latency) and executes all shards on
-    [~domains] worker domains (default 1) under conservative
-    synchronization. *)
+(** Run the grid: builds the runtime on first call (validating that every
+    cross-shard segment has strictly positive latency) and executes all
+    shards on [~domains] worker domains (default 1, clamped to the shard
+    count) under conservative synchronization. Exit clocks follow
+    {!Engine.Shard.run}: a run that was not stopped leaves one grid
+    clock. *)
 
 val now : t -> int
-(** Global virtual time: the maximum across shard clocks. *)
+(** Virtual time. Inside an event, the clock of the shard executing it;
+    between runs, the grid clock (shard 0's). After a run ended by
+    {!Engine.Sim.stop} the shard clocks are left where they stopped, and
+    this reads shard 0's, which may be earlier than the stop time. *)
 
 val spawn : t -> Node.t -> ?name:string -> (unit -> unit) -> Engine.Proc.handle

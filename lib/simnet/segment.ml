@@ -9,12 +9,14 @@ type port = {
   node : Node.t;
   prng : Engine.Rng.t;
   mutable egress_busy_until : int;
+  mutable arrival_floor : int;
   mutable ingress_busy_until : int;
   handlers : (int, Packet.t -> unit) Hashtbl.t;
   mutable tx_sent : int;
   mutable tx_bytes : int;
   mutable tx_lost : int;
   mutable tx_faulted : int;
+  mutable rx_faulted : int;
   mutable rx_delivered : int;
   mutable rx_unclaimed : int;
 }
@@ -57,10 +59,10 @@ let attach t node =
   if not (Hashtbl.mem t.ports (Node.id node)) then
     Hashtbl.replace t.ports (Node.id node)
       { node; prng = Engine.Rng.stream t.rng (Node.id node);
-        egress_busy_until = 0; ingress_busy_until = 0;
+        egress_busy_until = 0; arrival_floor = 0; ingress_busy_until = 0;
         handlers = Hashtbl.create 4;
         tx_sent = 0; tx_bytes = 0; tx_lost = 0; tx_faulted = 0;
-        rx_delivered = 0; rx_unclaimed = 0 }
+        rx_faulted = 0; rx_delivered = 0; rx_unclaimed = 0 }
 
 let attached t node = Hashtbl.mem t.ports (Node.id node)
 
@@ -81,16 +83,24 @@ let clear_handler t node ~proto =
   let p = port_exn t (Node.id node) "clear_handler" in
   Hashtbl.remove p.handlers proto
 
-(* Runs on the destination port's shard, so its counters are owner-local. *)
+(* Runs on the destination port's shard, so its counters — and the
+   receiver's up/down state it reads — are owner-local. A crashed node
+   receives nothing, whenever the frame was sent. *)
 let deliver t (dst : port) (pkt : Packet.t) =
-  match Hashtbl.find_opt dst.handlers pkt.proto with
-  | Some f ->
-    dst.rx_delivered <- dst.rx_delivered + 1;
-    f pkt
-  | None ->
-    dst.rx_unclaimed <- dst.rx_unclaimed + 1;
-    Log.debug (fun m ->
-        m "%s: no handler for %a at %a" t.name Packet.pp pkt Node.pp dst.node)
+  if not (Node.is_up dst.node) then begin
+    dst.rx_faulted <- dst.rx_faulted + 1;
+    Log.debug (fun m -> m "%s: fault-dropped %a" t.name Packet.pp pkt)
+  end
+  else
+    match Hashtbl.find_opt dst.handlers pkt.proto with
+    | Some f ->
+      dst.rx_delivered <- dst.rx_delivered + 1;
+      f pkt
+    | None ->
+      dst.rx_unclaimed <- dst.rx_unclaimed + 1;
+      Log.debug (fun m ->
+          m "%s: no handler for %a at %a" t.name Packet.pp pkt Node.pp
+            dst.node)
 
 (* ---------- dynamic fault overlay ---------- *)
 
@@ -130,16 +140,19 @@ let clear_blocked t = Hashtbl.reset t.blocked
 
 let pair_blocked t a b = Hashtbl.mem t.blocked (pair_key a b)
 
-(* Ingress contention: the receiving port absorbs at most one frame per
-   serialization slot; concurrent senders queue behind each other.
-   Returns the delivery time. *)
-let ingress (dst : port) ~arrival ~ser =
+(* Ingress contention, resolved on the receiver's shard when the frame
+   arrives: the receiving port absorbs at most one frame per
+   serialization slot, so frames queue behind each other in arrival
+   order. *)
+let arrive t (dst : port) pkt ~arrival ~ser () =
   let rx_start =
     if dst.ingress_busy_until > arrival then dst.ingress_busy_until
     else arrival
   in
   dst.ingress_busy_until <- rx_start + ser;
-  rx_start
+  if rx_start = arrival then deliver t dst pkt
+  else
+    Engine.Sim.at (Node.sim dst.node) rx_start (fun () -> deliver t dst pkt)
 
 let send t (pkt : Packet.t) =
   let src = port_exn t pkt.src "send source" in
@@ -150,8 +163,7 @@ let send t (pkt : Packet.t) =
          pkt.size t.model.Linkmodel.mtu);
   src.tx_sent <- src.tx_sent + 1;
   src.tx_bytes <- src.tx_bytes + pkt.size;
-  if t.down || pair_blocked t pkt.src pkt.dst
-     || not (Node.is_up src.node) || not (Node.is_up dst.node)
+  if t.down || pair_blocked t pkt.src pkt.dst || not (Node.is_up src.node)
   then begin
     (* Fault overlay: the frame never reaches the wire. No egress time is
        charged (the NIC rejects immediately) and no randomness is consumed,
@@ -182,25 +194,21 @@ let send t (pkt : Packet.t) =
         if t.model.Linkmodel.jitter_ns = 0 then 0
         else Engine.Rng.int src.prng (t.model.Linkmodel.jitter_ns + 1)
       in
+      (* Jitter delays, it never reorders: a port's frames arrive in the
+         order they left, each after its predecessor's ingress slot. *)
       let arrival =
-        start + ser + t.model.Linkmodel.latency_ns + t.extra_latency_ns
-        + jitter
+        max src.arrival_floor
+          (start + ser + t.model.Linkmodel.latency_ns + t.extra_latency_ns
+           + jitter)
       in
-      let dst_sim = Node.sim dst.node in
-      if dst_sim == sim then begin
-        let rx_start = ingress dst ~arrival ~ser in
-        Engine.Sim.at sim rx_start (fun () -> deliver t dst pkt)
-      end
-      else
-        (* Another shard owns the receiving port: the frame crosses at its
-           arrival time, which is >= now + latency — the floor the
-           conservative runtime's lookahead is built from — and ingress
-           contention is resolved over there. *)
-        t.cross ~src:pkt.src ~dst:pkt.dst ~ts:arrival (fun () ->
-            let rx_start = ingress dst ~arrival ~ser in
-            if rx_start = arrival then deliver t dst pkt
-            else
-              Engine.Sim.at dst_sim rx_start (fun () -> deliver t dst pkt))
+      src.arrival_floor <- arrival + ser;
+      (* The frame lands at its arrival time on the shard that owns the
+         receiving port. When that is another shard it crosses there;
+         arrival >= now + latency, the floor the conservative runtime's
+         lookahead is built from. *)
+      let arrive = arrive t dst pkt ~arrival ~ser in
+      if Node.sim dst.node == sim then Engine.Sim.at sim arrival arrive
+      else t.cross ~src:pkt.src ~dst:pkt.dst ~ts:arrival arrive
     end
   end
 
@@ -208,7 +216,7 @@ let send t (pkt : Packet.t) =
 let sum t f = Hashtbl.fold (fun _ p acc -> acc + f p) t.ports 0
 
 let frames_sent t = sum t (fun p -> p.tx_sent)
-let frames_faulted t = sum t (fun p -> p.tx_faulted)
+let frames_faulted t = sum t (fun p -> p.tx_faulted + p.rx_faulted)
 let frames_lost t = sum t (fun p -> p.tx_lost)
 let frames_delivered t = sum t (fun p -> p.rx_delivered)
 let frames_unclaimed t = sum t (fun p -> p.rx_unclaimed)

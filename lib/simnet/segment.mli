@@ -11,11 +11,14 @@
     mutable cell of a send belongs to one port, and so to one shard: the
     source port owns its egress state, tx counters and loss/jitter
     generator, and the destination port owns its ingress state and rx
-    counters. A send runs on the source node's simulator. A frame whose
-    destination node runs on another simulator goes through the segment's
-    cross-shard hook at its arrival time, which is never earlier than
-    [now + latency]; ingress contention is then resolved on the
-    destination's shard. On a one-shard grid the hook is never called. *)
+    counters. A send runs on the source node's simulator. Every frame
+    lands at its arrival time on the destination's simulator, where
+    ingress contention is resolved in arrival order and a crashed
+    destination drops it: one rule for every frame, so a frame's timing
+    does not depend on whether its endpoints share a shard. A frame whose
+    destination node runs on another simulator gets there through the
+    segment's cross-shard hook; its arrival is never earlier than
+    [now + latency]. On a one-shard grid the hook is never called. *)
 
 type t
 
@@ -59,7 +62,9 @@ val send : t -> Packet.t -> unit
     extra loss (bursts), extra latency (spikes) and blocked node pairs
     (partitions). Driven by [Padico_fault.Inject]; consulted per frame by
     {!send}. A fault-dropped frame consumes no randomness, so a healed link
-    resumes with the same loss/jitter stream as an unfaulted run. *)
+    resumes with the same loss/jitter stream as an unfaulted run. The
+    overlay is read by the senders of every shard the segment spans, so
+    on such a segment change it only between runs. *)
 
 val is_down : t -> bool
 
@@ -98,7 +103,8 @@ val frames_sent : t -> int
 
 val frames_faulted : t -> int
 (** Frames dropped by the fault overlay (down link, blocked pair, crashed
-    endpoint) — counted separately from random {!frames_lost}. *)
+    source at send, crashed destination at arrival) — counted separately
+    from random {!frames_lost}. *)
 
 val frames_lost : t -> int
 val frames_delivered : t -> int

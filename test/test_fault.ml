@@ -116,10 +116,16 @@ let test_node_crash_blocks_traffic () =
   let net, a, b, seg = Tutil.pair ~seed:5 Simnet.Presets.ethernet100 in
   let got = ref 0 in
   Seg.set_handler seg b ~proto:99 (fun _ -> incr got);
+  let send () =
+    Seg.send seg (raw ~src:(Simnet.Node.id a) ~dst:(Simnet.Node.id b) 100)
+  in
+  (* The receiver's state counts when the frame arrives: this one lands
+     while b is down, the next after its restart. *)
   Simnet.Node.set_up b false;
-  Seg.send seg (raw ~src:(Simnet.Node.id a) ~dst:(Simnet.Node.id b) 100);
+  send ();
+  Tutil.run_net net;
   Simnet.Node.set_up b true;
-  Seg.send seg (raw ~src:(Simnet.Node.id a) ~dst:(Simnet.Node.id b) 100);
+  send ();
   Tutil.run_net net;
   check_int "only post-restart frame" 1 !got;
   check_int "one faulted" 1 (Seg.frames_faulted seg)

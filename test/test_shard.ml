@@ -134,6 +134,71 @@ let prop_lookahead_safety =
            "logs differ between 1 and %d domains (seed %d)" nshards seed;
        true)
 
+(* ---------- back-to-back bounded runs ---------- *)
+
+let ms = Engine.Time.ms
+
+let two_shards ~look =
+  let sims = [| Sim.create ~seed:1 (); Sim.create ~seed:2 () |] in
+  let lookahead = [| [| max_int; look |]; [| look; max_int |] |] in
+  (sims, Shard.create ~lookahead sims)
+
+(* A shard that ends a bounded run with nothing left below [until]
+   publishes its horizon, which can lie past its next local event. The
+   next run must not let the peer execute beyond the frame that event
+   sends: shard 1's 30 ms event posts to shard 0 at 40 ms, before shard
+   0's own 45 ms event. *)
+let test_bounds_reseeded () =
+  let sims, t = two_shards ~look:(ms 10) in
+  let log = ref [] in
+  let note tag () = log := (tag, Sim.now sims.(0)) :: !log in
+  Sim.at sims.(0) (ms 5) ignore;
+  Sim.at sims.(1) (ms 5) ignore;
+  Sim.at sims.(0) (ms 45) (note "local");
+  Sim.at sims.(1) (ms 30) (fun () ->
+      Shard.post t ~src:1 ~dst:0 ~ts:(ms 40) (note "frame"));
+  Shard.run ~until:(ms 20) t;
+  Shard.run ~until:(ms 100) t;
+  Alcotest.(check (list (pair string int)))
+    "shard 0 runs the frame, then its own event"
+    [ ("frame", ms 40); ("local", ms 45) ]
+    (List.rev !log)
+
+(* After a bounded run every shard stands at [until], the idle one too:
+   an item injected on shard 1 before the next run posts at its own
+   [now + lookahead], which must not lie in shard 0's past. *)
+let test_one_clock_between_runs () =
+  let sims, t = two_shards ~look:(ms 1) in
+  Sim.at sims.(0) (ms 100) ignore;
+  Shard.run ~until:(ms 50) t;
+  Tutil.check_int "idle shard advanced to until" (ms 50) (Sim.now sims.(1));
+  let got = ref 0 in
+  Sim.after sims.(1) 0 (fun () ->
+      Shard.post t ~src:1 ~dst:0 ~ts:(Sim.now sims.(1) + ms 1) (fun () ->
+          got := Sim.now sims.(0)));
+  Shard.run t;
+  Tutil.check_int "frame ran at now + lookahead" (ms 51) !got;
+  Tutil.check_int "one clock after the run" (Sim.now sims.(0))
+    (Sim.now sims.(1))
+
+(* [Net.now] inside an event is the executing shard's time, even while
+   another shard (100 ms of lookahead away) has run ahead. *)
+let test_net_now_in_event () =
+  let net = Simnet.Net.create ~shards:2 () in
+  let a = Simnet.Net.add_node ~shard:0 net "a" in
+  let b = Simnet.Net.add_node ~shard:1 net "b" in
+  let wan =
+    { Simnet.Presets.vthd with Simnet.Linkmodel.latency_ns = ms 100 }
+  in
+  ignore (Simnet.Net.add_segment net wan [ a; b ]);
+  let seen = ref 0 in
+  Sim.at (Simnet.Net.shard_sim net 0) (ms 50) ignore;
+  Sim.at (Simnet.Net.shard_sim net 1) (ms 10) (fun () ->
+      seen := Simnet.Net.now net);
+  Simnet.Net.run net;
+  Tutil.check_int "Net.now inside the 10 ms event" (ms 10) !seen;
+  Tutil.check_int "Net.now after the run" (ms 50) (Simnet.Net.now net)
+
 (* ---------- sharded grid: collectives determinism matrix ---------- *)
 
 let pattern n seed =
@@ -144,37 +209,53 @@ let pattern n seed =
 (* A scaled-down E13/E16 scenario: 4 SAN islands (one shard each) on a
    shared WAN, every rank running allreduce + barrier + bcast through the
    multilevel strategy, so SAN, loopback and cross-shard WAN paths all
-   carry traffic. Returns a digest of everything observable. *)
-let collective_digest ~seed ~domains =
+   carry traffic. [rounds] rounds, each spawned between runs and driven
+   by one run bounded at [slice] past the grid clock (the default drains
+   the run). Returns a digest of everything observable. *)
+let collective_digest ?(rounds = 1) ?(slice = Engine.Time.sec 3600) ~seed
+    ~domains () =
   Padico.reset ();
-  let g =
-    Gridgen.generate ~seed ~sharded:true ~clusters:4 ~nodes_per_cluster:4 ()
-  in
+  let g = Gridgen.generate ~seed ~clusters:4 ~nodes_per_cluster:4 () in
+  let net = Padico.net g.Gridgen.grid in
   let nodes = Array.of_list g.Gridgen.nodes in
-  let groups = Group.create g.Gridgen.grid ~name:"shard-det" g.Gridgen.nodes in
-  let sum = Atomic.make 0 in
-  let hs =
-    Array.mapi
-      (fun r node ->
-         Padico.spawn g.Gridgen.grid node
-           ~name:(Printf.sprintf "det-%d" r)
-           (fun () ->
-              let a =
-                Group.allreduce groups.(r) ~op:Group.Bxor
-                  (pattern 512 (r + 1))
-              in
-              ignore (Atomic.fetch_and_add sum (Bb.checksum a));
-              Group.barrier groups.(r);
-              let b =
-                Group.bcast groups.(r) ~root:0
-                  (if r = 0 then pattern 256 7 else Bb.create 0)
-              in
-              ignore (Atomic.fetch_and_add sum (Bb.checksum b))))
-      nodes
+  let groups =
+    Group.create g.Gridgen.grid ~name:"shard-det" g.Gridgen.nodes
   in
-  Padico.run g.Gridgen.grid ~until:(Engine.Time.sec 3600) ~domains;
-  Array.iter Tutil.assert_done hs;
-  let runtime = Option.get (Simnet.Net.shard_runtime (Padico.net g.Gridgen.grid)) in
+  let sum = Atomic.make 0 in
+  for k = 0 to rounds - 1 do
+    let hs =
+      Array.mapi
+        (fun r node ->
+           Padico.spawn g.Gridgen.grid node
+             ~name:(Printf.sprintf "det-%d-%d" k r)
+             (fun () ->
+                let a =
+                  Group.allreduce groups.(r) ~op:Group.Bxor
+                    (pattern 512 ((k * 64) + r + 1))
+                in
+                ignore (Atomic.fetch_and_add sum (Bb.checksum a));
+                Group.barrier groups.(r);
+                let b =
+                  Group.bcast groups.(r) ~root:(k mod Array.length nodes)
+                    (if r = k mod Array.length nodes then pattern 256 (k + 7)
+                     else Bb.create 0)
+                in
+                ignore (Atomic.fetch_and_add sum (Bb.checksum b))))
+        nodes
+    in
+    Padico.run g.Gridgen.grid ~until:(Padico.now g.Gridgen.grid + slice)
+      ~domains;
+    Array.iter Tutil.assert_done hs
+  done;
+  let runtime = Simnet.Net.shard_runtime net in
+  (* Every item a shard executed, local event or cross-shard frame, is
+     one event its simulator dispatched. *)
+  let sum_over f =
+    List.fold_left ( + ) 0 (List.init (Shard.shard_count runtime) f)
+  in
+  Tutil.check_int "frames count as dispatched events"
+    (sum_over (Shard.executed runtime))
+    (sum_over (fun i -> Sim.events_dispatched (Shard.sim runtime i)));
   let per_shard =
     List.init (Shard.shard_count runtime) (fun i ->
         (Shard.executed runtime i, Shard.posted runtime i,
@@ -194,19 +275,71 @@ let collective_digest ~seed ~domains =
 let test_collective_determinism () =
   List.iter
     (fun seed ->
-       let reference = collective_digest ~seed ~domains:1 in
+       let reference = collective_digest ~seed ~domains:1 () in
        let now1, sum1, _, _, _, _ = reference in
        Tutil.check_bool "time advanced" true (now1 > 0);
        Tutil.check_bool "payload delivered" true (sum1 <> 0);
        List.iter
          (fun domains ->
-            let d = collective_digest ~seed ~domains in
+            let d = collective_digest ~seed ~domains () in
             if d <> reference then
               Alcotest.failf
                 "collective digest differs: seed %d, %d domains vs 1" seed
                 domains)
          (List.tl domain_counts))
     [ 42; 7; 1234 ]
+
+(* Twenty back-to-back rounds, one bounded run each; most runs end with
+   TCP timers still pending. Processes spawned between runs on every
+   shard must never post into a peer's past, and the outcome stays a
+   function of the partition alone. *)
+let test_rounds_determinism () =
+  let rounds = 20 and slice = Engine.Time.sec 1 in
+  let reference = collective_digest ~rounds ~slice ~seed:42 ~domains:1 () in
+  List.iter
+    (fun domains ->
+       if collective_digest ~rounds ~slice ~seed:42 ~domains () <> reference
+       then
+         Alcotest.failf "20-round digest differs: %d domains vs 1" domains)
+    [ 2; 4 ]
+
+(* ---------- sharded grid: faults land on their target's shard ---------- *)
+
+(* A crash planned for a node on shard 1 fires on shard 1's timeline: the
+   victim's own 1 ms ticks stop at the last one before [crash_at], however
+   far shard 1 may run ahead of shard 0 (here up to the 10 ms WAN
+   lookahead). A link fault on a segment spanning both shards is refused
+   when the plan is armed. *)
+let test_crash_on_own_shard () =
+  let net = Simnet.Net.create ~shards:2 () in
+  let a = Simnet.Net.add_node ~shard:0 net "a" in
+  let b = Simnet.Net.add_node ~shard:1 net "b" in
+  let wan =
+    { Simnet.Presets.vthd with Simnet.Linkmodel.latency_ns = ms 10 }
+  in
+  ignore (Simnet.Net.add_segment net wan ~name:"wan" [ a; b ]);
+  let crash_at = ms 25 + 500_000 in
+  let plan at_ns action = [ { Padico_fault.Plan.at_ns; action } ] in
+  ignore
+    (Padico_fault.Inject.apply net
+       (plan crash_at (Padico_fault.Plan.Node_crash "b")));
+  let sim1 = Simnet.Net.shard_sim net 1 in
+  let last = ref (-1) in
+  let rec tick () =
+    if Simnet.Node.is_up b then begin
+      last := Sim.now sim1;
+      Sim.after sim1 (ms 1) tick
+    end
+  in
+  Sim.at sim1 0 tick;
+  Simnet.Net.run net;
+  Tutil.check_int "victim's last tick before crash_at" (ms 25) !last;
+  match
+    Padico_fault.Inject.apply net
+      (plan (ms 70) (Padico_fault.Plan.Link_down "wan"))
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "link fault on a segment spanning shards accepted"
 
 (* ---------- sharded grid: edge-gateway determinism ---------- *)
 
@@ -285,17 +418,17 @@ let tcp_srtt ~shards ~domains =
     (Printf.sprintf "all bytes received (shards=%d, domains=%d)" shards
        domains)
     total !received;
-  Tcp.srtt_ns c
+  (Tcp.srtt_ns c, Simnet.Net.now net)
 
 let test_tcp_rtt () =
-  let one_shard = tcp_srtt ~shards:1 ~domains:1 in
+  let one_shard, _ = tcp_srtt ~shards:1 ~domains:1 in
   Tutil.check_bool "rtt sampled" true (one_shard > 0);
   List.iter
     (fun domains ->
        Tutil.check_int
          (Printf.sprintf "srtt on 2 shards, %d domains = on 1 shard" domains)
          one_shard
-         (tcp_srtt ~shards:2 ~domains))
+         (fst (tcp_srtt ~shards:2 ~domains)))
     [ 1; 2; 4 ]
 
 (* ---------- guard rails ---------- *)
@@ -312,16 +445,31 @@ let test_validation () =
   (match Simnet.Net.run net with
    | exception Invalid_argument _ -> ()
    | () -> Alcotest.fail "zero-latency cross-shard segment accepted");
-  (* A one-shard grid rejects placement on a second shard and
-     multi-domain runs. *)
+  (* The first run freezes a grid of several shards. *)
+  let net = Simnet.Net.create ~shards:2 () in
+  let a = Simnet.Net.add_node ~shard:0 net "a" in
+  let b = Simnet.Net.add_node ~shard:1 net "b" in
+  ignore (Simnet.Net.add_segment net Simnet.Presets.vthd [ a; b ]);
+  Simnet.Net.run net;
+  (match Simnet.Net.add_node ~shard:1 net "c" with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "frozen sharded grid accepted a node");
+  (* A one-shard grid rejects placement on a second shard, and has no
+     lookahead to invalidate: it still grows after a run. *)
   let net = Simnet.Net.create () in
   (match Simnet.Net.add_node ~shard:1 net "x" with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "one-shard grid accepted ~shard:1");
-  ignore (Simnet.Net.add_node net "y");
-  (match Simnet.Net.run ~domains:4 net with
-   | exception Invalid_argument _ -> ()
-   | () -> Alcotest.fail "one-shard grid accepted ~domains");
+  let p = Simnet.Net.add_node net "p" in
+  Simnet.Net.run net;
+  let q = Simnet.Net.add_node net "q" in
+  ignore (Simnet.Net.add_segment net Simnet.Presets.myrinet2000 [ p; q ]);
+  (* ~domains is clamped to the shard count: a one-shard grid gives the
+     same outcome on 4 domains as on 1. *)
+  Alcotest.(check (pair int int))
+    "one-shard grid: same digest on 4 domains as on 1"
+    (tcp_srtt ~shards:1 ~domains:1)
+    (tcp_srtt ~shards:1 ~domains:4);
   (* Host backend cannot shard. *)
   match Padico.create ~backend:Padico.Host ~shards:2 () with
   | exception Invalid_argument _ -> ()
@@ -331,11 +479,21 @@ let () =
   Alcotest.run "shard"
     [ ("runtime",
        [ Alcotest.test_case "cross-shard ping-pong" `Quick test_pingpong;
-         Alcotest.test_case "validation" `Quick test_validation ]);
+         Alcotest.test_case "validation" `Quick test_validation;
+         Alcotest.test_case "bounds reseeded between bounded runs" `Quick
+           test_bounds_reseeded;
+         Alcotest.test_case "one clock between bounded runs" `Quick
+           test_one_clock_between_runs;
+         Alcotest.test_case "Net.now inside a sharded event" `Quick
+           test_net_now_in_event ]);
       Tutil.qsuite "model" [ prop_lookahead_safety ];
       ("grid",
        [ Alcotest.test_case "collectives determinism matrix" `Quick
            test_collective_determinism;
+         Alcotest.test_case "20 bounded rounds determinism" `Quick
+           test_rounds_determinism;
+         Alcotest.test_case "node crash lands on its own shard" `Quick
+           test_crash_on_own_shard;
          Alcotest.test_case "edge determinism matrix" `Quick
            test_edge_determinism;
          Alcotest.test_case "tcp rtt on a segment spanning shards" `Quick
