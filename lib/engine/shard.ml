@@ -73,10 +73,11 @@ type t = {
   cursors : shard option array; (* [Some shards.(i)], for [executing] *)
   chans : channel option array array; (* chans.(src).(dst) *)
   (* Exact quiescence ledger: number of shards with executable work plus
-     frames posted but not yet drained. Every transition increments
-     before it decrements, so [work] over-counts transiently but reaches
-     0 only at true global quiescence — and 0 is stable, giving a
-     race-free termination test from any worker. *)
+     frames posted but not yet drained. A post counts its frame before
+     the frame is visible; a drain that removes n frames marks its shard
+     active before it subtracts n. So [work] over-counts transiently but
+     reaches 0 only at true global quiescence — and 0 is stable, giving
+     a race-free termination test from any worker. *)
   work : int Atomic.t;
   stop_flag : bool Atomic.t;
   finished : bool Atomic.t;
@@ -218,11 +219,17 @@ let publish_lb sh v =
 (* Consumer-side: move every visible frame of [c] into its stage heap.
    Returns the number of frames drained. Only the owning worker touches
    [head] and [stage]. *)
-let drain_channel t c =
+let drain_channel t sh c =
   let tail = Atomic.get c.tail in
   let head = Atomic.get c.head in
   let n = tail - head in
   if n > 0 then begin
+    (* The frames leave flight here: mark the shard active before their
+       counts drop, so [work] never reads 0 while they are staged. *)
+    if not sh.was_active then begin
+      sh.was_active <- true;
+      Atomic.incr t.work
+    end;
     for k = head to tail - 1 do
       let slot = k land mask c in
       (match c.ring.(slot) with
@@ -232,8 +239,6 @@ let drain_channel t c =
        | None -> assert false)
     done;
     Atomic.set c.head tail;
-    (* Frames left flight; they are now covered by the consumer's active
-       state (the caller pre-marked itself active before draining). *)
     ignore (Atomic.fetch_and_add t.work (-n))
   end;
   n
@@ -259,22 +264,14 @@ let next_item sh =
   if f_ts < l_ts then f_ts else l_ts
 
 (* One scheduling round for [sh]: flush parked frames, snapshot the
-   horizon, drain the inbox, then execute every item strictly below the
-   horizon (and within [until]) in canonical merge order. Returns true
-   when the round made progress (drained or executed something). *)
+   horizon, drain the inbox (each drain marks [sh] active before it
+   uncounts its frames), then execute every item strictly below the
+   horizon (and within [until]) in canonical merge order, and settle
+   [sh]'s activity in the ledger. Returns true when the round made
+   progress (drained or executed something). *)
 let round t sh ~until =
   let progress = ref false in
   flush_overflow sh;
-  (* Pre-mark active when frames are visible, before their in-flight
-     counts drop in [drain_channel] — keeps [work] from dipping to 0
-     while the frames are being moved to the stage. *)
-  let inbound =
-    Array.exists (fun c -> Atomic.get c.tail - Atomic.get c.head > 0) sh.inbox
-  in
-  if inbound && not sh.was_active then begin
-    sh.was_active <- true;
-    Atomic.incr t.work
-  end;
   (* Snapshot bounds FIRST, then drain: any frame posted before our lb
      reads is visible to the drain; any frame posted after satisfies
      ts >= read lb + lookahead >= horizon. *)
@@ -285,7 +282,7 @@ let round t sh ~until =
     if b < !horizon then horizon := b
   done;
   for k = 0 to Array.length sh.inbox - 1 do
-    if drain_channel t sh.inbox.(k) > 0 then progress := true
+    if drain_channel t sh sh.inbox.(k) > 0 then progress := true
   done;
   let executed = ref 0 in
   let continue = ref true in
