@@ -130,18 +130,23 @@ let end_packing ?on_sent out =
         a.a_sendv ~dst:out.dst (List.rev out.pieces);
         match on_sent with Some f -> f () | None -> ())
 
-let unpack inc n =
+let check_remaining inc n =
   if n < 0 || inc.pos + n > Bytebuf.length inc.payload then
     invalid_arg
       (Printf.sprintf "Ct.unpack: %d bytes requested, %d remain" n
-         (Bytebuf.length inc.payload - inc.pos));
+         (Bytebuf.length inc.payload - inc.pos))
+
+let unpack inc n =
+  check_remaining inc n;
   let piece = Bytebuf.sub inc.payload inc.pos n in
   inc.pos <- inc.pos + n;
   piece
 
 let unpack_int inc =
-  let b = unpack inc 8 in
-  Int64.to_int (Bytebuf.get_i64 b 0)
+  check_remaining inc 8;
+  let v = Int64.to_int (Bytebuf.get_i64 inc.payload inc.pos) in
+  inc.pos <- inc.pos + 8;
+  v
 
 let remaining inc = Bytebuf.length inc.payload - inc.pos
 

@@ -36,13 +36,19 @@ val channels_in_use : t -> int
 
 val send : channel -> dst:int -> Engine.Bytebuf.t -> unit
 (** Post a message send towards node [dst]. Fragmentation, per-fragment DMA
-    cost and wire time are modeled; completion is implicit (reliable SAN). *)
+    cost and wire time are modeled; completion is implicit (reliable SAN).
+    A fragment that lies in one buffer travels as a view of it, read by
+    DMA on arrival: the sender must leave those bytes alone until then.
+    The receiver always gets a buffer of its own. *)
 
 val sendv : channel -> dst:int -> Engine.Bytebuf.t list -> unit
-(** Scatter/gather send: the iovec is walked without copying (the NIC
-    gathers). The receiver gets one contiguous message. This is what lets
-    MadIO prepend its multiplexing header in the same first packet (header
-    combining). *)
+(** Scatter/gather send: the iovec is walked without host copies. A
+    fragment spanning several entries is gathered by the NIC when the send
+    is posted, into a buffer the frame owns, so the entries may be reused
+    once [sendv] returns; the receiver of a single-fragment message gets
+    that buffer itself. The receiver gets one contiguous message. This is
+    what lets MadIO prepend its multiplexing header in the same first
+    packet (header combining). *)
 
 val set_recv : channel -> (src:int -> Engine.Bytebuf.t -> unit) -> unit
 (** Register the message receive handler for this channel on this port. *)

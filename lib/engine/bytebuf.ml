@@ -207,11 +207,11 @@ let set_u32 b i v =
   set_u16 b i (v land 0xffff);
   set_u16 b (i + 2) ((v lsr 16) land 0xffff)
 
+(* One 64-bit little-endian load/store each. *)
 let get_i64 b i =
-  let lo = Int64.of_int (get_u32 b i) in
-  let hi = Int64.of_int (get_u32 b (i + 4)) in
-  Int64.logor lo (Int64.shift_left hi 32)
+  if i < 0 || i > b.len - 8 then invalid_arg "Bytebuf.get";
+  Bytes.get_int64_le b.data (b.off + i)
 
 let set_i64 b i v =
-  set_u32 b i (Int64.to_int (Int64.logand v 0xffffffffL));
-  set_u32 b (i + 4) (Int64.to_int (Int64.shift_right_logical v 32))
+  if i < 0 || i > b.len - 8 then invalid_arg "Bytebuf.set";
+  Bytes.set_int64_le b.data (b.off + i) v

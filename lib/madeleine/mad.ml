@@ -71,10 +71,9 @@ let pack out ?(mode = Send_cheaper) buf =
     | Send_safer ->
       (* Caller may overwrite its buffer immediately: take a copy now and
          charge the memcpy. *)
-      Simnet.Node.cpu_async (node out.chan.mad)
+      Simnet.Node.charge (node out.chan.mad)
         (int_of_float
-           (Calib.memcpy_per_byte_ns *. float_of_int (Bytebuf.length buf)))
-        (fun () -> ());
+           (Calib.memcpy_per_byte_ns *. float_of_int (Bytebuf.length buf)));
       Bytebuf.copy buf
     | Send_later | Send_cheaper -> buf
   in

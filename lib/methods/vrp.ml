@@ -120,7 +120,7 @@ let chunks_retransmitted s = s.retransmitted
 let chunks_abandoned s = s.abandoned
 
 let emit_data s ~seq chunk =
-  Simnet.Node.cpu_async s.node Calib.vrp_send_ns (fun () -> ());
+  Simnet.Node.charge s.node Calib.vrp_send_ns;
   Drivers.Udp.sendto s.udp ~dst:s.dst ~dst_port:s.dst_port
     ~src_port:s.src_port (encode_data ~seq chunk)
 
@@ -367,7 +367,7 @@ and handle_receiver_dgram r ~src ~src_port buf =
   start_tick r;
   match Bytebuf.get_u8 buf 0 with
   | 1 ->
-    Simnet.Node.cpu_async r.rnode Calib.vrp_recv_ns (fun () -> ());
+    Simnet.Node.charge r.rnode Calib.vrp_recv_ns;
     let seq = Bytebuf.get_u32 buf 1 in
     let len = Bytebuf.get_u32 buf 5 in
     if not (Hashtbl.mem r.seen seq) then begin

@@ -41,7 +41,7 @@ let matches ~source ~tag (m : message) =
 
 let charge t = Simnet.Node.cpu (node t) Calib.mpi_ns
 
-let charge_async t = Simnet.Node.cpu_async (node t) Calib.mpi_ns (fun () -> ())
+let charge_async t = Simnet.Node.charge (node t) Calib.mpi_ns
 
 let on_message t (m : message) =
   (* Match against posted receives in post order. *)

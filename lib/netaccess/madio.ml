@@ -197,7 +197,7 @@ and emit_combined t f ~len ~credit iov =
   let out = Mad.begin_packing t.hw_chan ~dst:f.f_dst in
   Mad.pack out hdr;
   List.iter (Mad.pack out) iov;
-  Simnet.Node.cpu_async t.mio_node Calib.madio_combined_ns (fun () -> ());
+  Simnet.Node.charge t.mio_node Calib.madio_combined_ns;
   post t f out ~pooled:(if pooled then [ hdr ] else [])
 
 (* Push the flow's batch onto the wire as one Madeleine packet. A batch of
@@ -219,7 +219,8 @@ and flush_batch t f ~reason =
         emit_combined t f ~len ~credit iov
       end
       else begin
-        agg_event t ("flush." ^ reason) ~lchan ~msgs:count ~bytes;
+        if Trace.on () then
+          agg_event t ("flush." ^ reason) ~lchan ~msgs:count ~bytes;
         let total = bytes + (2 * count) in
         let hdr =
           encode_header ~pooled:true ~lchan ~len:total ~combined:true
@@ -235,9 +236,8 @@ and flush_batch t f ~reason =
              Mad.pack out p;
              List.iter (Mad.pack out) iov)
           parts;
-        Simnet.Node.cpu_async t.mio_node
-          (Calib.madio_combined_ns + (count * Calib.madio_agg_permsg_ns))
-          (fun () -> ());
+        Simnet.Node.charge t.mio_node
+          (Calib.madio_combined_ns + (count * Calib.madio_agg_permsg_ns));
         post t f out ~pooled:[ hdr; subs ];
         Stats.Counter.incr t.batches;
         Stats.Counter.add t.batched count;
@@ -289,7 +289,7 @@ and send_credit_only t lc ~dst =
       let out = Mad.begin_packing t.hw_chan ~dst in
       Mad.pack out
         (encode_header ~lchan:lc.id ~len:0 ~combined:true ~credit ~count:0 ());
-      Simnet.Node.cpu_async t.mio_node Calib.madio_combined_ns (fun () -> ());
+      Simnet.Node.charge t.mio_node Calib.madio_combined_ns;
       Mad.end_packing out
     end
 
@@ -320,7 +320,12 @@ let deliver t ~src ~lchan payload =
 
 let handle_incoming t inc =
   let src = Mad.incoming_src inc in
-  match Hashtbl.find_opt t.pending_header src with
+  (* Only separate-header mode announces payloads: skip the lookup when
+     none is pending. *)
+  match
+    if Hashtbl.length t.pending_header = 0 then None
+    else Hashtbl.find_opt t.pending_header src
+  with
   | Some lchan ->
     (* Separate-header mode: this whole message is the announced payload. *)
     Hashtbl.remove t.pending_header src;
@@ -501,8 +506,7 @@ let sendv lc ~dst iov =
       Mad.end_packing hdr;
       let out = Mad.begin_packing t.hw_chan ~dst in
       List.iter (Mad.pack out) iov;
-      Simnet.Node.cpu_async t.mio_node Calib.madio_separate_ns
-        (fun () -> ());
+      Simnet.Node.charge t.mio_node Calib.madio_separate_ns;
       Mad.end_packing out
     end
   with Mad.Link_down _ ->

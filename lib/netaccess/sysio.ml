@@ -214,7 +214,7 @@ let event_name = function
 (* Charge one callback dispatch: counted, and its CPU cost on the node. *)
 let charge t =
   Stats.Counter.incr t.dispatched;
-  Simnet.Node.cpu_async t.sio_node Calib.sysio_callback_ns (fun () -> ())
+  Simnet.Node.charge t.sio_node Calib.sysio_callback_ns
 
 let trace_event t name =
   if Trace.on () then

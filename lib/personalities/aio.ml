@@ -3,7 +3,7 @@ module Proc = Engine.Proc
 
 type aiocb = { req : Vl.req; vl : Vl.t }
 
-let charge vl = Simnet.Node.cpu_async (Vl.node vl) Calib.personality_ns (fun () -> ())
+let charge vl = Simnet.Node.charge (Vl.node vl) Calib.personality_ns
 
 let aio_read vl buf =
   charge vl;

@@ -9,7 +9,7 @@ type t = {
 
 type stream = { out : Ct.outgoing }
 
-let charge ct = Simnet.Node.cpu_async (Ct.node ct) Calib.personality_ns (fun () -> ())
+let charge ct = Simnet.Node.charge (Ct.node ct) Calib.personality_ns
 
 let attach ct =
   let t = { ct; handlers = Hashtbl.create 16; handled = 0 } in

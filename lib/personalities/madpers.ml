@@ -12,7 +12,7 @@ type t = {
 
 type outgoing = { out : Ct.outgoing; t : t }
 
-let charge t = Simnet.Node.cpu_async (Ct.node t.ct) Calib.personality_ns (fun () -> ())
+let charge t = Simnet.Node.charge (Ct.node t.ct) Calib.personality_ns
 
 let attach ct =
   let t = { ct; inbox = Proc.Mailbox.create (); mode = Queueing } in

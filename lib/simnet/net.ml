@@ -7,7 +7,7 @@
    shard is a 1x1 matrix with no channel. *)
 type t = {
   sims : Engine.Sim.t array; (* sims.(0) is the grid's root sim *)
-  shard_by_node : (int, int) Hashtbl.t;
+  mutable shard_by_id : int array; (* node id -> shard; ids are dense *)
   mutable runtime : Engine.Shard.t option;
   (* Insertion-order collections kept reversed so additions are O(1); the
      accessors re-reverse. Grid-scale scenarios (thousands of nodes) made
@@ -44,7 +44,7 @@ let create ?seed ?clock ?(shards = 1) () =
   let clock =
     match clock with Some c -> c | None -> Engine.Sim.clock sim
   in
-  { sims; shard_by_node = Hashtbl.create 64; runtime = None;
+  { sims; shard_by_id = Array.make 64 0; runtime = None;
     nodes_rev = []; segments_rev = []; by_id = Hashtbl.create 64;
     loopbacks = Hashtbl.create 64; adjacency = Hashtbl.create 64;
     next_id = 0; clock }
@@ -54,7 +54,8 @@ let clock t = t.clock
 let shards t = Array.length t.sims
 
 let shard_of_id t id =
-  match Hashtbl.find_opt t.shard_by_node id with Some i -> i | None -> 0
+  if id >= 0 && id < Array.length t.shard_by_id then t.shard_by_id.(id)
+  else 0
 
 let shard_of t node = shard_of_id t (Node.id node)
 
@@ -144,7 +145,12 @@ let add_node ?(shard = 0) t name =
   let sim = t.sims.(shard) in
   let clock = if shard = 0 then t.clock else Engine.Sim.clock sim in
   let node = Node.create ~clock sim ~id:t.next_id ~name in
-  Hashtbl.replace t.shard_by_node t.next_id shard;
+  if t.next_id >= Array.length t.shard_by_id then begin
+    let a = Array.make (2 * Array.length t.shard_by_id) 0 in
+    Array.blit t.shard_by_id 0 a 0 t.next_id;
+    t.shard_by_id <- a
+  end;
+  t.shard_by_id.(t.next_id) <- shard;
   t.next_id <- t.next_id + 1;
   t.nodes_rev <- node :: t.nodes_rev;
   Hashtbl.replace t.by_id (Node.id node) node;

@@ -24,20 +24,25 @@ let name t = t.name
 let sim t = t.sim
 let clock t = t.clock
 
+(* Queue [cost] ns of work behind the CPU; the instant it completes. *)
+let occupy t cost =
+  let now = Engine.Sim.now t.sim in
+  let start = if t.busy_until > now then t.busy_until else now in
+  t.busy_until <- start + cost;
+  t.busy_until
+
 let cpu_async t cost k =
   assert (cost >= 0);
-  if Engine.Clock.is_virtual t.clock then begin
-    let now = Engine.Sim.now t.sim in
-    let start = if t.busy_until > now then t.busy_until else now in
-    let finish = start + cost in
-    t.busy_until <- finish;
-    Engine.Sim.at t.sim finish k
-  end
+  if Engine.Clock.is_virtual t.clock then Engine.Sim.at t.sim (occupy t cost) k
   else
     (* Wall clock: modelled CPU costs are not charged — real host time is
        the measurement. Keep the deferral so callback ordering (queue, then
        run) matches the simulated path. *)
     Engine.Clock.after t.clock 0 k
+
+let charge t cost =
+  assert (cost >= 0);
+  if Engine.Clock.is_virtual t.clock then ignore (occupy t cost)
 
 let cpu t cost =
   Engine.Proc.suspend (fun resume -> cpu_async t cost (fun () -> resume ()))

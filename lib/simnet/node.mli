@@ -32,6 +32,12 @@ val cpu_async : t -> int -> (unit -> unit) -> unit
     charged (real host time is the measurement); [k] still runs from a
     later loop iteration, preserving queue-then-run ordering. *)
 
+val charge : t -> int -> unit
+(** [charge node cost] occupies the CPU for [cost] ns like {!cpu_async},
+    with nothing to run at the end: later charges queue behind it, but no
+    event is scheduled. The charge for work whose only effect is the time
+    it takes. No-op on a wall clock. *)
+
 val cpu : t -> int -> unit
 (** Blocking variant for process context: suspends the calling process while
     the work executes. *)

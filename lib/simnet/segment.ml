@@ -11,7 +11,7 @@ type port = {
   mutable egress_busy_until : int;
   mutable arrival_floor : int;
   mutable ingress_busy_until : int;
-  handlers : (int, Packet.t -> unit) Hashtbl.t;
+  mutable handlers : (int * (Packet.t -> unit)) list; (* by proto *)
   mutable tx_sent : int;
   mutable tx_bytes : int;
   mutable tx_lost : int;
@@ -29,7 +29,11 @@ type t = {
   model : Linkmodel.t;
   rng : Engine.Rng.t;
   cross : src:int -> dst:int -> ts:int -> (unit -> unit) -> unit;
-  ports : (int, port) Hashtbl.t;
+  (* Ports by node id. [Net] numbers nodes densely and a segment's nodes
+     mostly form one id range, so the array spans ids
+     [ports_lo, ports_lo + length ports). *)
+  mutable ports_lo : int;
+  mutable ports : port option array;
   (* Dynamic fault overlay (see Padico_fault.Inject): the static Linkmodel
      stays immutable; faults are transient deltas consulted per frame. *)
   mutable down : bool;
@@ -47,7 +51,7 @@ let create ~rng ~cross model ~name =
   incr next_uid;
   let model = Linkmodel.validate model in
   { uid = !next_uid; name; model; rng = Engine.Rng.split rng; cross;
-    ports = Hashtbl.create 16;
+    ports_lo = 0; ports = [||];
     down = false; extra_loss = 0.0; extra_latency_ns = 0;
     blocked = Hashtbl.create 4; link_watchers = [] }
 
@@ -55,21 +59,54 @@ let uid t = t.uid
 let name t = t.name
 let model t = t.model
 
+let port_opt t id =
+  let i = id - t.ports_lo in
+  if i >= 0 && i < Array.length t.ports then t.ports.(i) else None
+
+(* Widen the port array to cover [id]: upwards by doubling, downwards to
+   exactly [id]. *)
+let cover t id =
+  let n = Array.length t.ports in
+  if n = 0 then begin
+    t.ports_lo <- id;
+    t.ports <- [| None |]
+  end
+  else if id < t.ports_lo || id >= t.ports_lo + n then begin
+    let lo = min t.ports_lo id in
+    let hi =
+      if id < t.ports_lo then t.ports_lo + n
+      else max (id + 1) (t.ports_lo + (2 * n))
+    in
+    let a = Array.make (hi - lo) None in
+    Array.blit t.ports 0 a (t.ports_lo - lo) n;
+    t.ports_lo <- lo;
+    t.ports <- a
+  end
+
 let attach t node =
-  if not (Hashtbl.mem t.ports (Node.id node)) then
-    Hashtbl.replace t.ports (Node.id node)
-      { node; prng = Engine.Rng.stream t.rng (Node.id node);
-        egress_busy_until = 0; arrival_floor = 0; ingress_busy_until = 0;
-        handlers = Hashtbl.create 4;
-        tx_sent = 0; tx_bytes = 0; tx_lost = 0; tx_faulted = 0;
-        rx_faulted = 0; rx_delivered = 0; rx_unclaimed = 0 }
+  let id = Node.id node in
+  if Option.is_none (port_opt t id) then begin
+    cover t id;
+    t.ports.(id - t.ports_lo) <-
+      Some
+        { node; prng = Engine.Rng.stream t.rng id;
+          egress_busy_until = 0; arrival_floor = 0; ingress_busy_until = 0;
+          handlers = [];
+          tx_sent = 0; tx_bytes = 0; tx_lost = 0; tx_faulted = 0;
+          rx_faulted = 0; rx_delivered = 0; rx_unclaimed = 0 }
+  end
 
-let attached t node = Hashtbl.mem t.ports (Node.id node)
+let attached t node = Option.is_some (port_opt t (Node.id node))
 
-let nodes t = Hashtbl.fold (fun _ p acc -> p.node :: acc) t.ports []
+let fold_ports t f init =
+  Array.fold_left
+    (fun acc p -> match p with Some p -> f p acc | None -> acc)
+    init t.ports
+
+let nodes t = fold_ports t (fun p acc -> p.node :: acc) []
 
 let port_exn t id what =
-  match Hashtbl.find_opt t.ports id with
+  match port_opt t id with
   | Some p -> p
   | None ->
     invalid_arg
@@ -77,11 +114,21 @@ let port_exn t id what =
 
 let set_handler t node ~proto f =
   let p = port_exn t (Node.id node) "set_handler" in
-  Hashtbl.replace p.handlers proto f
+  p.handlers <- (proto, f) :: List.remove_assoc proto p.handlers
 
 let clear_handler t node ~proto =
   let p = port_exn t (Node.id node) "clear_handler" in
-  Hashtbl.remove p.handlers proto
+  p.handlers <- List.remove_assoc proto p.handlers
+
+let rec dispatch t (dst : port) (pkt : Packet.t) = function
+  | (proto, f) :: _ when proto = pkt.proto ->
+    dst.rx_delivered <- dst.rx_delivered + 1;
+    f pkt
+  | _ :: rest -> dispatch t dst pkt rest
+  | [] ->
+    dst.rx_unclaimed <- dst.rx_unclaimed + 1;
+    Log.debug (fun m ->
+        m "%s: no handler for %a at %a" t.name Packet.pp pkt Node.pp dst.node)
 
 (* Runs on the destination port's shard, so its counters — and the
    receiver's up/down state it reads — are owner-local. A crashed node
@@ -91,16 +138,7 @@ let deliver t (dst : port) (pkt : Packet.t) =
     dst.rx_faulted <- dst.rx_faulted + 1;
     Log.debug (fun m -> m "%s: fault-dropped %a" t.name Packet.pp pkt)
   end
-  else
-    match Hashtbl.find_opt dst.handlers pkt.proto with
-    | Some f ->
-      dst.rx_delivered <- dst.rx_delivered + 1;
-      f pkt
-    | None ->
-      dst.rx_unclaimed <- dst.rx_unclaimed + 1;
-      Log.debug (fun m ->
-          m "%s: no handler for %a at %a" t.name Packet.pp pkt Node.pp
-            dst.node)
+  else dispatch t dst pkt dst.handlers
 
 (* ---------- dynamic fault overlay ---------- *)
 
@@ -138,7 +176,8 @@ let unblock_pair t a b = Hashtbl.remove t.blocked (pair_key a b)
 
 let clear_blocked t = Hashtbl.reset t.blocked
 
-let pair_blocked t a b = Hashtbl.mem t.blocked (pair_key a b)
+let pair_blocked t a b =
+  Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (pair_key a b)
 
 (* Ingress contention, resolved on the receiver's shard when the frame
    arrives: the receiving port absorbs at most one frame per
@@ -213,7 +252,7 @@ let send t (pkt : Packet.t) =
   end
 
 (* Totals sum the per-port cells. Read after the run for exact values. *)
-let sum t f = Hashtbl.fold (fun _ p acc -> acc + f p) t.ports 0
+let sum t f = fold_ports t (fun p acc -> acc + f p) 0
 
 let frames_sent t = sum t (fun p -> p.tx_sent)
 let frames_faulted t = sum t (fun p -> p.tx_faulted + p.rx_faulted)

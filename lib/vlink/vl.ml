@@ -308,7 +308,7 @@ let post_write ?timeout_ns ?(nonblock = false) t buf =
        (* EAGAIN semantics: one driver attempt, never queued. A partial
           acceptance completes [Done n] with n < length; no space at all
           (or not yet connected) completes [Again]. *)
-       Simnet.Node.cpu_async t.vnode Calib.vlink_op_ns (fun () -> ());
+       Simnet.Node.charge t.vnode Calib.vlink_op_ns;
        match t.ops with
        | None -> complete req Again
        | Some o ->

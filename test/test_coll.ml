@@ -282,6 +282,67 @@ let test_strategies_agree () =
        Tutil.check_int (Printf.sprintf "allreduce agrees at %d" r) sf sm)
     flat
 
+(* ---------- reduction operators ---------- *)
+
+(* Byte-wise reference fold, in rank order. *)
+let reference_fold op bufs =
+  let f x y =
+    match op with
+    | Group.Sum -> (x + y) land 0xff
+    | Group.Max -> max x y
+    | Group.Bxor -> x lxor y
+  in
+  match bufs with
+  | [] -> ""
+  | first :: rest ->
+    String.init (String.length first) (fun i ->
+        Char.chr
+          (List.fold_left
+             (fun acc s -> f acc (Char.code s.[i]))
+             (Char.code first.[i]) rest))
+
+let op_name = function
+  | Group.Sum -> "sum"
+  | Group.Max -> "max"
+  | Group.Bxor -> "bxor"
+
+(* Lengths 1..40 cover a tail shorter than a word, whole 64-bit words and
+   both; random bytes make sums wrap past 255. *)
+let prop_reduce_matches_fold =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      let* op = oneofl [ Group.Sum; Group.Max; Group.Bxor ] in
+      let* strategy = oneofl [ Group.Flat; Group.Multilevel ] in
+      let* root = int_range 0 3 in
+      let* len = int_range 1 40 in
+      let+ data = list_repeat 4 (string_size (return len)) in
+      (op, strategy, root, data))
+  in
+  let print (op, strategy, root, data) =
+    Printf.sprintf "op=%s %s root=%d data=[%s]" (op_name op)
+      (match strategy with Group.Flat -> "flat" | Group.Multilevel -> "multilevel")
+      root
+      (String.concat "; " (List.map String.escaped data))
+  in
+  Test.make ~name:"reduce and allreduce equal the byte-wise fold" ~count:40
+    ~print gen (fun (op, strategy, root, data) ->
+      let want = reference_fold op data in
+      let grid, nodes = four_node_grid () in
+      let members = Group.create ~strategy grid ~name:"fold" nodes in
+      let reds = Array.make 4 None and alls = Array.make 4 "" in
+      run_members grid nodes members (fun r g ->
+          let mine = List.nth data r in
+          reds.(r) <-
+            Option.map Bb.to_string
+              (Group.reduce g ~root ~op (Bb.of_string mine));
+          alls.(r) <-
+            Bb.to_string (Group.allreduce g ~op (Bb.of_string mine)));
+      reds.(root) = Some want
+      && Array.for_all (fun s -> s = want) alls
+      && Array.for_all Fun.id
+           (Array.mapi (fun r res -> r = root || res = None) reds))
+
 let () =
   Alcotest.run "collectives"
     [ ("netdb",
@@ -296,7 +357,8 @@ let () =
          Alcotest.test_case "all ops, multilevel" `Quick test_ops_multilevel;
          Alcotest.test_case "three clusters" `Quick
            test_three_cluster_allreduce;
-         Alcotest.test_case "strategies agree" `Quick test_strategies_agree ]);
+         Alcotest.test_case "strategies agree" `Quick test_strategies_agree;
+         QCheck_alcotest.to_alcotest prop_reduce_matches_fold ]);
       ("topology-aware",
        [ Alcotest.test_case "wan crossings" `Quick test_wan_counts;
          Alcotest.test_case "barrier round trip" `Quick

@@ -116,6 +116,70 @@ let test_gm_sendv_gather () =
       (Bb.equal buf (Bb.concat [ p1; p2; p3 ]))
   | None -> Alcotest.fail "not delivered"
 
+(* A single-fragment frame that is a view of the sender's buffer is
+   copied into a buffer of the receiver's; one that GM gathered is handed
+   up as it is. Either way the receiver's bytes are its own: the sender
+   may overwrite what it sent. *)
+let test_gm_single_fragment_view_copied () =
+  let net, _a, b, _seg, pa, pb = gm_pair () in
+  let ca = Gm.open_channel pa ~id:0 in
+  let cb = Gm.open_channel pb ~id:0 in
+  let got = ref [] in
+  Gm.set_recv cb (fun ~src:_ buf -> got := buf :: !got);
+  let msg = Tutil.pattern_buf ~seed:21 300 in
+  let p1 = Tutil.pattern_buf ~seed:22 10 and p2 = Tutil.pattern_buf ~seed:23 90 in
+  let want_view = Bb.to_string msg in
+  let want_gather = Bb.to_string p1 ^ Bb.to_string p2 in
+  Gm.send ca ~dst:(Simnet.Node.id b) msg;
+  Gm.sendv ca ~dst:(Simnet.Node.id b) [ p1; p2 ];
+  Tutil.run_net net;
+  List.iter (fun buf -> Bb.fill_pattern buf ~seed:0) [ msg; p1; p2 ];
+  match List.rev !got with
+  | [ view; gathered ] ->
+    Tutil.check_string "view copied" want_view (Bb.to_string view);
+    Tutil.check_string "gathered kept" want_gather (Bb.to_string gathered)
+  | l -> Alcotest.failf "%d messages delivered, expected 2" (List.length l)
+
+(* MadIO packs its header in a pooled slab and releases it at send
+   completion, when GM has gathered the frame. The next header reuses the
+   slab; no message, delivered or in flight, may change. Checked through
+   GM directly, then through MadIO with messages sent back to back, so
+   the slab is rewritten while the earlier frames are on the wire. *)
+let test_gm_pooled_header_reuse () =
+  let net, _a, b, _seg, pa, pb = gm_pair () in
+  let ca = Gm.open_channel pa ~id:0 in
+  let cb = Gm.open_channel pb ~id:0 in
+  let got = ref None in
+  Gm.set_recv cb (fun ~src:_ buf -> got := Some buf);
+  let hdr = Bb.Pool.alloc 14 in
+  Bb.fill_pattern hdr ~seed:31;
+  let payload = Tutil.pattern_buf ~seed:32 200 in
+  let want = Bb.to_string hdr ^ Bb.to_string payload in
+  Gm.sendv ca ~dst:(Simnet.Node.id b) [ hdr; payload ];
+  Tutil.run_net net;
+  Bb.Pool.release hdr;
+  let hdr' = Bb.Pool.alloc 14 in
+  Tutil.check_bool "slab reused" true (hdr'.Bb.data == hdr.Bb.data);
+  Bb.fill_pattern hdr' ~seed:33;
+  (match !got with
+   | Some buf -> Tutil.check_string "GM frame intact" want (Bb.to_string buf)
+   | None -> Alcotest.fail "GM frame not delivered");
+  let net, a, b, seg = Tutil.pair Simnet.Presets.myrinet2000 in
+  let ma = Netaccess.Madio.init (Madeleine.Mad.init seg a) in
+  let mb = Netaccess.Madio.init (Madeleine.Mad.init seg b) in
+  let la = Netaccess.Madio.open_lchannel ma ~id:3 in
+  let lb = Netaccess.Madio.open_lchannel mb ~id:3 in
+  let got = ref [] in
+  Netaccess.Madio.set_recv lb (fun ~src:_ buf -> got := buf :: !got);
+  let msgs = List.init 4 (fun i -> Tutil.pattern_buf ~seed:(40 + i) (50 + i)) in
+  let wants = List.map Bb.to_string msgs in
+  let hits0 = Bb.Pool.pool_hits () in
+  List.iter (fun m -> Netaccess.Madio.send la ~dst:(Simnet.Node.id b) m) msgs;
+  Tutil.run_net net;
+  Tutil.check_bool "header slab reused" true (Bb.Pool.pool_hits () > hits0);
+  Alcotest.(check (list string)) "MadIO messages intact" wants
+    (List.rev_map Bb.to_string !got)
+
 let prop_gm_any_size_roundtrip =
   QCheck.Test.make ~name:"GM delivers any size intact" ~count:30
     QCheck.(int_range 0 200_000)
@@ -223,7 +287,11 @@ let () =
          Alcotest.test_case "ordering" `Quick test_gm_ordering;
          Alcotest.test_case "channel isolation" `Quick
            test_gm_channel_isolation;
-         Alcotest.test_case "sendv gather" `Quick test_gm_sendv_gather ]);
+         Alcotest.test_case "sendv gather" `Quick test_gm_sendv_gather;
+         Alcotest.test_case "single fragment: view copied" `Quick
+           test_gm_single_fragment_view_copied;
+         Alcotest.test_case "single fragment: pooled header reuse" `Quick
+           test_gm_pooled_header_reuse ]);
       Tutil.qsuite "gm-props" [ prop_gm_any_size_roundtrip ];
       ("udp",
        [ Alcotest.test_case "roundtrip" `Quick test_udp_roundtrip;

@@ -197,6 +197,42 @@ let test_cpu_blocking () =
   Tutil.assert_done h;
   Tutil.check_int "blocked for cost" 500 !t
 
+(* [charge] is [cpu_async] with nothing to run: the same CPU queue, and
+   no event. Each scenario runs once with a no-op [cpu_async] and once
+   with [charge]; the later continuations must land at the same times. *)
+let test_charge_like_cpu_async () =
+  let run ~use_charge =
+    let net = Simnet.Net.create () in
+    let a = Simnet.Net.add_node net "a" in
+    let sim = Simnet.Net.sim net in
+    let finish = ref [] in
+    let note () = finish := Sim.now sim :: !finish in
+    let occupy cost =
+      if use_charge then begin
+        let pending = Sim.pending sim in
+        Simnet.Node.charge a cost;
+        Tutil.check_int "charge schedules nothing" pending (Sim.pending sim)
+      end
+      else Simnet.Node.cpu_async a cost (fun () -> ())
+    in
+    (* idle CPU, then queued behind the charge *)
+    occupy 100;
+    Simnet.Node.cpu_async a 50 note;
+    (* a charge queued behind busy work *)
+    Simnet.Node.cpu_async a 30 note;
+    occupy 70;
+    Simnet.Node.cpu_async a 5 note;
+    (* after an idle gap, from inside an event *)
+    Sim.at sim 1_000 (fun () ->
+        occupy 40;
+        Simnet.Node.cpu_async a 10 note);
+    Sim.run sim;
+    List.rev !finish
+  in
+  let want = [ 150; 180; 255; 1_050 ] in
+  Alcotest.(check (list int)) "no-op cpu_async" want (run ~use_charge:false);
+  Alcotest.(check (list int)) "charge" want (run ~use_charge:true)
+
 (* ---------- Net topology ---------- *)
 
 let test_links_between () =
@@ -278,7 +314,9 @@ let () =
        ]);
       ("node",
        [ Alcotest.test_case "cpu queue" `Quick test_cpu_serializes;
-         Alcotest.test_case "cpu blocking" `Quick test_cpu_blocking ]);
+         Alcotest.test_case "cpu blocking" `Quick test_cpu_blocking;
+         Alcotest.test_case "charge = cpu_async without an event" `Quick
+           test_charge_like_cpu_async ]);
       ("net",
        [ Alcotest.test_case "links_between" `Quick test_links_between;
          Alcotest.test_case "loopback" `Quick test_loopback_automatic;
