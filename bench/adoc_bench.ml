@@ -52,22 +52,40 @@ let run () =
   Bhelp.print_header
     "E7 — adaptive online compression (AdOC adapter), application goodput (MB/s)";
   let cases =
-    [ ("modem (56kb/s)", Simnet.Presets.modem, 200_000);
-      ("Ethernet-100", Simnet.Presets.ethernet100, 8_000_000) ]
+    [ ("modem (56kb/s)", "modem", Simnet.Presets.modem, 200_000);
+      ("Ethernet-100", "ethernet100", Simnet.Presets.ethernet100, 8_000_000) ]
   in
-  List.iter
-    (fun (name, model, total) ->
-       Printf.printf "%s:\n" name;
-       List.iter
-         (fun (dname, compressible) ->
-            let plain = goodput ~model ~adoc:false ~compressible ~total () in
-            let with_adoc = goodput ~model ~adoc:true ~compressible ~total () in
-            Printf.printf "  %-22s straight %8.3f   adoc %8.3f\n" dname plain
-              with_adoc;
-            flush stdout)
-         [ ("compressible data", true); ("incompressible data", false) ])
-    cases;
+  let cells =
+    List.concat_map
+      (fun (name, key, model, total) ->
+         Printf.printf "%s:\n" name;
+         List.map
+           (fun (dname, data, compressible) ->
+              let plain = goodput ~model ~adoc:false ~compressible ~total () in
+              let with_adoc = goodput ~model ~adoc:true ~compressible ~total () in
+              Printf.printf "  %-22s straight %8.3f   adoc %8.3f\n" dname plain
+                with_adoc;
+              flush stdout;
+              let cell = key ^ "." ^ data in
+              Bhelp.record ~experiment:"e7" (cell ^ ".straight_mb_s") plain;
+              Bhelp.record ~experiment:"e7" (cell ^ ".adoc_mb_s") with_adoc;
+              (cell, plain, with_adoc))
+           [ ("compressible data", "compressible", true);
+             ("incompressible data", "incompressible", false) ])
+      cases
+  in
   print_endline
     "expected shape: adoc multiplies goodput for compressible data on the";
   print_endline
-    "slow link, and never hurts elsewhere (adaptivity turns it off)."
+    "slow link, and never hurts elsewhere (adaptivity turns it off).";
+  let _, plain, with_adoc =
+    List.find (fun (cell, _, _) -> cell = "modem.compressible") cells
+  in
+  (* NaN (a transfer that never finished) fails the comparison too. *)
+  if not (with_adoc >= 10.0 *. plain) then begin
+    Printf.eprintf
+      "e7: AdOC must multiply compressible modem goodput >= 10x (got %.3f vs \
+       %.3f MB/s)\n"
+      with_adoc plain;
+    exit 1
+  end

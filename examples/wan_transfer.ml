@@ -72,6 +72,8 @@ let () =
   print_newline ();
   Printf.printf
     "Same deployment, but the site link is untrusted and ciphering is on:\n";
+  transfer ~prefs:Prefs.default ~compressible:false
+    ~label:"plain TCP stream + cipher (untrusted)";
   transfer
     ~prefs:{ Prefs.default with Prefs.pstream_on_wan = true }
     ~compressible:false

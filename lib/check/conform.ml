@@ -104,6 +104,16 @@ let vlink_fixtures =
            pair_env ~model:Presets.modem
              ~prefs:{ bare_prefs with Prefs.adoc_on_slow = true }
              ~expect_driver:"adoc" ~xfer:8_192 ()) };
+    (* Both filters stacked: AdOC under the cipher on an untrusted slow
+       link. *)
+    { fname = "adoc+crypto"; skip = [];
+      build =
+        (fun () ->
+           pair_env ~model:Presets.modem
+             ~prefs:
+               { bare_prefs with
+                 Prefs.adoc_on_slow = true; cipher_untrusted = true }
+             ~expect_driver:"crypto" ~xfer:8_192 ()) };
     { fname = "crypto"; skip = [];
       build =
         (fun () ->

@@ -1,15 +1,16 @@
 (** Adapter conformance kit: one suite of semantic obligations, every
     adapter.
 
-    Each VLink adapter (loopback, MadIO, SysIO/TCP, pstream, AdOC, crypto,
-    VRP, resilient) must honour the same contract — connect/accept
-    symmetry, no byte loss or reordering, [Eof] vs [Error] discipline on
-    peer close, [Again]/{!Vlink.Vl.on_writable} progress under
-    backpressure, close idempotence and timeout behaviour. The kit states
-    each obligation once and instantiates it against a fixture per
-    adapter: a fresh grid whose topology and preferences make the selector
-    pick exactly that adapter. A Circuit counterpart checks message
-    boundaries, incremental packing and group membership per adapter mix.
+    Each VLink adapter (loopback, MadIO, SysIO/TCP, pstream, AdOC, AdOC
+    under the cipher, crypto, VRP, resilient) must honour the same
+    contract — connect/accept symmetry, no byte loss or reordering, [Eof]
+    vs [Error] discipline on peer close, [Again]/{!Vlink.Vl.on_writable}
+    progress under backpressure, close idempotence and timeout behaviour.
+    The kit states each obligation once and instantiates it against a
+    fixture per adapter: a fresh grid whose topology and preferences make
+    the selector pick exactly that adapter. A Circuit counterpart checks
+    message boundaries, incremental packing and group membership per
+    adapter mix.
 
     A Collectives counterpart instantiates every {!Collectives.Group}
     operation (barrier, bcast, reduce, allreduce, gather, scatter) against
@@ -36,6 +37,10 @@ type case = {
           fault plan (if any) and execute the obligation. Raises {!Failed}
           on violation; deterministic for fixed (plan, policy). *)
 }
+
+val bare_prefs : Selector.Prefs.t
+(** The fixtures' preferences: no filter unless a fixture enables one, so
+    each fixture's expected driver is exact. *)
 
 val cases : ?demo:bool -> unit -> case list
 (** The full kit: every obligation against every applicable adapter

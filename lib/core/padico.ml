@@ -95,19 +95,20 @@ let is_ip seg =
 
 let node_segments t node = Net.segments_of t.pnet node
 
-let wrap_by_policy t seg vl =
-  let m = Segment.model seg in
-  let p = t.pprefs in
-  let vl =
-    if p.Prefs.adoc_on_slow
-       && m.Linkmodel.bandwidth_bps <= p.Prefs.adoc_threshold_bps
-    then Vlink.Vl_adoc.wrap ~link_bandwidth_bps:m.Linkmodel.bandwidth_bps vl
-    else vl
-  in
-  if p.Prefs.cipher_untrusted && not m.Linkmodel.trusted then
-    Vlink.Vl_crypto.wrap ~key:(Methods.Crypto.key_of_string p.Prefs.cipher_key)
-      vl
-  else vl
+(* Stack the selector's filters on a fresh descriptor — the one wrap site,
+   for connecting and accepting sides alike. *)
+let stack filters vl =
+  List.fold_left
+    (fun vl f ->
+       let codec =
+         match f with
+         | Sel.Adoc { link_bandwidth_bps } ->
+           Vlink.Vl_filter.adoc ~link_bandwidth_bps
+         | Sel.Cipher { key } ->
+           Vlink.Vl_filter.cipher ~key:(Methods.Crypto.key_of_string key)
+       in
+       Vlink.Vl_filter.wrap codec vl)
+    vl filters
 
 let listen t node ~port accept =
   Vlink.Vl_loopback.listen node ~port accept;
@@ -120,11 +121,13 @@ let listen t node ~port accept =
          Vlink.Vl_madio.listen (madio t node seg) ~port accept
        else if is_ip seg || (is_san seg && t.pbackend = Host) then begin
          let sio = sysio node in
-         let stack = Sysio.stack_on sio seg in
-         let accept_wrapped vl = accept (wrap_by_policy t seg vl) in
-         Vlink.Vl_sysio.listen sio stack ~port accept_wrapped;
-         Vlink.Vl_pstream.listen sio stack ~port:(port + pstream_port_offset)
-           accept_wrapped;
+         let tcp = Sysio.stack_on sio seg in
+         let accept_on driver vl =
+           accept (stack (Sel.filters t.pprefs (Segment.model seg) ~driver) vl)
+         in
+         Vlink.Vl_sysio.listen sio tcp ~port (accept_on "sysio");
+         Vlink.Vl_pstream.listen sio tcp ~port:(port + pstream_port_offset)
+           (accept_on "pstream");
          if t.pbackend = Sim then begin
            let udp = Sysio.udp_on sio seg in
            try
@@ -140,59 +143,44 @@ let connect_choice t ~src ~dst = Sel.choose ~prefs:t.pprefs t.pnet ~src ~dst
 (* The selector reasons over the modelled topology; on the host backend
    the SAN driver (MadIO) and the datagram protocol (VRP) have no real
    transport, so their choices are re-targeted to SysIO streams on the
-   same segment. Wrapping and striping decisions survive the remap. *)
+   same segment, with the filters the SysIO listener stacks there.
+   Striping decisions survive the remap. *)
 let remap_for_backend t choice =
-  match (t.pbackend, choice.Sel.driver) with
-  | Sim, _ | Host, ("loopback" | "sysio" | "pstream") -> choice
-  | Host, _ -> { choice with Sel.driver = "sysio" }
+  match (t.pbackend, choice.Sel.driver, choice.Sel.segment) with
+  | Sim, _, _ | Host, ("loopback" | "sysio" | "pstream"), _ | Host, _, None ->
+    choice
+  | Host, _, Some seg ->
+    { choice with
+      Sel.driver = "sysio";
+      filters = Sel.filters t.pprefs (Segment.model seg) ~driver:"sysio" }
 
 let connect_direct t ~src ~dst ~port choice =
   let choice = remap_for_backend t choice in
   Log.debug (fun m ->
       m "connect %s -> %s port %d: %a" (Node.name src) (Node.name dst) port
         Sel.pp_choice choice);
-  match (choice.Sel.driver, choice.Sel.segment) with
-  | "loopback", _ -> Vlink.Vl_loopback.connect src ~port
-  | "madio", Some seg -> Vlink.Vl_madio.connect (madio t src seg) ~dst ~port
-  | "pstream", Some seg ->
-    let sio = sysio src in
-    let stack = Sysio.stack_on sio seg in
-    let vl =
-      Vlink.Vl_pstream.connect sio stack ~dst:(Node.id dst)
+  let vl =
+    match (choice.Sel.driver, choice.Sel.segment) with
+    | "loopback", _ -> Vlink.Vl_loopback.connect src ~port
+    | "madio", Some seg -> Vlink.Vl_madio.connect (madio t src seg) ~dst ~port
+    | "pstream", Some seg ->
+      let sio = sysio src in
+      Vlink.Vl_pstream.connect sio (Sysio.stack_on sio seg) ~dst:(Node.id dst)
         ~port:(port + pstream_port_offset) ~streams:choice.Sel.streams
-    in
-    let vl =
-      if choice.Sel.wrap_adoc then
-        Vlink.Vl_adoc.wrap
-          ~link_bandwidth_bps:(Segment.model seg).Linkmodel.bandwidth_bps vl
-      else vl
-    in
-    if choice.Sel.wrap_crypto then
-      Vlink.Vl_crypto.wrap
-        ~key:(Methods.Crypto.key_of_string t.pprefs.Prefs.cipher_key) vl
-    else vl
-  | "vrp", Some seg ->
-    let sio = sysio src in
-    let udp = Sysio.udp_on sio seg in
-    Vlink.Vl_vrp.connect sio udp ~dst:(Node.id dst)
-      ~port:(port + vrp_port_offset) ~tolerance:choice.Sel.vrp_tolerance
-      ~rate_bps:((Segment.model seg).Linkmodel.bandwidth_bps *. 0.95)
-  | "sysio", Some seg ->
-    let sio = sysio src in
-    let stack = Sysio.stack_on sio seg in
-    let vl = Vlink.Vl_sysio.connect sio stack ~dst:(Node.id dst) ~port in
-    let vl =
-      if choice.Sel.wrap_adoc then
-        Vlink.Vl_adoc.wrap
-          ~link_bandwidth_bps:(Segment.model seg).Linkmodel.bandwidth_bps vl
-      else vl
-    in
-    if choice.Sel.wrap_crypto then
-      Vlink.Vl_crypto.wrap
-        ~key:(Methods.Crypto.key_of_string t.pprefs.Prefs.cipher_key) vl
-    else vl
-  | driver, _ ->
-    failwith (Printf.sprintf "Padico.connect: unknown driver %S" driver)
+    | "vrp", Some seg ->
+      let sio = sysio src in
+      let udp = Sysio.udp_on sio seg in
+      Vlink.Vl_vrp.connect sio udp ~dst:(Node.id dst)
+        ~port:(port + vrp_port_offset) ~tolerance:choice.Sel.vrp_tolerance
+        ~rate_bps:((Segment.model seg).Linkmodel.bandwidth_bps *. 0.95)
+    | "sysio", Some seg ->
+      let sio = sysio src in
+      Vlink.Vl_sysio.connect sio (Sysio.stack_on sio seg) ~dst:(Node.id dst)
+        ~port
+    | driver, _ ->
+      failwith (Printf.sprintf "Padico.connect: unknown driver %S" driver)
+  in
+  stack choice.Sel.filters vl
 
 (* ---------- relay tunnels (the paper's future work: "tunnels for
    full-connectivity through firewalls") ---------- *)

@@ -64,8 +64,9 @@ val madio : t -> Simnet.Node.t -> Simnet.Segment.t -> Netaccess.Madio.t
 val listen : t -> Simnet.Node.t -> port:int -> (Vlink.Vl.t -> unit) -> unit
 (** Register the service on every driver the node can be reached through:
     loopback, MadIO on each SAN, SysIO/pstream/VRP on each IP segment —
-    with the selector's wrapping (AdOC on slow links, cipher on untrusted
-    links) mirrored on the accept path. *)
+    each accepted stream wrapped in the filters {!Selector.filters} gives
+    for its driver and link (AdOC on slow links, cipher on untrusted
+    links), the same decision the connector's selector made. *)
 
 val connect : t -> src:Simnet.Node.t -> dst:Simnet.Node.t -> port:int ->
   Vlink.Vl.t

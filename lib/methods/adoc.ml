@@ -1,21 +1,16 @@
 module Bytebuf = Engine.Bytebuf
 
 type t = {
-  chunk : int;
   link_bandwidth_bps : float;
   mutable ratio : float; (* moving average of compressed/original *)
 }
 
 type decision = Compress | Pass
 
-let create ?(chunk = 16_384) ~link_bandwidth_bps () =
-  if chunk <= 0 then invalid_arg "Adoc.create: chunk must be positive";
-  (* Optimistic prior: assume data halves until observations say otherwise,
-     so slow links start compressing and adapt away if the data proves
-     incompressible. *)
-  { chunk; link_bandwidth_bps; ratio = 0.5 }
-
-let chunk_size t = t.chunk
+(* Optimistic prior: assume data halves until observations say otherwise,
+   so slow links start compressing and adapt away if the data proves
+   incompressible. *)
+let create ~link_bandwidth_bps = { link_bandwidth_bps; ratio = 0.5 }
 
 let recent_ratio t = t.ratio
 
@@ -35,79 +30,35 @@ let observe t ~original ~compressed =
     t.ratio <- (0.75 *. t.ratio) +. (0.25 *. r)
   end
 
-let frame_header_len = 5
+let overhead = 1
 
-let frame flag body =
-  let len = Bytebuf.length body in
-  let out = Bytebuf.create (frame_header_len + len) in
+let body flag payload =
+  let len = Bytebuf.length payload in
+  let out = Bytebuf.create (overhead + len) in
   Bytebuf.set_u8 out 0 flag;
-  Bytebuf.set_u32 out 1 len;
-  Bytebuf.blit ~src:body ~src_off:0 ~dst:out ~dst_off:frame_header_len ~len;
+  Bytebuf.blit ~src:payload ~src_off:0 ~dst:out ~dst_off:overhead ~len;
   out
 
 let encode t chunk =
   match decide t with
-  | Pass -> (frame 0 chunk, Pass)
+  | Pass -> (body 0 chunk, Pass)
   | Compress ->
     let packed = Lz.compress chunk in
     observe t ~original:(Bytebuf.length chunk)
       ~compressed:(Bytebuf.length packed);
-    if Bytebuf.length packed >= Bytebuf.length chunk then (frame 0 chunk, Pass)
-    else (frame 1 packed, Compress)
+    if Bytebuf.length packed >= Bytebuf.length chunk then
+      (body 0 chunk, Compress)
+    else (body 1 packed, Compress)
 
-module Decoder = struct
-  type d = {
-    mutable acc : Bytebuf.t list; (* reversed pending slices *)
-    mutable acc_len : int;
-    mutable inflated : int;
-  }
-
-  let create () = { acc = []; acc_len = 0; inflated = 0 }
-
-  let pending_bytes d = d.acc_len
-
-  let decompressed_chunks d = d.inflated
-
-  let feed d slice =
-    d.acc <- slice :: d.acc;
-    d.acc_len <- d.acc_len + Bytebuf.length slice;
-    (* Work on a contiguous view; keep the tail for next time. *)
-    let buf = Bytebuf.concat (List.rev d.acc) in
-    let out = ref [] in
-    let pos = ref 0 in
-    let total = Bytebuf.length buf in
-    let continue = ref true in
-    while !continue do
-      if total - !pos < frame_header_len then continue := false
-      else begin
-        let flag = Bytebuf.get_u8 buf !pos in
-        let len = Bytebuf.get_u32 buf (!pos + 1) in
-        if flag <> 0 && flag <> 1 then
-          invalid_arg "Adoc.Decoder: corrupt frame flag";
-        if total - !pos - frame_header_len < len then continue := false
-        else begin
-          let body = Bytebuf.sub buf (!pos + frame_header_len) len in
-          let chunk =
-            if flag = 1 then begin
-              d.inflated <- d.inflated + 1;
-              Lz.decompress body
-            end
-            else body
-          in
-          out := chunk :: !out;
-          pos := !pos + frame_header_len + len
-        end
-      end
-    done;
-    if !pos = 0 then begin
-      (* Nothing complete: keep the concatenated view to bound list growth. *)
-      d.acc <- [ buf ];
-      d.acc_len <- total
-    end
-    else begin
-      let rest = Bytebuf.sub buf !pos (total - !pos) in
-      d.acc <- (if Bytebuf.length rest = 0 then [] else [ rest ]);
-      d.acc_len <- Bytebuf.length rest
-    end;
-    List.rev !out
-end
+let decode b =
+  let n = Bytebuf.length b in
+  if n < overhead then Error "Adoc: empty body"
+  else
+    let payload = Bytebuf.sub b overhead (n - overhead) in
+    match Bytebuf.get_u8 b 0 with
+    | 0 -> Ok (payload, Pass)
+    | 1 -> (
+      match Lz.decompress payload with
+      | chunk -> Ok (chunk, Compress)
+      | exception Invalid_argument e -> Error e)
+    | f -> Error (Printf.sprintf "Adoc: corrupt flag %d" f)

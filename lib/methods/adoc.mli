@@ -4,17 +4,16 @@
     skipped automatically, on slow links it multiplies the effective
     bandwidth of compressible data.
 
-    This module is the pure part: framing and the adaptation policy. The
-    {!Vl_adoc} VLink driver wires it to a transport. *)
+    This module is the pure part: the per-chunk body and the adaptation
+    policy. {!Vlink.Vl_filter.adoc} frames the bodies and wires them to a
+    transport. *)
 
 (** Per-chunk decision state. *)
 type t
 
-val create : ?chunk:int -> link_bandwidth_bps:float -> unit -> t
-(** [chunk] is the compression block size (default 16 KiB);
-    [link_bandwidth_bps] the estimated drain rate of the underlying link. *)
-
-val chunk_size : t -> int
+val create : link_bandwidth_bps:float -> t
+(** [link_bandwidth_bps] is the estimated drain rate of the underlying
+    link. *)
 
 type decision = Compress | Pass
 
@@ -30,29 +29,18 @@ val observe : t -> original:int -> compressed:int -> unit
 val recent_ratio : t -> float
 (** compressed/original moving average (optimistic 0.5 prior). *)
 
-(** {1 Framing} *)
+(** {1 Bodies} *)
 
-val encode :
-  t -> Engine.Bytebuf.t -> Engine.Bytebuf.t * decision
-(** Frame one chunk: [u8 flag | u32 len | body]. When [Compress] is chosen
-    but the output would be larger than the input, the frame silently falls
-    back to [Pass] (flag says which). *)
+val encode : t -> Engine.Bytebuf.t -> Engine.Bytebuf.t * decision
+(** Encode one chunk as [u8 flag | payload]. [Compress] says the
+    compressor ran; when its output would be larger than the input, the
+    body still carries the raw chunk (the flag says which). *)
 
-val frame_header_len : int
+val decode :
+  Engine.Bytebuf.t -> (Engine.Bytebuf.t * decision, string) result
+(** The chunk a body carries, and [Compress] when it had to be inflated.
+    [Error] on an empty body, an unknown flag or a corrupt compressed
+    payload. *)
 
-(** Stateful decoder for the receiving side: feed arbitrary stream slices,
-    get decoded chunks out. *)
-module Decoder : sig
-  type d
-
-  val create : unit -> d
-
-  val feed : d -> Engine.Bytebuf.t -> Engine.Bytebuf.t list
-  (** Returns the plaintext chunks completed by this input slice, in
-      order. Raises [Invalid_argument] on corrupt framing. *)
-
-  val pending_bytes : d -> int
-
-  val decompressed_chunks : d -> int
-  (** Number of chunks that arrived compressed (ablation metric). *)
-end
+val overhead : int
+(** Bytes a body adds to its chunk at most (the flag). *)

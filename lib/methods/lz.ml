@@ -109,8 +109,11 @@ let decompress (src : Bytebuf.t) =
     lor (Bytebuf.get_u8 src 2 lsl 16)
     lor (Bytebuf.get_u8 src 3 lsl 24)
   in
-  let out = Bytebuf.create n in
   let len = Bytebuf.length src in
+  (* A corrupt header must not size the output: no item yields more than
+     [max_match] bytes per input byte. *)
+  if n > len * max_match then invalid_arg "Lz.decompress: corrupt length";
+  let out = Bytebuf.create n in
   let pos = ref 4 in
   let opos = ref 0 in
   let byte () =

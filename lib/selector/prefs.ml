@@ -1,5 +1,4 @@
 type t = {
-  forced_driver : string option;
   pstream_on_wan : bool;
   pstream_streams : int;
   adoc_on_slow : bool;
@@ -11,7 +10,7 @@ type t = {
 }
 
 let default =
-  { forced_driver = None; pstream_on_wan = false; pstream_streams = 4;
+  { pstream_on_wan = false; pstream_streams = 4;
     adoc_on_slow = false; adoc_threshold_bps = 1e6; vrp_on_lossy = false;
     vrp_tolerance = 0.1; cipher_untrusted = true;
     cipher_key = "padico-default-key" }

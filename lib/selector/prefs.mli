@@ -3,8 +3,6 @@
     preferences"). *)
 
 type t = {
-  forced_driver : string option;
-      (** bypass selection entirely ("madio", "sysio", …) *)
   pstream_on_wan : bool;  (** stripe WAN links over parallel sockets *)
   pstream_streams : int;
   adoc_on_slow : bool;  (** online compression on slow links *)

@@ -1,18 +1,38 @@
 module Prefs = Prefs
 module Netdb = Netdb
 
+type filter =
+  | Adoc of { link_bandwidth_bps : float }
+  | Cipher of { key : string }
+
 type choice = {
   driver : string;
   segment : Simnet.Segment.t option;
   streams : int;
-  wrap_adoc : bool;
-  wrap_crypto : bool;
+  filters : filter list;
   vrp_tolerance : float;
 }
 
+(* The one wrap decision, shared by the connecting side ([choose]) and the
+   accepting side ([Padico.listen]): filters stack on the stream drivers
+   only, AdOC under the cipher so the cipher sees compressed bytes. *)
+let filters prefs (m : Simnet.Linkmodel.t) ~driver =
+  match driver with
+  | "sysio" | "pstream" ->
+    (if prefs.Prefs.adoc_on_slow
+        && m.Simnet.Linkmodel.bandwidth_bps <= prefs.Prefs.adoc_threshold_bps
+     then [ Adoc { link_bandwidth_bps = m.Simnet.Linkmodel.bandwidth_bps } ]
+     else [])
+    @
+    if prefs.Prefs.cipher_untrusted && not m.Simnet.Linkmodel.trusted then
+      [ Cipher { key = prefs.Prefs.cipher_key } ]
+    else []
+  | _ -> []
+
 let plain ?segment driver =
-  { driver; segment; streams = 1; wrap_adoc = false; wrap_crypto = false;
-    vrp_tolerance = 0.0 }
+  { driver; segment; streams = 1; filters = []; vrp_tolerance = 0.0 }
+
+let is_adoc = function Adoc _ -> true | Cipher _ -> false
 
 (* Record the decision: a selection-layer trace event on the source node and
    a global per-driver decision count in the metrics registry. [rule] names
@@ -27,7 +47,8 @@ let observe ~src ~dst ~rule choice =
       (Padico_obs.Event.Choice
          { src = Simnet.Node.name src; dst = Simnet.Node.name dst;
            driver = choice.driver; rule; streams = choice.streams;
-           adoc = choice.wrap_adoc; crypto = choice.wrap_crypto });
+           adoc = List.exists is_adoc choice.filters;
+           crypto = List.exists (fun f -> not (is_adoc f)) choice.filters });
   choice
 
 let choose ?(prefs = Prefs.default) ?(exclude = []) net ~src ~dst =
@@ -61,60 +82,41 @@ let choose ?(prefs = Prefs.default) ?(exclude = []) net ~src ~dst =
              (Simnet.Node.name src) (Simnet.Node.name dst))
     | best :: _ as links ->
       let model s = Simnet.Segment.model s in
-      (match prefs.Prefs.forced_driver with
-       | Some driver ->
-         observe ~src ~dst ~rule:"forced"
-           { (plain ~segment:best driver) with
-             streams = prefs.Prefs.pstream_streams }
+      (* Prefer a SAN when present, even if not the top bandwidth. *)
+      let san =
+        List.find_opt
+          (fun s -> (model s).Simnet.Linkmodel.class_ = Simnet.Linkmodel.San)
+          links
+      in
+      (match san with
+       | Some s -> observe ~src ~dst ~rule:"san" (plain ~segment:s "madio")
        | None ->
-         (* Prefer a SAN when present, even if not the top bandwidth. *)
-         let san =
-           List.find_opt
-             (fun s -> (model s).Simnet.Linkmodel.class_ = Simnet.Linkmodel.San)
-             links
+         let m = model best in
+         let rule, base =
+           match m.Simnet.Linkmodel.class_ with
+           | Simnet.Linkmodel.Lossy_wan when prefs.Prefs.vrp_on_lossy ->
+             ( "vrp-lossy",
+               { (plain ~segment:best "vrp") with
+                 vrp_tolerance = prefs.Prefs.vrp_tolerance } )
+           | Simnet.Linkmodel.Wan when prefs.Prefs.pstream_on_wan ->
+             ( "pstream-wan",
+               { (plain ~segment:best "pstream") with
+                 streams = prefs.Prefs.pstream_streams } )
+           | Simnet.Linkmodel.San | Simnet.Linkmodel.Lan
+           | Simnet.Linkmodel.Wan | Simnet.Linkmodel.Lossy_wan
+           | Simnet.Linkmodel.Loop ->
+             ("default", plain ~segment:best "sysio")
          in
-         (match san with
-          | Some s -> observe ~src ~dst ~rule:"san" (plain ~segment:s "madio")
-          | None ->
-            let m = model best in
-            let slow =
-              m.Simnet.Linkmodel.bandwidth_bps <= prefs.Prefs.adoc_threshold_bps
-            in
-            let rule, base =
-              match m.Simnet.Linkmodel.class_ with
-              | Simnet.Linkmodel.Lossy_wan when prefs.Prefs.vrp_on_lossy ->
-                ( "vrp-lossy",
-                  { (plain ~segment:best "vrp") with
-                    vrp_tolerance = prefs.Prefs.vrp_tolerance } )
-              | Simnet.Linkmodel.Wan when prefs.Prefs.pstream_on_wan ->
-                ( "pstream-wan",
-                  { (plain ~segment:best "pstream") with
-                    streams = prefs.Prefs.pstream_streams } )
-              | Simnet.Linkmodel.San | Simnet.Linkmodel.Lan
-              | Simnet.Linkmodel.Wan | Simnet.Linkmodel.Lossy_wan
-              | Simnet.Linkmodel.Loop ->
-                ("default", plain ~segment:best "sysio")
-            in
-            let base =
-              if prefs.Prefs.adoc_on_slow && slow && base.driver <> "vrp" then
-                { base with wrap_adoc = true }
-              else base
-            in
-            let choice =
-              if prefs.Prefs.cipher_untrusted
-                 && (not m.Simnet.Linkmodel.trusted)
-                 && base.driver <> "vrp"
-              then { base with wrap_crypto = true }
-              else base
-            in
-            observe ~src ~dst ~rule choice))
+         observe ~src ~dst ~rule
+           { base with filters = filters prefs m ~driver:base.driver })
   end
 
 let pp_choice fmt c =
-  Format.fprintf fmt "%s%s%s%s%s" c.driver
+  Format.fprintf fmt "%s%s%s%s" c.driver
     (match c.segment with
      | Some s -> Printf.sprintf " via %s" (Simnet.Segment.name s)
      | None -> "")
     (if c.streams > 1 then Printf.sprintf " x%d" c.streams else "")
-    (if c.wrap_adoc then " +adoc" else "")
-    (if c.wrap_crypto then " +crypto" else "")
+    (String.concat ""
+       (List.map (fun f -> if is_adoc f then " +adoc" else " +crypto")
+          c.filters))

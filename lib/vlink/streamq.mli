@@ -1,5 +1,5 @@
 (** In-memory byte-stream queue shared by memory-backed VLink drivers
-    (MadIO, loopback, parallel streams, AdOC, VRP). Chunks in, bounded
+    (MadIO, loopback, parallel streams, filters, VRP). Chunks in, bounded
     byte reads out, without copying.
 
     A queue optionally carries high/low watermarks used by flow control:

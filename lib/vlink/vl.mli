@@ -9,7 +9,7 @@
     this interface.
 
     Concrete transports are {e VLink drivers} (Vl_sysio, Vl_madio,
-    {!Vl_loopback}, {!Vl_pstream}, {!Vl_adoc}, {!Vl_vrp}, {!Vl_crypto}):
+    {!Vl_loopback}, {!Vl_pstream}, {!Vl_vrp}, {!Vl_filter}):
     they provide the byte-stream [ops] and raise events; this module owns
     request queues and completion logic. *)
 

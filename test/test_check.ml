@@ -387,13 +387,14 @@ let prop_selector_decision_table =
          let slow =
            m.Linkmodel.bandwidth_bps <= prefs.Prefs.adoc_threshold_bps
          in
+         let has f = List.exists f c.Selector.filters in
          let adoc_ok =
-           c.Selector.wrap_adoc
+           has (function Selector.Adoc _ -> true | Selector.Cipher _ -> false)
            = (wrapped && prefs.Prefs.adoc_on_slow && slow
               && c.Selector.driver <> "vrp")
          in
          let crypto_ok =
-           c.Selector.wrap_crypto
+           has (function Selector.Cipher _ -> true | Selector.Adoc _ -> false)
            = (wrapped && prefs.Prefs.cipher_untrusted
               && (not m.Linkmodel.trusted)
               && c.Selector.driver <> "vrp")
@@ -407,8 +408,7 @@ let prop_selector_decision_table =
                  Simnet.Segment.uid s2 = Simnet.Segment.uid s1
                | None, None -> true
                | _ -> false)
-           && c2.Selector.wrap_adoc = c.Selector.wrap_adoc
-           && c2.Selector.wrap_crypto = c.Selector.wrap_crypto
+           && c2.Selector.filters = c.Selector.filters
          in
          chosen_usable && driver_ok && san_pref_ok && adoc_ok && crypto_ok
          && stable)

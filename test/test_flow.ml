@@ -500,21 +500,25 @@ let test_resilient_flow_fault_compose () =
 (* ---------- QCheck properties ---------- *)
 
 (* Random producer/consumer rate schedules over a small bounded pipe with
-   a crypto adapter on top (watermarks engaged): no byte is lost or
-   reordered, and every writer — blocking or EAGAIN-style — completes. *)
+   a filter adapter on top, AdOC or the cipher (watermarks engaged; the
+   4 KB pipe is where a silly-window writer could stall): no byte is lost
+   or reordered, and every writer — blocking or EAGAIN-style — completes. *)
 let prop_no_loss_no_reorder =
   QCheck.Test.make ~name:"random rate schedules: no loss, no reorder"
     ~count:12
-    QCheck.(pair (int_bound 100_000) bool)
-    (fun (seed, nonblock_writer) ->
+    QCheck.(triple (int_bound 100_000) bool bool)
+    (fun (seed, nonblock_writer, adoc) ->
       let rng = Random.State.make [| seed; 0x5eed |] in
       let total = 2_000 + Random.State.int rng 30_000 in
       let net = Simnet.Net.create () in
       let a = Simnet.Net.add_node net "a" in
       let pa, pb = bounded_pipe a ~cap:4096 in
-      let key = Methods.Crypto.key_of_string "prop" in
-      let wa = Vlink.Vl_crypto.wrap ~rx_high:2048 ~key pa in
-      let wb = Vlink.Vl_crypto.wrap ~rx_high:2048 ~key pb in
+      let codec () =
+        if adoc then Vlink.Vl_filter.adoc ~link_bandwidth_bps:56e3
+        else Vlink.Vl_filter.cipher ~key:(Methods.Crypto.key_of_string "prop")
+      in
+      let wa = Vlink.Vl_filter.wrap ~rx_high:2048 (codec ()) pa in
+      let wb = Vlink.Vl_filter.wrap ~rx_high:2048 (codec ()) pb in
       let writer =
         Simnet.Node.spawn a (fun () ->
             let sent = ref 0 in

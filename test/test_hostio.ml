@@ -201,13 +201,15 @@ let test_abort_rst () =
 
 (* A VLink request/response over the full stack — selector, SysIO,
    NetAccess arbitration — on real sockets. *)
-let test_host_backend_roundtrip () =
-  let grid = Padico.create ~backend:Padico.Host () in
+let host_roundtrip ?prefs model =
+  let grid = Padico.create ?prefs ~backend:Padico.Host () in
   let a = Padico.add_node grid "a" in
   let b = Padico.add_node grid "b" in
-  ignore (Padico.add_segment grid Simnet.Presets.ethernet100 [ a; b ]);
+  ignore (Padico.add_segment grid model [ a; b ]);
   let got = ref "" in
+  let accepted = ref "none" in
   Padico.listen grid b ~port:4000 (fun vl ->
+      accepted := Vlink.Vl.driver_name vl;
       ignore
         (Padico.spawn grid b ~name:"server" (fun () ->
              let buf = Bb.create 64 in
@@ -234,7 +236,19 @@ let test_host_backend_roundtrip () =
          Vlink.Vl.close vl));
   Padico.run grid ~until:(Time.sec 30);
   Tutil.check_string "server got" "ping" !got;
-  Tutil.check_string "client reply" "pong" !reply
+  Tutil.check_string "client reply" "pong" !reply;
+  Tutil.check_string "both ends stack the same filters"
+    (Vlink.Vl.driver_name vl) !accepted
+
+let test_host_backend_roundtrip () = host_roundtrip Simnet.Presets.ethernet100
+
+(* The selector's VRP choice has no host transport and lands on the SysIO
+   listener, which ciphers the untrusted link: the remapped connector
+   must cipher too. *)
+let test_host_remap_stacks_listener_filters () =
+  host_roundtrip
+    ~prefs:{ Selector.Prefs.default with Selector.Prefs.vrp_on_lossy = true }
+    (Simnet.Presets.transcontinental_loss 0.0)
 
 (* A fault-plan "link down" must kill the real sockets riding that
    segment: the host conns subscribe to segment link state and reset. *)
@@ -371,6 +385,8 @@ let () =
       ( "backend",
         [ Alcotest.test_case "Padico round-trip on host" `Quick
             test_host_backend_roundtrip;
+          Alcotest.test_case "remapped choice stacks the listener's filters"
+            `Quick test_host_remap_stacks_listener_filters;
           Alcotest.test_case "link-down resets host sockets" `Quick
             test_host_link_down;
           Alcotest.test_case "watched connection owns one readiness source"

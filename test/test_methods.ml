@@ -42,7 +42,15 @@ let test_lz_corrupt_rejected () =
     (try
        ignore (Lz.decompress truncated);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A header claiming more than the input can describe is refused before
+     the output is allocated. *)
+  let inflated = Bb.of_string "\x40\x42\x0f\x00\x00" (* 1_000_000 *) in
+  Tutil.check_bool "oversized length rejected" true
+    (try
+       ignore (Lz.decompress inflated);
+       false
+     with Invalid_argument m -> m = "Lz.decompress: corrupt length")
 
 let prop_lz_roundtrip =
   QCheck.Test.make ~name:"lz decompress(compress(x)) = x" ~count:200
@@ -65,57 +73,64 @@ let prop_lz_repetitive_shrinks =
 
 let test_adoc_pass_on_fast_link () =
   (* 250 MB/s link: the 20 MB/s compressor can never keep up. *)
-  let t = Adoc.create ~link_bandwidth_bps:250e6 () in
+  let t = Adoc.create ~link_bandwidth_bps:250e6 in
   Tutil.check_bool "fast link passes" true (Adoc.decide t = Adoc.Pass)
 
 let test_adoc_compress_on_slow_link () =
-  let t = Adoc.create ~link_bandwidth_bps:56e3 () in
+  let t = Adoc.create ~link_bandwidth_bps:56e3 in
   Tutil.check_bool "slow link compresses" true (Adoc.decide t = Adoc.Compress)
 
 let test_adoc_adapts_to_incompressible () =
-  let t = Adoc.create ~link_bandwidth_bps:15e6 () in
+  let t = Adoc.create ~link_bandwidth_bps:15e6 in
   (* Ratio ~1 on a link close to compressor speed: passing wins. *)
   for _ = 1 to 10 do
     Adoc.observe t ~original:1000 ~compressed:990
   done;
   Tutil.check_bool "incompressible data passes" true (Adoc.decide t = Adoc.Pass)
 
+(* The stacked-filter framer over AdOC bodies: frames fed in awkward
+   slices come back whole, in order. *)
 let test_adoc_frame_roundtrip () =
-  let t = Adoc.create ~link_bandwidth_bps:56e3 () in
-  let d = Adoc.Decoder.create () in
+  let codec = Vlink.Vl_filter.adoc ~link_bandwidth_bps:56e3 in
+  let d = Vlink.Vl_filter.framer codec in
   let chunk1 = Bb.create 5_000 (* zeros: compressible *) in
   let rng = Engine.Rng.create 1 in
   let chunk2 = Bb.create 3_000 in
   Bb.fill_random chunk2 rng;
-  let f1, _ = Adoc.encode t chunk1 in
-  let f2, _ = Adoc.encode t chunk2 in
+  let f1, _ = Vlink.Vl_filter.frame codec chunk1 in
+  let f2, _ = Vlink.Vl_filter.frame codec chunk2 in
   let stream = Bb.concat [ f1; f2 ] in
   (* Feed in awkward slices. *)
   let outputs = ref [] in
   let pos = ref 0 in
   while !pos < Bb.length stream do
     let n = min 1_234 (Bb.length stream - !pos) in
-    outputs := !outputs @ Adoc.Decoder.feed d (Bb.sub stream !pos n);
+    (match Vlink.Vl_filter.feed d (Bb.sub stream !pos n) with
+     | Ok (chunks, _) -> outputs := !outputs @ chunks
+     | Error e -> Alcotest.fail e);
     pos := !pos + n
   done;
   match !outputs with
   | [ o1; o2 ] ->
     Tutil.check_bool "chunk1" true (Bb.equal chunk1 o1);
     Tutil.check_bool "chunk2" true (Bb.equal chunk2 o2);
-    Tutil.check_int "nothing pending" 0 (Adoc.Decoder.pending_bytes d)
+    Tutil.check_int "nothing pending" 0 (Vlink.Vl_filter.pending d)
   | l -> Alcotest.failf "expected 2 chunks, got %d" (List.length l)
 
 let test_adoc_compressed_flag_fallback () =
   (* Incompressible chunk under Compress decision falls back to Pass. *)
-  let t = Adoc.create ~link_bandwidth_bps:56e3 () in
+  let t = Adoc.create ~link_bandwidth_bps:56e3 in
   let rng = Engine.Rng.create 2 in
   let chunk = Bb.create 2_000 in
   Bb.fill_random chunk rng;
-  let frame, decision = Adoc.encode t chunk in
+  let body, decision = Adoc.encode t chunk in
   ignore decision;
-  (* Whatever the decision, the frame must not be much larger than input. *)
+  (* Whatever the decision, the body must not be much larger than input. *)
   Tutil.check_bool "no blowup" true
-    (Bb.length frame <= Bb.length chunk + Adoc.frame_header_len)
+    (Bb.length body <= Bb.length chunk + Adoc.overhead);
+  match Adoc.decode body with
+  | Ok (out, _) -> Tutil.check_bool "decodes" true (Bb.equal chunk out)
+  | Error e -> Alcotest.fail e
 
 (* ---------- Crypto ---------- *)
 

@@ -4,6 +4,12 @@ module Lm = Simnet.Linkmodel
 
 let choice ?prefs net ~src ~dst = Sel.choose ?prefs net ~src ~dst
 
+let has_adoc c =
+  List.exists (function Sel.Adoc _ -> true | Sel.Cipher _ -> false) c.Sel.filters
+
+let has_cipher c =
+  List.exists (function Sel.Cipher _ -> true | Sel.Adoc _ -> false) c.Sel.filters
+
 let test_same_node_loopback () =
   let net = Simnet.Net.create () in
   let a = Simnet.Net.add_node net "a" in
@@ -29,13 +35,13 @@ let test_lan_plain_sysio () =
   let c = choice net ~src:a ~dst:b in
   Tutil.check_string "sysio" "sysio" c.Sel.driver;
   Tutil.check_bool "no wraps on a trusted LAN" true
-    ((not c.Sel.wrap_adoc) && not c.Sel.wrap_crypto)
+    (c.Sel.filters = [])
 
 let test_wan_pstream_when_enabled () =
   let net, a, b, _ = Tutil.pair Simnet.Presets.vthd in
   let c = choice net ~src:a ~dst:b in
   Tutil.check_string "plain prefs: sysio" "sysio" c.Sel.driver;
-  Tutil.check_bool "untrusted gets cipher" true c.Sel.wrap_crypto;
+  Tutil.check_bool "untrusted gets cipher" true (has_cipher c);
   let c =
     choice
       ~prefs:{ Prefs.default with Prefs.pstream_on_wan = true; pstream_streams = 6 }
@@ -61,32 +67,63 @@ let test_adoc_on_slow_links_only () =
   in
   let net, a, b, _ = Tutil.pair Simnet.Presets.modem in
   let c = choice ~prefs net ~src:a ~dst:b in
-  Tutil.check_bool "modem gets adoc" true c.Sel.wrap_adoc;
+  Tutil.check_bool "modem gets adoc" true (has_adoc c);
   let net, a, b, _ = Tutil.pair Simnet.Presets.ethernet100 in
   let c = choice ~prefs net ~src:a ~dst:b in
-  Tutil.check_bool "fast LAN does not" false c.Sel.wrap_adoc
+  Tutil.check_bool "fast LAN does not" false (has_adoc c)
 
 let test_security_adaptation () =
   (* "if the network is secure, it is useless to cipher data" *)
   let net, a, b, _ = Tutil.pair Simnet.Presets.ethernet100 in
   let c = choice net ~src:a ~dst:b in
-  Tutil.check_bool "trusted: no cipher" false c.Sel.wrap_crypto;
+  Tutil.check_bool "trusted: no cipher" false (has_cipher c);
   let net, a, b, _ = Tutil.pair Simnet.Presets.vthd in
   let c = choice net ~src:a ~dst:b in
-  Tutil.check_bool "untrusted: cipher" true c.Sel.wrap_crypto;
+  Tutil.check_bool "untrusted: cipher" true (has_cipher c);
   let c =
     choice ~prefs:{ Prefs.default with Prefs.cipher_untrusted = false } net
       ~src:a ~dst:b
   in
-  Tutil.check_bool "disabled by prefs" false c.Sel.wrap_crypto
+  Tutil.check_bool "disabled by prefs" false (has_cipher c)
 
-let test_forced_driver () =
-  let net, a, b, _ = Tutil.pair Simnet.Presets.myrinet2000 in
-  let c =
-    choice ~prefs:{ Prefs.default with Prefs.forced_driver = Some "sysio" } net
-      ~src:a ~dst:b
+(* The wrap decision is made once for both ends: on every preset, under
+   every preference set, the accepted descriptor stacks what the
+   connector stacked. *)
+let test_accept_matches_connect () =
+  let presets =
+    Simnet.Presets.
+      [ myrinet2000; ethernet100; vthd; transcontinental; modem ]
   in
-  Tutil.check_string "forced" "sysio" c.Sel.driver
+  List.iter
+    (fun (pname, prefs) ->
+       List.iter
+         (fun model ->
+            let grid, a, b, _ = Tutil.grid_pair ~prefs model in
+            let accepted = ref "none" and dialled = ref "none" in
+            Padico.listen grid b ~port:5000 (fun vl ->
+                accepted := Vlink.Vl.driver_name vl);
+            let h =
+              Padico.spawn grid a ~name:"dial" (fun () ->
+                  let vl = Padico.connect grid ~src:a ~dst:b ~port:5000 in
+                  (match Vlink.Vl.await_connected vl with
+                   | Ok () -> ()
+                   | Error e -> failwith e);
+                  dialled := Vlink.Vl.driver_name vl;
+                  (* Data, then close: VRP's server side appears with its
+                     first datagram, which its pacer flushes on close. *)
+                  ignore
+                    (Vlink.Vl.await
+                       (Vlink.Vl.post_write vl (Engine.Bytebuf.create 4_096)));
+                  Vlink.Vl.close vl)
+            in
+            Tutil.run_grid ~until:(Engine.Time.sec 60) grid;
+            Tutil.assert_done h;
+            Tutil.check_string
+              (Printf.sprintf "%s over %s" pname model.Lm.name)
+              !dialled !accepted)
+         presets)
+    [ ("default", Prefs.default); ("wan_optimized", Prefs.wan_optimized);
+      ("bare", Padico_check.Conform.bare_prefs) ]
 
 let test_no_common_network_fails () =
   let net = Simnet.Net.create () in
@@ -117,7 +154,8 @@ let () =
            test_adoc_on_slow_links_only;
          Alcotest.test_case "security adaptation" `Quick
            test_security_adaptation;
-         Alcotest.test_case "forced driver" `Quick test_forced_driver;
+         Alcotest.test_case "accepted stack = connector's" `Quick
+           test_accept_matches_connect;
          Alcotest.test_case "no common network" `Quick
            test_no_common_network_fails;
          Alcotest.test_case "wan_optimized preset" `Quick

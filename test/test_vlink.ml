@@ -227,8 +227,9 @@ let test_adoc_wrap_roundtrip () =
   let net = Simnet.Net.create () in
   let a = Simnet.Net.add_node net "a" in
   let inner_a, inner_b = Vlink.Vl_loopback.pair a in
-  let va = Vlink.Vl_adoc.wrap ~link_bandwidth_bps:56e3 inner_a in
-  let vb = Vlink.Vl_adoc.wrap ~link_bandwidth_bps:56e3 inner_b in
+  let adoc () = Vlink.Vl_filter.adoc ~link_bandwidth_bps:56e3 in
+  let va = Vlink.Vl_filter.wrap (adoc ()) inner_a in
+  let vb = Vlink.Vl_filter.wrap (adoc ()) inner_b in
   let msg = Bb.create 100_000 (* zeros: compressible *) in
   let ok = ref false in
   let h =
@@ -249,17 +250,49 @@ let test_crypto_wrap_wrong_key_fails () =
   let net = Simnet.Net.create () in
   let a = Simnet.Net.add_node net "a" in
   let inner_a, inner_b = Vlink.Vl_loopback.pair a in
-  let va =
-    Vlink.Vl_crypto.wrap ~key:(Methods.Crypto.key_of_string "k1") inner_a
+  let cipher k =
+    Vlink.Vl_filter.cipher ~key:(Methods.Crypto.key_of_string k)
   in
-  let vb =
-    Vlink.Vl_crypto.wrap ~key:(Methods.Crypto.key_of_string "k2") inner_b
-  in
+  let va = Vlink.Vl_filter.wrap (cipher "k1") inner_a in
+  let vb = Vlink.Vl_filter.wrap (cipher "k2") inner_b in
   let failed = ref false in
   Vl.on_event vb (function Vl.Failed _ -> failed := true | _ -> ());
   ignore (Vl.post_write va (Bb.of_string "secret data"));
   Tutil.run_net net;
   Tutil.check_bool "key mismatch detected" true !failed
+
+(* Raw bytes written under one filter end: a corrupt frame fails the
+   descriptor (its pending read completes with an error) instead of
+   escaping the run, whatever the codec. *)
+let test_corrupt_frame_fails () =
+  let u32 n =
+    let b = Bb.create 4 in
+    Bb.set_u32 b 0 n;
+    b
+  in
+  let bad_flag = Bb.concat [ u32 5; Bb.of_string "\007abcd" ] in
+  let bad_length = Bb.concat [ u32 0x7fff_fff0; Bb.of_string "abcd" ] in
+  let adoc () = Vlink.Vl_filter.adoc ~link_bandwidth_bps:56e3 in
+  let cipher () =
+    Vlink.Vl_filter.cipher ~key:(Methods.Crypto.key_of_string "k")
+  in
+  List.iter
+    (fun (name, codec, raw) ->
+       let net = Simnet.Net.create () in
+       let a = Simnet.Net.add_node net "a" in
+       let inner_a, inner_b = Vlink.Vl_loopback.pair a in
+       let vb = Vlink.Vl_filter.wrap (codec ()) inner_b in
+       let failed = ref false in
+       Vl.on_event vb (function Vl.Failed _ -> failed := true | _ -> ());
+       let read = Vl.post_read vb (Bb.create 64) in
+       ignore (Vl.post_write inner_a raw);
+       Tutil.run_net net;
+       Tutil.check_bool (name ^ ": descriptor failed") true !failed;
+       Tutil.check_bool (name ^ ": read completes with an error") true
+         (match Vl.poll read with Some (Vl.Error _) -> true | _ -> false))
+    [ ("adoc bad flag", adoc, bad_flag);
+      ("adoc bad length", adoc, bad_length);
+      ("crypto bad length", cipher, bad_length) ]
 
 let () =
   Alcotest.run "vlink"
@@ -285,5 +318,7 @@ let () =
       ("adapters",
        [ Alcotest.test_case "adoc stacking" `Quick test_adoc_wrap_roundtrip;
          Alcotest.test_case "crypto key mismatch" `Quick
-           test_crypto_wrap_wrong_key_fails ]);
+           test_crypto_wrap_wrong_key_fails;
+         Alcotest.test_case "corrupt frame fails the descriptor" `Quick
+           test_corrupt_frame_fails ]);
     ]
