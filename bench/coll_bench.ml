@@ -6,7 +6,12 @@
    crossing per rank outside the root's island, the multilevel strategy one
    per cluster per phase. Payload delivered is cross-checked between the two
    strategies (checksums must agree), and the broadcast WAN-message
-   reduction is asserted to be at least an order of magnitude. *)
+   reduction is asserted to be at least an order of magnitude. Each Group
+   WAN message goes to TCP as one gather-write, so a multilevel run's WAN
+   segments per Group WAN message (ACKs, window updates and connection
+   set-up included) stay near twice the MSS-sized segments its bytes need:
+   15.7 for messages of 6.5 KB on average. The bound [max_frames_per_msg]
+   leaves 2x of that; one segment per packed piece read 259. *)
 
 module Bb = Engine.Bytebuf
 module Group = Collectives.Group
@@ -16,6 +21,7 @@ let clusters = 8
 let per_cluster = 128
 let payload = 4096 (* bcast / reduce / allreduce *)
 let chunk = 64 (* per-rank gather / scatter *)
+let max_frames_per_msg = 32.0
 
 let pattern n seed =
   let b = Bb.create n in
@@ -25,6 +31,7 @@ let pattern n seed =
 type meas = {
   msgs : int;  (* Group-level WAN crossings *)
   bytes : int;
+  frames : int;  (* WAN segments, ACKs included *)
   sum : int;  (* checksum of payload delivered, summed over ranks *)
   ns : int;  (* virtual completion time *)
 }
@@ -37,6 +44,7 @@ let engine = ref Bhelp.no_engine_cost
 let measure g nodes groups label body =
   let gm0 = groups.(0) in
   let m0 = Group.wan_messages gm0 and b0 = Group.wan_bytes gm0 in
+  let f0 = Simnet.Segment.frames_sent g.Gridgen.wan in
   let t0 = Padico.now g.Gridgen.grid in
   let sum = ref 0 in
   (* Completion = when the last rank's operation finished, not when the
@@ -59,6 +67,7 @@ let measure g nodes groups label body =
   Array.iter Scenario.fail_on_error hs;
   { msgs = Group.wan_messages gm0 - m0;
     bytes = Group.wan_bytes gm0 - b0;
+    frames = Simnet.Segment.frames_sent g.Gridgen.wan - f0;
     sum = !sum;
     ns = !t1 - t0 }
 
@@ -129,8 +138,9 @@ let run () =
   let flat = run_strategy Group.Flat "flat" in
   let ml = run_strategy Group.Multilevel "ml" in
   Printf.printf
-    "%-10s %11s %12s %11s %12s %9s %9s\n"
-    "op" "flat msgs" "flat bytes" "ml msgs" "ml bytes" "msg x" "time x";
+    "%-10s %11s %12s %11s %12s %8s %9s %9s\n"
+    "op" "flat msgs" "flat bytes" "ml msgs" "ml bytes" "ml segs" "msg x"
+    "time x";
   List.iter2
     (fun (op, f) (op', m) ->
        assert (op = op');
@@ -141,8 +151,8 @@ let run () =
          exit 1
        end;
        let ratio a b = if b = 0 then Float.nan else float_of_int a /. float_of_int b in
-       Printf.printf "%-10s %11d %12d %11d %12d %9.1f %9.2f\n" op f.msgs
-         f.bytes m.msgs m.bytes
+       Printf.printf "%-10s %11d %12d %11d %12d %8d %9.1f %9.2f\n" op f.msgs
+         f.bytes m.msgs m.bytes m.frames
          (ratio f.msgs m.msgs)
          (ratio f.ns m.ns);
        Bhelp.record ~experiment:"e13" (op ^ ".flat.wan_msgs")
@@ -161,6 +171,15 @@ let run () =
   let byte_ratio =
     float_of_int f_bcast.bytes /. float_of_int (max 1 m_bcast.bytes)
   in
+  let ml_total f = List.fold_left (fun a (_, m) -> a + f m) 0 ml in
+  let frames_per_msg =
+    float_of_int (ml_total (fun m -> m.frames))
+    /. float_of_int (max 1 (ml_total (fun m -> m.msgs)))
+  in
+  Printf.printf
+    "\nmultilevel WAN: %d segments for %d messages (%.2f per message)\n"
+    (ml_total (fun m -> m.frames)) (ml_total (fun m -> m.msgs)) frames_per_msg;
+  Bhelp.record ~experiment:"e13" "wan_frames_per_msg" frames_per_msg;
   print_newline ();
   Bhelp.report_engine_cost ~experiment:"e13" !engine;
   Bhelp.record ~experiment:"e13" "bcast.wan_msg_ratio" msg_ratio;
@@ -172,5 +191,11 @@ let run () =
     Printf.eprintf
       "e13: multilevel broadcast must cut WAN traffic >= 10x (got %.1fx msgs, %.1fx bytes)\n"
       msg_ratio byte_ratio;
+    exit 1
+  end;
+  if frames_per_msg > max_frames_per_msg then begin
+    Printf.eprintf
+      "e13: a Group WAN message must cost <= %.0f WAN segments (got %.2f)\n"
+      max_frames_per_msg frames_per_msg;
     exit 1
   end

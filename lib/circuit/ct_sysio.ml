@@ -51,17 +51,25 @@ type tx_state = {
   mutable established : bool;
 }
 
+(* One gather-write per flush: everything queued that fits the send
+   buffer goes to the transport at once, so a message of many small packed
+   pieces leaves as MSS-sized segments, not one segment per piece. *)
 let rec tx_flush tx =
   match (tx.conn, tx.established) with
-  | Some conn, true -> (
+  | Some conn, true ->
     let space = Sysio.write_space conn in
-    match if space > 0 then Streamq.pop tx.outq ~max:space else None with
-    | Some chunk ->
-      let n = Sysio.write conn chunk in
-      (* [space] bounds the pop, so the write cannot be partial. *)
-      assert (n = Bytebuf.length chunk);
+    let rec take room acc =
+      match Streamq.pop tx.outq ~max:room with
+      | Some chunk -> take (room - Bytebuf.length chunk) (chunk :: acc)
+      | None -> (space - room, List.rev acc)
+    in
+    let len, iov = take space [] in
+    if len > 0 then begin
+      let n = Sysio.writev conn iov in
+      (* [space] bounds the pops, so the write cannot be partial. *)
+      assert (n = len);
       if not (Streamq.is_empty tx.outq) then tx_flush tx
-    | None -> ())
+    end
   | _ -> ()
 
 let bind ct sio stack ~port ~ranks =

@@ -83,6 +83,7 @@ type conn = {
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;
+  mutable retx_at : int; (* when the hole at [snd_una] was last resent *)
   mutable srtt : float;
   mutable rttvar : float;
   mutable rto : int;
@@ -194,25 +195,32 @@ let sim c = Simnet.Node.sim c.stack.snode
    occupied slot instead of one each, and fire at most one slot late. *)
 let tcp_after c ns f = ignore (Timewheel.arm c.stack.wheel ~after_ns:ns f)
 
-(* Send rings cycle through the size-classed slab pool: taken by [write],
-   returned when the last written byte is acknowledged and on close. *)
-let ring_write c ~seq (src : Bytebuf.t) ~src_off ~len =
+(* Send rings cycle through the size-classed slab pool: taken by [writev],
+   returned when the last written byte is acknowledged and on close. A
+   range of the ring is at most two blits: up to the end, then from 0. *)
+let ring_write c ~seq (src : Bytebuf.t) ~len =
   if c.sndring == no_ring then
     c.sndring <- Bytebuf.Pool.alloc_bytes c.sndbuf_cap;
-  for i = 0 to len - 1 do
-    Bytes.set c.sndring ((seq + i) mod c.sndbuf_cap)
-      (Bytebuf.get src (src_off + i))
-  done
+  let pos = seq mod c.sndbuf_cap in
+  let first = min len (c.sndbuf_cap - pos) in
+  Bytes.blit src.data src.off c.sndring pos first;
+  Bytes.blit src.data (src.off + first) c.sndring 0 (len - first)
 
 (* Bytes below [snd_una] are acknowledged and no longer in the ring (it may
    have been returned and taken again since); a go-back-N rewind re-sends
    them only as duplicates the peer discards, so they go out as zeros. *)
 let ring_read c ~seq ~len =
-  let out = Bytebuf.create len in
-  for i = max 0 (c.snd_una - seq) to len - 1 do
-    Bytebuf.set out i (Bytes.get c.sndring ((seq + i) mod c.sndbuf_cap))
-  done;
-  out
+  let out = Bytes.create len in
+  let skip = min len (max 0 (c.snd_una - seq)) in
+  Bytes.fill out 0 skip '\000';
+  let n = len - skip in
+  if n > 0 then begin
+    let pos = (seq + skip) mod c.sndbuf_cap in
+    let first = min n (c.sndbuf_cap - pos) in
+    Bytes.blit c.sndring pos out skip first;
+    Bytes.blit c.sndring 0 out (skip + first) (n - first)
+  end;
+  Bytebuf.of_bytes out
 
 let release_ring c =
   if c.sndring != no_ring then begin
@@ -414,6 +422,7 @@ let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
       snd_nxt = 1; wseq = 1; fin_pending = false; fin_seq = -1;
       cwnd = 2 * mss stack; ssthresh = 1 lsl 30;
       rwnd = default_bufsize; dupacks = 0; in_recovery = false; recover = 0;
+      retx_at = 0;
       srtt = 0.0; rttvar = 0.0; rto = initial_rto; rtt_seq = None;
       rtt_time = 0; timer_gen = 0; timer_armed = false; syn_attempts = 0;
       strikes = 0; persist_armed = false;
@@ -424,6 +433,19 @@ let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
   in
   Conn_tbl.replace stack.conns (conn_key ~lport ~rnode ~rport) c;
   c
+
+(* Smoothed RTT plus its variance margin: the RTO before its clamps. *)
+let rtt_bound c = c.srtt +. Float.max 10_000_000.0 (4.0 *. c.rttvar)
+
+(* Resend up to one MSS at the hole [snd_una]; false when nothing written
+   is left there. *)
+let resend_hole c =
+  let len = min (mss c.stack) (c.wseq - c.snd_una) in
+  if len > 0 then begin
+    send_seg c ~seq:c.snd_una (ring_read c ~seq:c.snd_una ~len);
+    c.retx_at <- Sim.now (sim c)
+  end;
+  len > 0
 
 let update_rtt c =
   match c.rtt_seq with
@@ -438,10 +460,7 @@ let update_rtt c =
       c.rttvar <- (0.75 *. c.rttvar) +. (0.25 *. Float.abs (c.srtt -. sample));
       c.srtt <- (0.875 *. c.srtt) +. (0.125 *. sample)
     end;
-    let rto =
-      int_of_float (c.srtt +. Float.max 10_000_000.0 (4.0 *. c.rttvar))
-    in
-    c.rto <- min (max rto min_rto) max_rto
+    c.rto <- min (max (int_of_float (rtt_bound c)) min_rto) max_rto
   | _ -> ()
 
 let deliver_data c (data : Bytebuf.t) =
@@ -505,10 +524,7 @@ let handle_ack c ~ackno ~wnd ~paylen =
     end
     else if c.in_recovery then begin
       (* NewReno partial ack: retransmit the next hole, deflate. *)
-      let len = min m (c.wseq - c.snd_una) in
-      if len > 0 then begin
-        let payload = ring_read c ~seq:c.snd_una ~len in
-        send_seg c ~seq:c.snd_una payload;
+      if resend_hole c then begin
         let k = counters c in
         k.partial_events <- k.partial_events + 1;
         Log.debug (fun l ->
@@ -545,18 +561,25 @@ let handle_ack c ~ackno ~wnd ~paylen =
       Log.debug (fun l ->
           l "fastrx una=%d nxt=%d cwnd=%d" c.snd_una c.snd_nxt c.cwnd);
       c.rtt_seq <- None;
-      let len = min m (c.wseq - c.snd_una) in
-      if len > 0 then begin
-        let payload = ring_read c ~seq:c.snd_una ~len in
-        send_seg c ~seq:c.snd_una payload
-      end
-      else if c.fin_seq = c.snd_una then
+      if (not (resend_hole c)) && c.fin_seq = c.snd_una then
         send_seg c ~flags:{ syn = false; ack = true; fin = true; rst = false }
           ~seq:c.snd_una (Bytebuf.create 0);
       c.cwnd <- c.ssthresh + (3 * m)
     end
     else if c.in_recovery then begin
       c.cwnd <- c.cwnd + m;
+      (* The link delivers in order and the peer ACKs every segment at
+         once, so a duplicate ACK that arrives more than an RTT bound after
+         the hole was resent answers a segment sent after it: the resent
+         segment was lost too. Resend it now, not at the RTO (200 ms at
+         least), which would stall the stream past a heartbeat monitor's
+         confirmation horizon. *)
+      if float_of_int (Sim.now (sim c) - c.retx_at) > rtt_bound c
+         && resend_hole c
+      then begin
+        let k = counters c in
+        k.fast_events <- k.fast_events + 1
+      end;
       try_output c
     end
   end;
@@ -743,21 +766,33 @@ let connect ?(sndbuf = default_bufsize) ?(rcvbuf = default_bufsize) stack ~dst
   arm_timer c;
   c
 
-let write c (buf : Bytebuf.t) =
+let write_space c = c.sndbuf_cap - (c.wseq - c.snd_una)
+
+(* Gather-write: every accepted piece is copied into the ring first, then
+   one [try_output] cuts segments from the whole run, so pieces smaller
+   than an MSS share segments instead of leaving one each. *)
+let writev c (bufs : Bytebuf.t list) =
   match c.st with
   | Closed_st -> invalid_arg "Tcp.write: connection closed"
   | Syn_sent | Syn_received | Established_st | Fin_wait | Close_wait ->
     if c.fin_pending then invalid_arg "Tcp.write: already shut down";
-    let space = c.sndbuf_cap - (c.wseq - c.snd_una) in
-    let n = min space (Bytebuf.length buf) in
-    if n > 0 then begin
-      ring_write c ~seq:c.wseq buf ~src_off:0 ~len:n;
-      c.wseq <- c.wseq + n;
-      try_output c
-    end;
+    let start = c.wseq in
+    let rec copy space = function
+      | [] -> ()
+      | b :: rest ->
+        let n = min space (Bytebuf.length b) in
+        if n > 0 then begin
+          ring_write c ~seq:c.wseq b ~len:n;
+          c.wseq <- c.wseq + n
+        end;
+        if n = Bytebuf.length b then copy (space - n) rest
+    in
+    copy (write_space c) bufs;
+    let n = c.wseq - start in
+    if n > 0 then try_output c;
     n
 
-let write_space c = c.sndbuf_cap - (c.wseq - c.snd_una)
+let write c buf = writev c [ buf ]
 
 let readable_bytes c = c.rcvq_len
 

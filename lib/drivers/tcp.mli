@@ -83,9 +83,15 @@ val peer : conn -> int * int
 
 val local_port : conn -> int
 
+val writev : conn -> Engine.Bytebuf.t list -> int
+(** Gather-write: copy the pieces, in order, into the send buffer until it
+    is full, then transmit once. Returns the bytes accepted — always a
+    prefix of the pieces' concatenation (0 when full: wait for
+    [Writable]). Pieces shorter than an MSS share segments: a run of
+    sub-MSS pieces that fits the windows leaves as one segment. *)
+
 val write : conn -> Engine.Bytebuf.t -> int
-(** Copy as much as fits into the send buffer; returns bytes accepted
-    (0 when full — wait for [Writable]). *)
+(** [writev c [b]]. *)
 
 val write_space : conn -> int
 

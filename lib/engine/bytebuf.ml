@@ -69,13 +69,23 @@ let fill_random b rng =
     Bytes.unsafe_set b.data (b.off + i) (Char.chr (Rng.int rng 256))
   done
 
+(* Eight bytes per compare, then the tail byte by byte. *)
 let equal a b =
   a.len = b.len
   &&
-  let rec go i =
+  let words = a.len / 8 in
+  let rec tail i =
     i >= a.len
     || (Bytes.get a.data (a.off + i) = Bytes.get b.data (b.off + i)
-        && go (i + 1))
+        && tail (i + 1))
+  in
+  let rec go w =
+    if w >= words then tail (8 * words)
+    else
+      let i = 8 * w in
+      (Bytes.get_int64_ne a.data (a.off + i) : int64)
+      = Bytes.get_int64_ne b.data (b.off + i)
+      && go (w + 1)
   in
   go 0
 

@@ -94,7 +94,7 @@ type t = {
   mutable peer_closed_fired : bool;
   mutable closing : bool; (* app closed; flushing tx before closing fd *)
   mutable reset : bool;
-  mutable want_writable : bool; (* a write came up short; announce space *)
+  mutable want_writable : bool; (* a write filled the buffer; announce space *)
   mutable rx_paused : bool; (* read interest dropped at the high watermark *)
 }
 
@@ -318,21 +318,35 @@ let pair loop =
 
 (* ---------- app-side I/O ---------- *)
 
-let write t b =
+let writev t bufs =
   if t.st <> Estab || t.closing || t.reset then 0
   else begin
     let space = write_space t in
-    let len = Bytebuf.length b in
+    let len = List.fold_left (fun a b -> a + Bytebuf.length b) 0 bufs in
     let n = min space len in
-    if n < len then t.want_writable <- true;
+    (* A short write, or one that fills the buffer, leaves the producer
+       waiting for space: announce it when it reopens. *)
+    if n = space then t.want_writable <- true;
     if n > 0 then begin
-      (* Copy into the send buffer (the kernel-copy analogue): the caller
-         keeps ownership of [b], and accepted bytes survive its reuse. *)
-      Bq.push t.tx (Bytebuf.copy (Bytebuf.sub b 0 n));
+      (* Copy into one send-buffer chunk (the kernel-copy analogue): the
+         caller keeps ownership of the pieces, accepted bytes survive their
+         reuse, and the flush below issues one write(2) for all of them. *)
+      let chunk = Bytebuf.create n in
+      let rec copy pos = function
+        | b :: rest when pos < n ->
+          let k = min (n - pos) (Bytebuf.length b) in
+          Bytebuf.blit ~src:b ~src_off:0 ~dst:chunk ~dst_off:pos ~len:k;
+          copy (pos + k) rest
+        | _ -> ()
+      in
+      copy 0 bufs;
+      Bq.push t.tx chunk;
       flush_tx t
     end;
     n
   end
+
+let write t b = writev t [ b ]
 
 let read t ~max =
   match Bq.pop t.rx ~max with

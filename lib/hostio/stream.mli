@@ -3,11 +3,12 @@
     A [Stream.t] wraps a non-blocking Unix socket registered with a
     {!Loop.t} and exposes the exact callback contract of the simulated TCP
     driver: [Established] on connect completion, [Readable] when new bytes
-    arrive, [Writable] when send-buffer space reopens after a short write,
-    [Peer_closed] exactly once when the peer's FIN is reached after all
-    data has been drained, [Reset] on a connection reset. SysIO maps these
-    1:1 onto [Drivers.Tcp.event], which is what lets every VLink adapter
-    run unmodified over real sockets.
+    arrive, [Writable] when send-buffer space reopens after a write that
+    filled the buffer or came up short, [Peer_closed] exactly once when
+    the peer's FIN is reached after all data has been drained, [Reset] on
+    a connection reset. SysIO maps these 1:1 onto [Drivers.Tcp.event],
+    which is what lets every VLink adapter run unmodified over real
+    sockets.
 
     Two transports: real TCP over 127.0.0.1 ({!listen}/{!connect}) and a
     socketpair for same-process loopback ({!pair}). Writes copy into an
@@ -21,7 +22,9 @@ type t
 type event =
   | Established
   | Readable  (** New bytes buffered; drain with {!read}. *)
-  | Writable  (** Send-buffer space reopened after a short {!write}. *)
+  | Writable
+      (** Send-buffer space reopened after a {!write} that filled the
+          buffer or came up short. *)
   | Peer_closed
       (** Peer FIN reached: all sent bytes were read, none follow. Fires
           exactly once, only after the receive buffer is drained. *)
@@ -55,9 +58,15 @@ val pair : Loop.t -> t * t
 
 (** {2 I/O (mirrors [Drivers.Tcp])} *)
 
+val writev : t -> Engine.Bytebuf.t list -> int
+(** Gather-write: the accepted prefix of the pieces' concatenation is
+    copied into one send-buffer chunk, so it leaves in one [write(2)] when
+    the descriptor has room. Returns the bytes accepted (0 = full or not
+    yet established: wait for [Writable]). Accepted bytes are never
+    lost. *)
+
 val write : t -> Engine.Bytebuf.t -> int
-(** Bytes accepted into the send buffer (0 = full or not yet established:
-    wait for [Writable]). Accepted bytes are never lost. *)
+(** [writev t [b]]. *)
 
 val write_space : t -> int
 (** Send-buffer space; 0 when full or closed. *)

@@ -339,11 +339,13 @@ let connect ?sndbuf ?rcvbuf t stack ~dst ~port cb =
 
 (* ---------- connection operations ---------- *)
 
-let write conn b =
+let writev conn bufs =
   match conn.impl with
-  | Sim_conn c -> Tcp.write c b
-  | Host_conn { hc_stream = Some s; _ } -> Stream.write s b
+  | Sim_conn c -> Tcp.writev c bufs
+  | Host_conn { hc_stream = Some s; _ } -> Stream.writev s bufs
   | Host_conn _ -> 0
+
+let write conn b = writev conn [ b ]
 
 let write_space conn =
   match conn.impl with

@@ -85,8 +85,14 @@ val connect :
 
 (** {2 Connection operations (the [Drivers.Tcp] data-plane contract)} *)
 
+val writev : conn -> Engine.Bytebuf.t list -> int
+(** Gather-write: the pieces go into the send buffer in order, as one
+    transport write (one transmit pass on the sim driver, one send-queue
+    chunk on the host backend). Returns the bytes accepted, a prefix of
+    the concatenation; 0 = full, wait for [Writable]. *)
+
 val write : conn -> Engine.Bytebuf.t -> int
-(** Bytes accepted into the send buffer; 0 = full, wait for [Writable]. *)
+(** [writev conn [b]]. *)
 
 val write_space : conn -> int
 

@@ -164,8 +164,8 @@ let ops l =
                Bytebuf.set_u32 hdr 0 l.next_tx_seq;
                Bytebuf.set_u32 hdr 4 block;
                l.next_tx_seq <- l.next_tx_seq + 1;
-               ignore (Sysio.write m.conn hdr);
-               ignore (Sysio.write m.conn (Bytebuf.sub buf !sent block));
+               ignore
+                 (Sysio.writev m.conn [ hdr; Bytebuf.sub buf !sent block ]);
                sent := !sent + block
              end
              else incr stalled

@@ -69,6 +69,40 @@ let test_sysio_adapter_cross_paradigm () =
     Tutil.check_bool "second intact" true (Bb.equal p2 m2)
   | l -> Alcotest.failf "expected 2 messages, got %d" (List.length l)
 
+(* A Circuit message is a list of packed pieces; over SysIO it goes to TCP
+   as one gather-write, so ten small pieces cost one WAN data segment (and
+   its ACK), not one segment each. *)
+let test_sysio_message_one_segment () =
+  let prefs = { Selector.Prefs.default with cipher_untrusted = false } in
+  let grid, a, b, seg = Tutil.grid_pair ~prefs Simnet.Presets.vthd in
+  let cts = Padico.circuit grid ~name:"wan" [ a; b ] in
+  Tutil.check_string "link uses sysio" "sysio"
+    (Ct.link_adapter_name cts.(0) ~dst:1);
+  let got = ref [] in
+  Ct.set_recv cts.(1) (fun inc ->
+      got := Bb.to_string (Ct.unpack inc (Ct.remaining inc)) :: !got);
+  let send_pieces () =
+    let out = Ct.begin_packing cts.(0) ~dst:1 in
+    for i = 0 to 4 do
+      Ct.pack_int out i;
+      Ct.pack out (Bb.of_string (String.make (i + 1) 'x'))
+    done;
+    Ct.end_packing out
+  in
+  (* The first message pays the connection set-up. *)
+  send_pieces ();
+  Tutil.run_grid grid;
+  let frames0 = Simnet.Segment.frames_sent seg in
+  send_pieces ();
+  Tutil.run_grid grid;
+  Tutil.check_int "one data segment and its ACK" 2
+    (Simnet.Segment.frames_sent seg - frames0);
+  match !got with
+  | [ m2; m1 ] ->
+    Tutil.check_int "size" ((5 * 8) + 15) (String.length m2);
+    Tutil.check_string "same bytes" m1 m2
+  | l -> Alcotest.failf "expected 2 messages, got %d" (List.length l)
+
 let test_loopback_adapter_same_node () =
   let grid = Padico.create () in
   let a = Padico.add_node grid "a" in
@@ -319,6 +353,8 @@ let () =
        [ Alcotest.test_case "madio on SAN" `Quick test_madio_adapter_on_san;
          Alcotest.test_case "sysio cross-paradigm" `Quick
            test_sysio_adapter_cross_paradigm;
+         Alcotest.test_case "sysio message: one WAN segment" `Quick
+           test_sysio_message_one_segment;
          Alcotest.test_case "loopback same node" `Quick
            test_loopback_adapter_same_node;
          Alcotest.test_case "pstream vlink on WAN" `Quick

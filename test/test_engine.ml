@@ -481,6 +481,50 @@ let prop_bytebuf_checksum_sensitive =
        Bb.set_u8 b i (Bb.get_u8 b i lxor 0x5a);
        Bb.checksum b <> before)
 
+(* [equal] compares eight bytes at a time; check it against a byte-wise
+   reference on sub-slices at non-zero offsets inside differently padded
+   buffers, with one differing byte at every position: QCheck over lengths
+   0-40, and 4 KiB (a bcast body) as a unit case. *)
+let equal_matches_bytewise s oa ob =
+  let byte_equal a b =
+    Bb.length a = Bb.length b
+    &&
+    let rec go i =
+      i >= Bb.length a || (Bb.get a i = Bb.get b i && go (i + 1))
+    in
+    go 0
+  in
+  let slice ~pad off =
+    let n = String.length s in
+    let base = Bb.of_string (String.make (off + n + 9) pad) in
+    let b = Bb.sub base off n in
+    String.iteri (fun i c -> Bb.set b i c) s;
+    b
+  in
+  let a = slice ~pad:'\000' oa and b = slice ~pad:'\255' ob in
+  let n = String.length s in
+  let ok = ref (Bb.equal a b && byte_equal a b) in
+  if n > 0 then ok := !ok && not (Bb.equal a (Bb.sub b 0 (n - 1)));
+  for i = 0 to n - 1 do
+    let c = Bb.get_u8 b i in
+    Bb.set_u8 b i (c lxor 0x01);
+    ok := !ok && Bb.equal a b = byte_equal a b && not (Bb.equal a b);
+    Bb.set_u8 b i c
+  done;
+  !ok
+
+let prop_bytebuf_equal_bytewise =
+  QCheck.Test.make ~name:"equal = byte-wise reference" ~count:300
+    QCheck.(
+      triple (string_of_size Gen.(int_range 0 40)) (int_range 0 9)
+        (int_range 0 9))
+    (fun (s, oa, ob) -> equal_matches_bytewise s oa ob)
+
+let test_bytebuf_equal_4k () =
+  let s = Bb.to_string (Tutil.pattern_buf ~seed:9 4096) in
+  Tutil.check_bool "offsets 1/7" true (equal_matches_bytewise s 1 7);
+  Tutil.check_bool "offsets 0/3" true (equal_matches_bytewise s 0 3)
+
 (* ---------- Stats ---------- *)
 
 let test_stats_summary () =
@@ -608,9 +652,11 @@ let () =
        [ Alcotest.test_case "sub/blit" `Quick test_bytebuf_sub_and_blit;
          Alcotest.test_case "concat/split" `Quick test_bytebuf_concat_split;
          Alcotest.test_case "integer accessors" `Quick test_bytebuf_ints;
-         Alcotest.test_case "copy counter" `Quick test_bytebuf_copy_counter ]);
+         Alcotest.test_case "copy counter" `Quick test_bytebuf_copy_counter;
+         Alcotest.test_case "equal on 4 KiB" `Quick test_bytebuf_equal_4k ]);
       Tutil.qsuite "bytebuf-props"
-        [ prop_bytebuf_string_roundtrip; prop_bytebuf_checksum_sensitive ];
+        [ prop_bytebuf_string_roundtrip; prop_bytebuf_checksum_sensitive;
+          prop_bytebuf_equal_bytewise ];
       ("stats",
        [ Alcotest.test_case "summary" `Quick test_stats_summary;
          Alcotest.test_case "histogram" `Quick test_stats_histogram;

@@ -356,6 +356,36 @@ let test_host_readiness_source () =
   check_int "server unwatch releases its source" !server_before
     !server_after
 
+(* A Circuit burst far past the send buffer and the kernel's socket
+   buffers: Circuit's SysIO adapter fills the stream's send buffer
+   exactly (never a short write), so the stream must still announce
+   [Writable] when that space reopens, or the rest of the burst waits
+   forever. *)
+let test_host_circuit_burst () =
+  let module Ct = Circuit.Ct in
+  let grid = Padico.create ~backend:Padico.Host () in
+  let a = Padico.add_node grid "a" in
+  let b = Padico.add_node grid "b" in
+  ignore (Padico.add_segment grid Simnet.Presets.ethernet100 [ a; b ]);
+  let cts = Padico.circuit grid ~name:"burst" [ a; b ] in
+  Tutil.check_string "link uses sysio" "sysio"
+    (Ct.link_adapter_name cts.(0) ~dst:1);
+  let msgs = 64 and size = 262_144 in
+  let loop = Option.get (Loop.of_clock (Simnet.Node.clock a)) in
+  let got = ref 0 and bytes = ref 0 in
+  Ct.set_recv cts.(1) (fun inc ->
+      incr got;
+      bytes := !bytes + Ct.remaining inc;
+      if !got = msgs then Loop.stop loop);
+  for _ = 1 to msgs do
+    let out = Ct.begin_packing cts.(0) ~dst:1 in
+    Ct.pack out (Bb.create size);
+    Ct.end_packing out
+  done;
+  Padico.run grid ~until:(Time.sec 20);
+  check_int "every message" msgs !got;
+  check_int "every byte" (msgs * size) !bytes
+
 (* The conformance kit's host subset: the same obligations the simulated
    adapters satisfy, green over real Unix sockets. *)
 let test_host_conformance_kit () =
@@ -391,5 +421,7 @@ let () =
             test_host_link_down;
           Alcotest.test_case "watched connection owns one readiness source"
             `Quick test_host_readiness_source;
+          Alcotest.test_case "circuit burst past the send buffer" `Quick
+            test_host_circuit_burst;
           Alcotest.test_case "conformance kit host subset" `Slow
             test_host_conformance_kit ] ) ]

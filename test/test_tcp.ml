@@ -360,6 +360,148 @@ let test_ephemeral_exhausted () =
   Tutil.check_int "other port unaffected" 32_768
     (Tcp.local_port (Tcp.connect sa ~dst ~port:82))
 
+(* Server that appends everything it reads to [into]. *)
+let sink_server stack ~port into =
+  Tcp.listen stack ~port (fun conn ->
+      Tcp.set_event_cb conn (fun ev ->
+          if ev = Tcp.Readable then
+            let rec drain () =
+              match Tcp.read conn ~max:65_536 with
+              | Some buf ->
+                Buffer.add_string into (Bb.to_string buf);
+                drain ()
+              | None -> ()
+            in
+            drain ()))
+
+let concat_string pieces = String.concat "" (List.map Bb.to_string pieces)
+
+(* k sub-MSS pieces in one writev: one data segment (plus its ACK), not k,
+   carrying exactly their concatenation. *)
+let test_writev_one_segment () =
+  let net, _a, b, sa, sb = tcp_pair () in
+  let seg = Tcp.segment sa in
+  let got = Buffer.create 256 in
+  sink_server sb ~port:80 got;
+  let c = Tcp.connect sa ~dst:(Simnet.Node.id b) ~port:80 in
+  Tutil.run_net net;
+  Tutil.check_bool "established" true (Tcp.state c = Tcp.Established_st);
+  let pieces =
+    List.init 10 (fun i -> Tutil.pattern_buf ~seed:i (4 + (i * 7 mod 13)))
+  in
+  let total = List.fold_left (fun a p -> a + Bb.length p) 0 pieces in
+  Tutil.check_bool "sub-MSS run" true (total < Tcp.mss sa);
+  let frames0 = Simnet.Segment.frames_sent seg in
+  let bytes0 = Simnet.Segment.bytes_sent seg in
+  Tutil.check_int "all accepted" total (Tcp.writev c pieces);
+  Tutil.run_net net;
+  Tutil.check_int "one data segment and its ACK" 2
+    (Simnet.Segment.frames_sent seg - frames0);
+  let header = (Simnet.Segment.model seg).Simnet.Linkmodel.mtu - Tcp.mss sa in
+  Tutil.check_int "wire bytes" (total + (2 * header))
+    (Simnet.Segment.bytes_sent seg - bytes0);
+  Tutil.check_string "concatenation arrives" (concat_string pieces)
+    (Buffer.contents got)
+
+(* A writev larger than the free send buffer accepts exactly a prefix of
+   the concatenation, cut inside a piece, and returns its length. *)
+let test_writev_partial_prefix () =
+  let net, _a, b, sa, sb = tcp_pair () in
+  let got = Buffer.create 1024 in
+  sink_server sb ~port:80 got;
+  let c = Tcp.connect ~sndbuf:1000 sa ~dst:(Simnet.Node.id b) ~port:80 in
+  Tutil.run_net net;
+  let pieces =
+    List.init 5 (fun i ->
+        Tutil.pattern_buf ~seed:(10 + i) (if i < 4 then 300 else 50))
+  in
+  Tutil.check_int "space" 1000 (Tcp.write_space c);
+  Tutil.check_int "prefix accepted" 1000 (Tcp.writev c pieces);
+  Tutil.check_int "buffer full" 0 (Tcp.write_space c);
+  Tutil.check_int "nothing more" 0 (Tcp.writev c pieces);
+  Tutil.run_net net;
+  Tutil.check_string "exactly the prefix arrives"
+    (String.sub (concat_string pieces) 0 1000)
+    (Buffer.contents got)
+
+(* A 1000-byte send ring carries 20 KB of odd-sized pieces: the ring wraps
+   inside pieces on write and inside segments on transmit, and the byte
+   stream still arrives intact. *)
+let test_writev_ring_wrap () =
+  let net, _a, b, sa, sb = tcp_pair () in
+  let got = Buffer.create 20_000 in
+  sink_server sb ~port:80 got;
+  let c = Tcp.connect ~sndbuf:1000 sa ~dst:(Simnet.Node.id b) ~port:80 in
+  let msg = Tutil.pattern_buf ~seed:5 20_000 in
+  let sizes = [| 137; 211; 59; 401 |] in
+  let sent = ref 0 and k = ref 0 in
+  let pump () =
+    let continue = ref true in
+    while !continue && !sent < Bb.length msg do
+      (* Three pieces per call, each cut from the rest of [msg]. *)
+      let rec pieces off n acc =
+        if n = 0 || off >= Bb.length msg then List.rev acc
+        else begin
+          let len = min sizes.(!k mod 4) (Bb.length msg - off) in
+          incr k;
+          pieces (off + len) (n - 1) (Bb.sub msg off len :: acc)
+        end
+      in
+      let n = Tcp.writev c (pieces !sent 3 []) in
+      sent := !sent + n;
+      continue := n > 0
+    done
+  in
+  Tcp.set_event_cb c (fun ev ->
+      match ev with Tcp.Established | Tcp.Writable -> pump () | _ -> ());
+  Tutil.run_net net;
+  Tutil.check_int "all sent" (Bb.length msg) !sent;
+  Tutil.check_bool "stream identical" true
+    (Buffer.contents got = Bb.to_string msg)
+
+(* A lost fast retransmission. On a loss-free, jitter-free 8 ms-RTT WAN a
+   client writes 36 B every 10 ms; the segment written at 100 ms is
+   dropped, and so is its fast retransmission. The heartbeats that keep
+   coming produce duplicate ACKs; one arriving more than an RTT bound
+   after the resend shows the resend was lost, so the hole is resent
+   again at once and no retransmission timeout (200 ms at least) fires. *)
+let test_lost_fast_retransmit () =
+  let model =
+    { Simnet.Presets.vthd with Simnet.Linkmodel.loss = 0.0; jitter_ns = 0 }
+  in
+  let net, a, b, sa, sb = tcp_pair ~model () in
+  let seg = Tcp.segment sa in
+  let sim = Simnet.Net.sim net in
+  let got = Buffer.create 2048 in
+  sink_server sb ~port:80 got;
+  let c = Tcp.connect sa ~dst:(Simnet.Node.id b) ~port:80 in
+  let writes = 40 in
+  let msg = Tutil.pattern_buf ~seed:3 (writes * 36) in
+  let ms = 1_000_000 in
+  let block_for ns =
+    Simnet.Segment.block_pair seg (Simnet.Node.id a) (Simnet.Node.id b);
+    Engine.Sim.after sim ns (fun () -> Simnet.Segment.clear_blocked seg)
+  in
+  for i = 0 to writes - 1 do
+    Engine.Sim.at sim ((20 + (10 * i)) * ms) (fun () ->
+        if i = 8 then block_for (ms / 2);
+        ignore (Tcp.write c (Bb.sub msg (i * 36) 36)))
+  done;
+  (* Drop the first fast retransmission: it is emitted after the send
+     CPU cost (8 us), so a 2 us poll sees the counter move first. *)
+  let fast () = let _, f, _ = Tcp.retransmit_breakdown c in f in
+  let rec watch () =
+    if fast () >= 1 then block_for (ms / 2)
+    else Engine.Sim.after sim 2_000 watch
+  in
+  Engine.Sim.at sim (101 * ms) watch;
+  Tutil.run_net net;
+  let rto, fast, _ = Tcp.retransmit_breakdown c in
+  Tutil.check_bool "hole resent twice" true (fast >= 2);
+  Tutil.check_int "no retransmission timeout" 0 rto;
+  Tutil.check_bool "stream identical" true
+    (Buffer.contents got = Bb.to_string msg)
+
 let () =
   Alcotest.run "tcp"
     [ ("lifecycle",
@@ -376,7 +518,15 @@ let () =
        [ Alcotest.test_case "echo integrity" `Quick test_echo_integrity;
          Alcotest.test_case "integrity under 8% loss" `Quick
            test_integrity_under_loss;
-         Alcotest.test_case "bidirectional" `Quick test_bidirectional ]);
+         Alcotest.test_case "bidirectional" `Quick test_bidirectional;
+         Alcotest.test_case "writev: sub-MSS pieces, one segment" `Quick
+           test_writev_one_segment;
+         Alcotest.test_case "writev: partial accepts a prefix" `Quick
+           test_writev_partial_prefix;
+         Alcotest.test_case "writev: ring wraps mid-piece" `Quick
+           test_writev_ring_wrap;
+         Alcotest.test_case "lost fast retransmit: resent before the RTO"
+           `Quick test_lost_fast_retransmit ]);
       ("flow-control",
        [ Alcotest.test_case "slow reader throttles" `Quick
            test_flow_control_slow_reader;
