@@ -42,29 +42,51 @@ let max_rto = 60_000_000_000
 
 let initial_rto = 1_000_000_000
 
-(* Loss-recovery and byte counters, allocated on first use: a connection
-   that never moves data or loses a segment shares [no_counters], which is
-   never written. *)
+(* Shared, never-mutated stand-ins for per-connection state that does not
+   exist yet (see the [conn] and [counters] fields). *)
+let no_ring = Bytes.empty
+let no_ooo : (int, Bytebuf.t) Hashtbl.t = Hashtbl.create 1
+let no_rcvq : Bytebuf.t Queue.t = Queue.create ()
+
+(* Loss recovery, RTT estimation, reassembly and byte counters, allocated
+   on first use: a connection that never moves data or loses a segment (an
+   idle one) shares [no_counters], which is never written. A field is read
+   through [c.ctrs] and written through [counters c], unless its value
+   shows that the block is already the connection's own. *)
 type counters = {
   mutable rto_events : int;
   mutable fast_events : int;
   mutable partial_events : int;
   mutable tx_bytes : int;
   mutable rx_bytes : int;
+  mutable srtt : float;
+  mutable rttvar : float;
+  mutable rtt_seq : int; (* ACK that ends the RTT sample in flight, or -1 *)
+  mutable rtt_time : int;
+  mutable dupacks : int;
+  mutable in_recovery : bool;
+  mutable recover : int;
+  mutable retx_at : int; (* when the hole at [snd_una] was last resent *)
+  (* Out-of-order segments by sequence: [no_ooo] until the first insert,
+     and again whenever reassembly empties it. *)
+  mutable ooo : (int, Bytebuf.t) Hashtbl.t;
+  mutable ooo_len : int;
 }
 
-let no_counters =
+let fresh_counters () =
   { rto_events = 0; fast_events = 0; partial_events = 0; tx_bytes = 0;
-    rx_bytes = 0 }
+    rx_bytes = 0; srtt = 0.0; rttvar = 0.0; rtt_seq = -1; rtt_time = 0;
+    dupacks = 0; in_recovery = false; recover = 0; retx_at = 0; ooo = no_ooo;
+    ooo_len = 0 }
+
+let no_counters = fresh_counters ()
 
 module Conn_tbl = Hashtbl.Make (Int)
 
 type conn = {
   stack : stack;
-  lport : int;
-  rnode : int;
-  rport : int;
-  mutable st : state;
+  key : int; (* [conn_key] of (local port, peer node, peer port) *)
+  mutable bits : int; (* state, flags and small counts: see [state] *)
   (* --- send side --- *)
   (* Sequence-addressed ring of [sndbuf_cap] bytes holding [snd_una, wseq)
      at [seq mod sndbuf_cap]. It exists only while that range is non-empty:
@@ -75,37 +97,20 @@ type conn = {
   mutable snd_una : int; (* oldest unacknowledged sequence *)
   mutable snd_nxt : int; (* next sequence to transmit *)
   mutable wseq : int; (* next sequence the application will write *)
-  mutable fin_pending : bool;
   mutable fin_seq : int; (* sequence consumed by our FIN, -1 if none *)
   mutable cwnd : int;
   mutable ssthresh : int;
   mutable rwnd : int; (* peer-advertised window *)
-  mutable dupacks : int;
-  mutable in_recovery : bool;
-  mutable recover : int;
-  mutable retx_at : int; (* when the hole at [snd_una] was last resent *)
-  mutable srtt : float;
-  mutable rttvar : float;
   mutable rto : int;
-  mutable rtt_seq : int option;
-  mutable rtt_time : int;
-  mutable timer_gen : int;
-  mutable timer_armed : bool;
-  mutable syn_attempts : int;
-  mutable strikes : int; (* consecutive RTO firings without ACK progress *)
-  mutable persist_armed : bool;
+  mutable timer : Timewheel.timer; (* armed RTO, or [Timewheel.none] *)
   (* --- receive side --- *)
   mutable rcv_nxt : int;
-  (* Both start as shared empty sentinels and are replaced by a fresh
-     container on the first insert. *)
-  mutable ooo : (int, Bytebuf.t) Hashtbl.t;
+  (* [no_rcvq] whenever nothing is buffered. *)
   mutable rcvq : Bytebuf.t Queue.t;
   mutable rcvq_len : int;
-  mutable ooo_len : int;
   rcvbuf_cap : int;
   mutable last_wnd_sent : int;
-  mutable peer_fin : int option; (* sequence of the peer's FIN *)
-  mutable peer_closed_delivered : bool;
+  mutable peer_fin : int; (* sequence of the peer's FIN, -1 until seen *)
   (* --- app interface --- *)
   mutable cb : event -> unit;
   mutable ctrs : counters;
@@ -145,6 +150,10 @@ let max_node = (1 lsl (Sys.int_size - (2 * port_bits))) - 1
 let conn_key ~lport ~rnode ~rport =
   (rnode lsl (2 * port_bits)) lor (lport lsl port_bits) lor rport
 
+let lport c = (c.key lsr port_bits) land max_port
+let rnode c = c.key lsr (2 * port_bits)
+let rport c = c.key land max_port
+
 let check_port fn port =
   if port < 0 || port > max_port then
     invalid_arg
@@ -154,24 +163,49 @@ let check_port fn port =
 let ephemeral_lo = 32_768
 let ephemeral_hi = 60_999
 
-(* Shared, never-mutated stand-ins for per-connection state that does not
-   exist yet (see the [conn] fields). *)
-let no_ring = Bytes.empty
-let no_ooo : (int, Bytebuf.t) Hashtbl.t = Hashtbl.create 1
-let no_rcvq : Bytebuf.t Queue.t = Queue.create ()
+(* [conn.bits]: the state's code in the low 3 bits, three flags, then the
+   SYN retransmission count (at most 5) and the run of RTO firings without
+   ACK progress (at most 10) in 4 bits each. *)
+let states =
+  [| Syn_sent; Syn_received; Established_st; Fin_wait; Close_wait; Closed_st |]
+
+let state_code = function
+  | Syn_sent -> 0
+  | Syn_received -> 1
+  | Established_st -> 2
+  | Fin_wait -> 3
+  | Close_wait -> 4
+  | Closed_st -> 5
+
+let state_mask = 7
+let fin_pending = 8 (* [close] called: FIN once the send buffer drains *)
+let persist_armed = 16 (* a zero-window probe is scheduled *)
+let peer_closed_delivered = 32
+let syn_attempts_shift = 6
+let strikes_shift = 10
+
+let state c = states.(c.bits land state_mask)
+let set_state c s = c.bits <- c.bits land lnot state_mask lor state_code s
+let has c flag = c.bits land flag <> 0
+let set_flag c flag = c.bits <- c.bits lor flag
+let clear_flag c flag = c.bits <- c.bits land lnot flag
+
+(* Bump a 4-bit count and return its new value. *)
+let bump c shift =
+  c.bits <- c.bits + (1 lsl shift);
+  (c.bits lsr shift) land 15
 
 let node s = s.snode
 let segment s = s.seg
 let mss s = (Simnet.Segment.model s.seg).Simnet.Linkmodel.mtu - header_bytes
-let state c = c.st
 let conn_node c = c.stack.snode
-let peer c = (c.rnode, c.rport)
-let local_port c = c.lport
+let peer c = (rnode c, rport c)
+let local_port c = lport c
 let set_event_cb c cb = c.cb <- cb
-let peer_closed c = c.peer_closed_delivered
+let peer_closed c = has c peer_closed_delivered
 let cwnd c = c.cwnd
 let ssthresh c = c.ssthresh
-let srtt_ns c = int_of_float c.srtt
+let srtt_ns c = int_of_float c.ctrs.srtt
 let retransmits c =
   c.ctrs.rto_events + c.ctrs.fast_events + c.ctrs.partial_events
 let retransmit_breakdown c =
@@ -180,10 +214,7 @@ let bytes_sent c = c.ctrs.tx_bytes
 let bytes_received c = c.ctrs.rx_bytes
 
 let counters c =
-  if c.ctrs == no_counters then
-    c.ctrs <-
-      { rto_events = 0; fast_events = 0; partial_events = 0; tx_bytes = 0;
-        rx_bytes = 0 };
+  if c.ctrs == no_counters then c.ctrs <- fresh_counters ();
   c.ctrs
 
 (* RTT samples read the stack's own node clock: a segment may span shards,
@@ -251,10 +282,10 @@ let emit stack ~dst ~(content : Simnet.Packet.content) ~paylen =
 let send_seg c ?(flags = plain_ack) ~seq payload =
   let paylen = Bytebuf.length payload in
   c.last_wnd_sent <- rcv_window c;
-  emit c.stack ~dst:c.rnode ~paylen
+  emit c.stack ~dst:(rnode c) ~paylen
     ~content:
       (Tcp_seg
-         { sport = c.lport; dport = c.rport; seq; ackno = c.rcv_nxt; flags;
+         { sport = lport c; dport = rport c; seq; ackno = c.rcv_nxt; flags;
            wnd = c.last_wnd_sent; payload })
 
 let send_rst stack ~dst ~sport ~dport ~seq ~ackno =
@@ -269,59 +300,56 @@ let send_pure_ack c = send_seg c ~seq:c.snd_nxt (Bytebuf.create 0)
 
 let outstanding c = c.snd_nxt > c.snd_una
 
+(* The wheel entry drops its callback, and with it the connection, at
+   once; only the entry itself waits for its slot. *)
 let cancel_timer c =
-  c.timer_gen <- c.timer_gen + 1;
-  c.timer_armed <- false
+  Timewheel.cancel c.timer;
+  c.timer <- Timewheel.none
 
 (* Fully-closed connections leave the stack's table; a late segment for a
    reaped connection is answered with RST, like any segment to a port
    with no connection. *)
 let reap_conn c =
-  if c.st = Closed_st then begin
+  if state c = Closed_st then begin
     cancel_timer c;
     release_ring c;
-    let key = conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport in
-    match Conn_tbl.find_opt c.stack.conns key with
+    match Conn_tbl.find_opt c.stack.conns c.key with
     | Some c' when c' == c ->
-      Conn_tbl.remove c.stack.conns key;
+      Conn_tbl.remove c.stack.conns c.key;
       c.stack.reaped <- c.stack.reaped + 1
     | Some _ | None -> ()
   end
 
 let rec arm_timer c =
-  if (not c.timer_armed) && c.st <> Closed_st && outstanding c then begin
-    c.timer_armed <- true;
-    c.timer_gen <- c.timer_gen + 1;
-    let gen = c.timer_gen in
-    tcp_after c c.rto (fun () ->
-        if gen = c.timer_gen && c.st <> Closed_st then begin
-          c.timer_armed <- false;
-          if outstanding c then on_timeout c
-        end)
-  end
+  if c.timer == Timewheel.none && state c <> Closed_st && outstanding c then
+    c.timer <-
+      Timewheel.arm c.stack.wheel ~after_ns:c.rto (fun () -> rto_fired c)
+
+and rto_fired c =
+  c.timer <- Timewheel.none;
+  if state c <> Closed_st && outstanding c then on_timeout c
 
 and on_timeout c =
   (* RTO: multiplicative backoff, window collapse, go-back-N. *)
   let flight = c.snd_nxt - c.snd_una in
   let m = mss c.stack in
+  let k = counters c in
   c.ssthresh <- max (flight / 2) (2 * m);
   c.cwnd <- m;
-  c.dupacks <- 0;
-  c.in_recovery <- false;
+  k.dupacks <- 0;
+  k.in_recovery <- false;
   c.rto <- min (c.rto * 2) max_rto;
-  c.rtt_seq <- None;
-  let k = counters c in
+  k.rtt_seq <- -1;
   k.rto_events <- k.rto_events + 1;
   Log.debug (fun l ->
       l "%s:%d rto fire una=%d nxt=%d rto=%dms"
         (Simnet.Node.name c.stack.snode)
-        c.lport c.snd_una c.snd_nxt (c.rto / 1_000_000));
-  (match c.st with
+        (lport c) c.snd_una c.snd_nxt (c.rto / 1_000_000));
+  (match state c with
    | Syn_sent ->
-     c.syn_attempts <- c.syn_attempts + 1;
-     if c.syn_attempts >= 5 then begin
+     if bump c syn_attempts_shift >= 5 then begin
        (* Give up like ETIMEDOUT: the peer has no reachable TCP service. *)
-       c.st <- Closed_st;
+       set_state c Closed_st;
        cancel_timer c;
        c.cb Reset;
        reap_conn c
@@ -330,14 +358,13 @@ and on_timeout c =
        send_seg c ~flags:{ syn = true; ack = false; fin = false; rst = false }
          ~seq:c.snd_una (Bytebuf.create 0)
    | Syn_received ->
-     c.syn_attempts <- c.syn_attempts + 1;
-     if c.syn_attempts >= 5 then begin
+     if bump c syn_attempts_shift >= 5 then begin
        (* Give up on a half-open passive connection whose dialer vanished
           mid-handshake (its RST was lost) — otherwise the SYN-ACK
           retransmits forever and the listener leaks the slot. The
           connection was never accepted, so there is no callback to
           fire. *)
-       c.st <- Closed_st;
+       set_state c Closed_st;
        cancel_timer c;
        reap_conn c
      end
@@ -345,12 +372,11 @@ and on_timeout c =
        send_seg c ~flags:{ syn = true; ack = true; fin = false; rst = false }
          ~seq:c.snd_una (Bytebuf.create 0)
    | Established_st | Fin_wait | Close_wait ->
-     c.strikes <- c.strikes + 1;
-     if c.strikes >= 10 then begin
+     if bump c strikes_shift >= 10 then begin
        (* ETIMEDOUT after 10 consecutive unanswered retransmissions — the
           peer is gone (reset lost, host vanished). Surface it as a reset
           so the watcher tears the connection down. *)
-       c.st <- Closed_st;
+       set_state c Closed_st;
        cancel_timer c;
        c.cb Reset;
        reap_conn c
@@ -364,7 +390,7 @@ and on_timeout c =
 
 (* Send as much as the congestion and flow-control windows allow. *)
 and try_output c =
-  match c.st with
+  match state c with
   | Syn_sent | Syn_received | Closed_st -> ()
   | Established_st | Fin_wait | Close_wait ->
     let m = mss c.stack in
@@ -376,24 +402,25 @@ and try_output c =
       if pending > 0 && usable > 0 then begin
         let len = min (min m pending) usable in
         let payload = ring_read c ~seq:c.snd_nxt ~len in
+        let k = counters c in
         (* One RTT sample in flight at a time (Karn: only new data). *)
-        if c.rtt_seq = None then begin
-          c.rtt_seq <- Some (c.snd_nxt + len);
-          c.rtt_time <- Sim.now (sim c)
+        if k.rtt_seq < 0 then begin
+          k.rtt_seq <- c.snd_nxt + len;
+          k.rtt_time <- Sim.now (sim c)
         end;
         send_seg c ~seq:c.snd_nxt payload;
         c.snd_nxt <- c.snd_nxt + len;
-        let k = counters c in
         k.tx_bytes <- k.tx_bytes + len;
         continue := true
       end
-      else if pending > 0 && c.rwnd = 0 && usable <= 0 && not c.persist_armed
+      else if pending > 0 && c.rwnd = 0 && usable <= 0
+              && not (has c persist_armed)
       then begin
         (* Zero-window probe. *)
-        c.persist_armed <- true;
+        set_flag c persist_armed;
         tcp_after c c.rto (fun () ->
-            c.persist_armed <- false;
-            if c.st <> Closed_st && c.rwnd = 0 && c.wseq > c.snd_nxt then begin
+            clear_flag c persist_armed;
+            if state c <> Closed_st && c.rwnd = 0 && c.wseq > c.snd_nxt then begin
               let payload = ring_read c ~seq:c.snd_nxt ~len:1 in
               send_seg c ~seq:c.snd_nxt payload;
               c.snd_nxt <- c.snd_nxt + 1;
@@ -403,7 +430,7 @@ and try_output c =
     done;
     (* FIN once everything written has been transmitted (also re-sent after
        go-back-N rewinds snd_nxt). *)
-    if c.fin_pending && c.wseq = c.snd_nxt
+    if has c fin_pending && c.wseq = c.snd_nxt
        && (c.fin_seq < 0 || c.fin_seq = c.snd_nxt) then begin
       c.fin_seq <- c.snd_nxt;
       send_seg c ~flags:{ syn = false; ack = true; fin = true; rst = false }
@@ -415,27 +442,23 @@ and try_output c =
 let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
   (* The SYN occupies sequence 0; application data starts at 1. *)
   let handshake = st = Syn_sent || st = Syn_received in
+  let key = conn_key ~lport ~rnode ~rport in
   let c =
-    { stack; lport; rnode; rport; st;
+    { stack; key; bits = state_code st;
       sndring = no_ring; sndbuf_cap = sndbuf;
       snd_una = (if handshake then 0 else 1);
-      snd_nxt = 1; wseq = 1; fin_pending = false; fin_seq = -1;
+      snd_nxt = 1; wseq = 1; fin_seq = -1;
       cwnd = 2 * mss stack; ssthresh = 1 lsl 30;
-      rwnd = default_bufsize; dupacks = 0; in_recovery = false; recover = 0;
-      retx_at = 0;
-      srtt = 0.0; rttvar = 0.0; rto = initial_rto; rtt_seq = None;
-      rtt_time = 0; timer_gen = 0; timer_armed = false; syn_attempts = 0;
-      strikes = 0; persist_armed = false;
-      rcv_nxt = 1; ooo = no_ooo; rcvq = no_rcvq;
-      rcvq_len = 0; ooo_len = 0; rcvbuf_cap = rcvbuf; last_wnd_sent = rcvbuf;
-      peer_fin = None; peer_closed_delivered = false;
+      rwnd = default_bufsize; rto = initial_rto; timer = Timewheel.none;
+      rcv_nxt = 1; rcvq = no_rcvq; rcvq_len = 0; rcvbuf_cap = rcvbuf;
+      last_wnd_sent = rcvbuf; peer_fin = -1;
       cb = (fun _ -> ()); ctrs = no_counters }
   in
-  Conn_tbl.replace stack.conns (conn_key ~lport ~rnode ~rport) c;
+  Conn_tbl.replace stack.conns key c;
   c
 
 (* Smoothed RTT plus its variance margin: the RTO before its clamps. *)
-let rtt_bound c = c.srtt +. Float.max 10_000_000.0 (4.0 *. c.rttvar)
+let rtt_bound c = c.ctrs.srtt +. Float.max 10_000_000.0 (4.0 *. c.ctrs.rttvar)
 
 (* Resend up to one MSS at the hole [snd_una]; false when nothing written
    is left there. *)
@@ -443,25 +466,25 @@ let resend_hole c =
   let len = min (mss c.stack) (c.wseq - c.snd_una) in
   if len > 0 then begin
     send_seg c ~seq:c.snd_una (ring_read c ~seq:c.snd_una ~len);
-    c.retx_at <- Sim.now (sim c)
+    (counters c).retx_at <- Sim.now (sim c)
   end;
   len > 0
 
 let update_rtt c =
-  match c.rtt_seq with
-  | Some s when c.snd_una >= s ->
-    c.rtt_seq <- None;
-    let sample = float_of_int (Sim.now (sim c) - c.rtt_time) in
-    if c.srtt = 0.0 then begin
-      c.srtt <- sample;
-      c.rttvar <- sample /. 2.0
+  let k = c.ctrs in
+  if k.rtt_seq >= 0 && c.snd_una >= k.rtt_seq then begin
+    k.rtt_seq <- -1;
+    let sample = float_of_int (Sim.now (sim c) - k.rtt_time) in
+    if k.srtt = 0.0 then begin
+      k.srtt <- sample;
+      k.rttvar <- sample /. 2.0
     end
     else begin
-      c.rttvar <- (0.75 *. c.rttvar) +. (0.25 *. Float.abs (c.srtt -. sample));
-      c.srtt <- (0.875 *. c.srtt) +. (0.125 *. sample)
+      k.rttvar <- (0.75 *. k.rttvar) +. (0.25 *. Float.abs (k.srtt -. sample));
+      k.srtt <- (0.875 *. k.srtt) +. (0.125 *. sample)
     end;
     c.rto <- min (max (int_of_float (rtt_bound c)) min_rto) max_rto
-  | _ -> ()
+  end
 
 let deliver_data c (data : Bytebuf.t) =
   if c.rcvq == no_rcvq then c.rcvq <- Queue.create ();
@@ -472,40 +495,46 @@ let deliver_data c (data : Bytebuf.t) =
 
 (* Pull contiguous data out of the out-of-order store. *)
 let drain_ooo c =
-  let progress = ref (Hashtbl.length c.ooo > 0) in
-  while !progress do
-    progress := false;
-    Hashtbl.iter
-      (fun seq data ->
-         if not !progress then begin
-           let len = Bytebuf.length data in
-           if seq + len <= c.rcv_nxt then begin
-             Hashtbl.remove c.ooo seq;
-             c.ooo_len <- c.ooo_len - len;
-             progress := true
-           end
-           else if seq <= c.rcv_nxt then begin
-             Hashtbl.remove c.ooo seq;
-             c.ooo_len <- c.ooo_len - len;
-             let keep =
-               Bytebuf.sub data (c.rcv_nxt - seq) (seq + len - c.rcv_nxt)
-             in
-             deliver_data c keep;
-             c.rcv_nxt <- seq + len;
-             progress := true
-           end
-         end)
-      c.ooo
-  done
+  let k = c.ctrs in
+  if Hashtbl.length k.ooo > 0 then begin
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      Hashtbl.iter
+        (fun seq data ->
+           if not !progress then begin
+             let len = Bytebuf.length data in
+             if seq + len <= c.rcv_nxt then begin
+               Hashtbl.remove k.ooo seq;
+               k.ooo_len <- k.ooo_len - len;
+               progress := true
+             end
+             else if seq <= c.rcv_nxt then begin
+               Hashtbl.remove k.ooo seq;
+               k.ooo_len <- k.ooo_len - len;
+               let keep =
+                 Bytebuf.sub data (c.rcv_nxt - seq) (seq + len - c.rcv_nxt)
+               in
+               deliver_data c keep;
+               c.rcv_nxt <- seq + len;
+               progress := true
+             end
+           end)
+        k.ooo
+    done;
+    if Hashtbl.length k.ooo = 0 then k.ooo <- no_ooo
+  end
 
 let enter_close_states c =
-  let our_fin_acked = c.fin_seq >= 0 && c.snd_una > c.fin_seq in
-  match (c.peer_fin, our_fin_acked) with
-  | Some fin_seq, true when c.rcv_nxt > fin_seq ->
-    c.st <- Closed_st;
-    reap_conn c
-  | Some _, _ -> if c.st = Established_st then c.st <- Close_wait
-  | None, _ -> if c.fin_pending && c.st = Established_st then c.st <- Fin_wait
+  if c.peer_fin >= 0 then begin
+    let our_fin_acked = c.fin_seq >= 0 && c.snd_una > c.fin_seq in
+    if our_fin_acked && c.rcv_nxt > c.peer_fin then begin
+      set_state c Closed_st;
+      reap_conn c
+    end
+    else if state c = Established_st then set_state c Close_wait
+  end
+  else if has c fin_pending && state c = Established_st then set_state c Fin_wait
 
 let handle_ack c ~ackno ~wnd ~paylen =
   let old_rwnd = c.rwnd in
@@ -514,27 +543,29 @@ let handle_ack c ~ackno ~wnd ~paylen =
     let acked = ackno - c.snd_una in
     c.snd_una <- ackno;
     if c.snd_una >= c.wseq then release_ring c;
-    c.strikes <- 0;
+    c.bits <- c.bits land lnot (15 lsl strikes_shift); (* no strikes *)
     update_rtt c;
     let m = mss c.stack in
-    if c.in_recovery && ackno >= c.recover then begin
-      c.in_recovery <- false;
+    (* [in_recovery] or a non-zero [dupacks] means the block is this
+       connection's own. *)
+    let k = c.ctrs in
+    if k.in_recovery && ackno >= k.recover then begin
+      k.in_recovery <- false;
       c.cwnd <- c.ssthresh;
-      c.dupacks <- 0
+      k.dupacks <- 0
     end
-    else if c.in_recovery then begin
+    else if k.in_recovery then begin
       (* NewReno partial ack: retransmit the next hole, deflate. *)
       if resend_hole c then begin
-        let k = counters c in
         k.partial_events <- k.partial_events + 1;
         Log.debug (fun l ->
             l "partial ack=%d una=%d recover=%d nxt=%d" ackno c.snd_una
-              c.recover c.snd_nxt)
+              k.recover c.snd_nxt)
       end;
       c.cwnd <- max m (c.cwnd - acked + m)
     end
     else begin
-      c.dupacks <- 0;
+      if k.dupacks <> 0 then k.dupacks <- 0;
       if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked m
       else c.cwnd <- c.cwnd + max 1 (m * m / c.cwnd)
     end;
@@ -548,25 +579,25 @@ let handle_ack c ~ackno ~wnd ~paylen =
   then begin
     (* A true duplicate ACK: same ack number, empty, window unchanged —
        pure window updates must not trigger fast retransmit. *)
-    c.dupacks <- c.dupacks + 1;
+    let k = counters c in
+    k.dupacks <- k.dupacks + 1;
     let m = mss c.stack in
-    if c.dupacks = 3 && not c.in_recovery then begin
+    if k.dupacks = 3 && not k.in_recovery then begin
       (* Fast retransmit + fast recovery. *)
       let flight = c.snd_nxt - c.snd_una in
       c.ssthresh <- max (flight / 2) (2 * m);
-      c.in_recovery <- true;
-      c.recover <- c.snd_nxt;
-      let k = counters c in
+      k.in_recovery <- true;
+      k.recover <- c.snd_nxt;
       k.fast_events <- k.fast_events + 1;
       Log.debug (fun l ->
           l "fastrx una=%d nxt=%d cwnd=%d" c.snd_una c.snd_nxt c.cwnd);
-      c.rtt_seq <- None;
+      k.rtt_seq <- -1;
       if (not (resend_hole c)) && c.fin_seq = c.snd_una then
         send_seg c ~flags:{ syn = false; ack = true; fin = true; rst = false }
           ~seq:c.snd_una (Bytebuf.create 0);
       c.cwnd <- c.ssthresh + (3 * m)
     end
-    else if c.in_recovery then begin
+    else if k.in_recovery then begin
       c.cwnd <- c.cwnd + m;
       (* The link delivers in order and the peer ACKs every segment at
          once, so a duplicate ACK that arrives more than an RTT bound after
@@ -574,12 +605,9 @@ let handle_ack c ~ackno ~wnd ~paylen =
          segment was lost too. Resend it now, not at the RTO (200 ms at
          least), which would stall the stream past a heartbeat monitor's
          confirmation horizon. *)
-      if float_of_int (Sim.now (sim c) - c.retx_at) > rtt_bound c
+      if float_of_int (Sim.now (sim c) - k.retx_at) > rtt_bound c
          && resend_hole c
-      then begin
-        let k = counters c in
-        k.fast_events <- k.fast_events + 1
-      end;
+      then k.fast_events <- k.fast_events + 1;
       try_output c
     end
   end;
@@ -588,27 +616,27 @@ let handle_ack c ~ackno ~wnd ~paylen =
 
 let deliver_peer_closed c =
   enter_close_states c;
-  if not c.peer_closed_delivered then begin
-    c.peer_closed_delivered <- true;
+  if not (has c peer_closed_delivered) then begin
+    set_flag c peer_closed_delivered;
     c.cb Peer_closed
   end
 
 let rec handle_conn_segment c (seg : wire_seg) =
   if seg.flags.rst then begin
-    if c.st <> Closed_st then begin
-      c.st <- Closed_st;
+    if state c <> Closed_st then begin
+      set_state c Closed_st;
       cancel_timer c;
       c.cb Reset;
       reap_conn c
     end
   end
   else
-    match c.st with
+    match state c with
     | Syn_sent when seg.flags.syn && seg.flags.ack && seg.ackno = c.snd_nxt ->
       c.snd_una <- seg.ackno;
       c.rcv_nxt <- seg.seq + 1;
       c.rwnd <- seg.wnd;
-      c.st <- Established_st;
+      set_state c Established_st;
       c.rto <- initial_rto;
       cancel_timer c;
       send_pure_ack c;
@@ -618,7 +646,7 @@ let rec handle_conn_segment c (seg : wire_seg) =
     | Syn_received when seg.flags.ack && seg.ackno = c.snd_nxt ->
       c.snd_una <- seg.ackno;
       c.rwnd <- seg.wnd;
-      c.st <- Established_st;
+      set_state c Established_st;
       c.rto <- initial_rto;
       cancel_timer c;
       c.cb Established;
@@ -644,26 +672,24 @@ let rec handle_conn_segment c (seg : wire_seg) =
           drain_ooo c;
           had_new := true
         end
-        else if not (Hashtbl.mem c.ooo seq) then begin
-          if c.ooo == no_ooo then c.ooo <- Hashtbl.create 8;
-          Hashtbl.replace c.ooo seq seg.payload;
-          c.ooo_len <- c.ooo_len + paylen
+        else if not (Hashtbl.mem c.ctrs.ooo seq) then begin
+          let k = counters c in
+          if k.ooo == no_ooo then k.ooo <- Hashtbl.create 8;
+          Hashtbl.replace k.ooo seq seg.payload;
+          k.ooo_len <- k.ooo_len + paylen
         end;
         (* Immediate ACK: in-order data acknowledges progress, anything else
            produces a duplicate ACK for fast retransmit. *)
         send_pure_ack c;
         if !had_new then c.cb Readable
       end;
-      (match seg.flags.fin, c.peer_fin with
-       | true, None -> c.peer_fin <- Some (seg.seq + paylen)
-       | _ -> ());
-      (match c.peer_fin with
-       | Some fin_seq when c.rcv_nxt = fin_seq ->
-         c.rcv_nxt <- fin_seq + 1;
-         send_pure_ack c;
-         deliver_peer_closed c
-       | Some _ when seg.flags.fin -> send_pure_ack c
-       | _ -> ())
+      if seg.flags.fin && c.peer_fin < 0 then c.peer_fin <- seg.seq + paylen;
+      if c.peer_fin >= 0 && c.rcv_nxt = c.peer_fin then begin
+        c.rcv_nxt <- c.peer_fin + 1;
+        send_pure_ack c;
+        deliver_peer_closed c
+      end
+      else if c.peer_fin >= 0 && seg.flags.fin then send_pure_ack c
 
 let handle_segment stack (pkt : Simnet.Packet.t) (seg : wire_seg) =
   let key =
@@ -772,10 +798,10 @@ let write_space c = c.sndbuf_cap - (c.wseq - c.snd_una)
    one [try_output] cuts segments from the whole run, so pieces smaller
    than an MSS share segments instead of leaving one each. *)
 let writev c (bufs : Bytebuf.t list) =
-  match c.st with
+  match state c with
   | Closed_st -> invalid_arg "Tcp.write: connection closed"
   | Syn_sent | Syn_received | Established_st | Fin_wait | Close_wait ->
-    if c.fin_pending then invalid_arg "Tcp.write: already shut down";
+    if has c fin_pending then invalid_arg "Tcp.write: already shut down";
     let start = c.wseq in
     let rec copy space = function
       | [] -> ()
@@ -824,8 +850,9 @@ let read c ~max =
       end
     done;
     c.rcvq_len <- c.rcvq_len - !taken;
+    if c.rcvq_len = 0 then c.rcvq <- no_rcvq;
     (* Window update once enough space reopened. *)
-    (match c.st with
+    (match state c with
      | Established_st | Fin_wait ->
        let w = rcv_window c in
        if w - c.last_wnd_sent >= mss c.stack then send_pure_ack c
@@ -836,30 +863,28 @@ let read c ~max =
   end
 
 let close c =
-  match c.st with
+  match state c with
   | Closed_st -> ()
   | Syn_sent ->
-    c.st <- Closed_st;
+    set_state c Closed_st;
     cancel_timer c;
     release_ring c;
-    Conn_tbl.remove c.stack.conns
-      (conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport)
+    Conn_tbl.remove c.stack.conns c.key
   | Syn_received | Established_st | Fin_wait | Close_wait ->
-    if not c.fin_pending then begin
-      c.fin_pending <- true;
+    if not (has c fin_pending) then begin
+      set_flag c fin_pending;
       try_output c;
       enter_close_states c
     end
 
 let abort c =
-  if c.st <> Closed_st then begin
-    send_rst c.stack ~dst:c.rnode ~sport:c.lport ~dport:c.rport ~seq:c.snd_nxt
-      ~ackno:c.rcv_nxt;
-    c.st <- Closed_st;
+  if state c <> Closed_st then begin
+    send_rst c.stack ~dst:(rnode c) ~sport:(lport c) ~dport:(rport c)
+      ~seq:c.snd_nxt ~ackno:c.rcv_nxt;
+    set_state c Closed_st;
     cancel_timer c;
     release_ring c;
-    Conn_tbl.remove c.stack.conns
-      (conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport)
+    Conn_tbl.remove c.stack.conns c.key
   end
 
 (* ---------- accounting ---------- *)
@@ -870,16 +895,16 @@ let conn_count stack = Conn_tbl.length stack.conns
 
 (* Heap retained by one idle established connection end on a 64-bit
    runtime: the record, its table slot and, when SysIO watches it, the
-   readiness source and closures around it (82 words measured). Not an
-   estimate but a tested bound: test_edge fails when the live-heap growth
-   of 10k idle connections, after a full major GC, exceeds this many bytes
-   per connection end. *)
-let conn_overhead_bytes = 96 * 8
+   SysIO connection, its readiness source and the one closure between
+   them (49.3 words measured). Not an estimate but a tested bound:
+   test_edge fails when the live-heap growth of 10k idle connections,
+   after a full major GC, exceeds this many bytes per connection end. *)
+let conn_overhead_bytes = 50 * 8
 
 let conn_resident_bytes c =
   conn_overhead_bytes
   + Bytes.length c.sndring
-  + c.rcvq_len + c.ooo_len
+  + c.rcvq_len + c.ctrs.ooo_len
 
 let resident_bytes stack =
   Conn_tbl.fold (fun _ c acc -> acc + conn_resident_bytes c) stack.conns 0

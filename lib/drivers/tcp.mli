@@ -132,10 +132,10 @@ val reaped : stack -> int
 (** Fully closed connections removed from the stack's table. *)
 
 val conn_overhead_bytes : int
-(** Heap retained by one idle established connection end (768 bytes:
-    record, table slot, and the SysIO readiness source that watches it),
-    a bound checked by measuring the live heap of 10k idle connections;
-    the basis of the per-connection byte budget. *)
+(** Heap retained by one idle established connection end (400 bytes:
+    record, table slot, and the SysIO connection, readiness source and
+    closure that watch it), a bound checked by measuring the live heap of
+    10k idle connections; the basis of the per-connection byte budget. *)
 
 val conn_resident_bytes : conn -> int
 (** [conn_overhead_bytes] + send ring + buffered receive bytes (in-order

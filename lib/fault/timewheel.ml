@@ -1,5 +1,5 @@
 type timer = {
-  mutable cb : (unit -> unit) option; (* None once fired or cancelled *)
+  mutable cb : unit -> unit; (* [spent] once fired or cancelled *)
   wheel : t;
   slot_idx : int;
   deadline : int; (* requested (unrounded) firing instant *)
@@ -25,6 +25,18 @@ let create_on ?(slot_ns = 65_536) clk =
   { clk; slot_ns; slots = Hashtbl.create 64; live = 0; next_seq = 0 }
 
 let create ?slot_ns sim = create_on ?slot_ns (Engine.Sim.clock sim)
+
+(* The callback of a timer that can no longer fire. Compared physically. *)
+let spent () = ()
+
+(* Never armed, so never fired or cancelled: its wheel (over a clock that
+   schedules nothing) is never read. *)
+let none =
+  let inert =
+    Engine.Clock.make ~kind:Engine.Clock.Virtual ~now:(fun () -> 0)
+      ~schedule:(fun _ _ -> ()) ~arm:(fun _ _ () -> ())
+  in
+  { cb = spent; wheel = create_on inert; slot_idx = 0; deadline = 0; seq = -1 }
 
 (* One shared wheel per clock, keyed by Clock.id; the list stays tiny (one
    entry per live simulation or host loop). Mutex-guarded: in a sharded
@@ -71,12 +83,12 @@ let fire_slot t idx =
     in
     List.iter
       (fun timer ->
-         match timer.cb with
-         | None -> ()
-         | Some f ->
-           timer.cb <- None;
+         let f = timer.cb in
+         if f != spent then begin
+           timer.cb <- spent;
            t.live <- t.live - 1;
-           f ())
+           f ()
+         end)
       ordered
 
 let arm t ~after_ns f =
@@ -87,7 +99,7 @@ let arm t ~after_ns f =
   let idx = (deadline + t.slot_ns - 1) / t.slot_ns in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let timer = { cb = Some f; wheel = t; slot_idx = idx; deadline; seq } in
+  let timer = { cb = f; wheel = t; slot_idx = idx; deadline; seq } in
   (match Hashtbl.find_opt t.slots idx with
    | Some s ->
      s.entries <- timer :: s.entries;
@@ -104,10 +116,8 @@ let arm t ~after_ns f =
   timer
 
 let cancel timer =
-  match timer.cb with
-  | None -> ()
-  | Some _ ->
-    timer.cb <- None;
+  if timer.cb != spent then begin
+    timer.cb <- spent;
     let t = timer.wheel in
     t.live <- t.live - 1;
     (* On a wall clock an armed-but-dead slot would keep the reactor alive
@@ -126,5 +136,6 @@ let cancel timer =
           | None -> ()
           | Some h -> Engine.Clock.cancel h
         end
+  end
 
 let pending t = t.live

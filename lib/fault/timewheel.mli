@@ -40,7 +40,13 @@ val arm : t -> after_ns:int -> (unit -> unit) -> timer
     to 0). *)
 
 val cancel : timer -> unit
-(** Idempotent; a cancelled timer never fires. *)
+(** Idempotent; a cancelled timer never fires. Its callback is released at
+    once; the timer record itself stays in its slot until the slot's
+    instant passes. *)
+
+val none : timer
+(** A timer that was never armed: {!cancel} ignores it. A placeholder for
+    state that holds no armed timer. *)
 
 val pending : t -> int
 (** Armed, not-yet-fired, not-cancelled timers. *)

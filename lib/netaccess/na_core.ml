@@ -18,16 +18,22 @@ let default_quanta = { madio_quantum = 4; sysio_quantum = 4 }
 type item = { work : unit -> unit; posted_at : int }
 
 (* An explicit readiness source (one per watched connection): events
-   accumulate at the source, and the source enqueues itself on the ready
-   list at most once ([s_queued]) until drained. Idle sources are simply
-   absent from the list, so a dispatch round costs nothing per idle
-   connection — the O(watched)-scan replacement. *)
-type source = {
-  src_id : int;
-  mutable s_queued : bool; (* on the ready list right now *)
-  mutable s_live : bool; (* false once unregistered *)
-  s_drain : unit -> unit; (* deliver every pending event; non-blocking *)
-}
+   accumulate at the source's owner, and the source enqueues itself on the
+   ready list at most once ([queued]) until drained. Idle sources are
+   simply absent from the list, so a dispatch round costs nothing per idle
+   connection — the O(watched)-scan replacement. The drain is a function of
+   the owner shared by every source of its kind, so a source allocates no
+   closure. *)
+type source =
+  | Source : {
+      mutable s_state : int; (* [queued] and [live] bits *)
+      s_owner : 'o;
+      s_drain : 'o -> unit; (* deliver every pending event; non-blocking *)
+    }
+      -> source
+
+let queued = 1 (* on the ready list right now *)
+let live = 2 (* cleared once unregistered *)
 
 type queue_state = {
   kname : string;
@@ -49,7 +55,6 @@ type t = {
   (* Readiness sources of watched connections; only sources with pending
      events are on [ready]. *)
   ready : source Queue.t;
-  mutable next_src : int;
   mutable nsources : int;
   ready_drains : Stats.Counter.t; (* sources drained *)
   ready_polls : Stats.Counter.t; (* rounds that paid the ready-list poll *)
@@ -115,9 +120,9 @@ let rec drain_ready t ~charged k =
   if k < t.quanta.sysio_quantum then
     match Queue.peek_opt t.ready with
     | None -> ()
-    | Some s when not s.s_live ->
+    | Some (Source s) when s.s_state land live = 0 ->
       ignore (Queue.pop t.ready);
-      s.s_queued <- false;
+      s.s_state <- s.s_state land lnot queued;
       drain_ready t ~charged k
     | Some _ when not charged ->
       Stats.Counter.incr t.ready_polls;
@@ -125,11 +130,11 @@ let rec drain_ready t ~charged k =
         Trace.instant t.dnode (Padico_obs.Event.Poll { kind = "sysio" });
       Simnet.Node.cpu t.dnode Calib.sysio_poll_ns;
       drain_ready t ~charged:true k
-    | Some s ->
+    | Some (Source s) ->
       ignore (Queue.pop t.ready);
-      s.s_queued <- false;
+      s.s_state <- s.s_state land lnot queued;
       Stats.Counter.incr t.ready_drains;
-      (try s.s_drain ()
+      (try s.s_drain s.s_owner
        with e ->
          Log.err (fun m ->
              m "%s: ready-source drain raised %s"
@@ -196,7 +201,7 @@ let get dnode =
             madio = make_queue dnode "madio";
             sysio = make_queue dnode "sysio";
             waker = None;
-            ready = Queue.create (); next_src = 0; nsources = 0;
+            ready = Queue.create (); nsources = 0;
             ready_drains = Metrics.fresh_counter scope "na.ready.drains";
             ready_polls = Metrics.fresh_counter scope "na.ready.polls" }
         in
@@ -253,33 +258,28 @@ let polls_idle _ = 0
 
 (* -- readiness sources -------------------------------------------------- *)
 
-let register_source t ~drain =
-  let s =
-    { src_id = t.next_src; s_queued = false; s_live = true; s_drain = drain }
-  in
-  t.next_src <- t.next_src + 1;
+let register_source t owner ~drain =
   t.nsources <- t.nsources + 1;
-  s
+  Source { s_state = live; s_owner = owner; s_drain = drain }
 
-let no_source =
-  { src_id = -1; s_queued = false; s_live = false; s_drain = ignore }
+let no_source = Source { s_state = 0; s_owner = (); s_drain = ignore }
 
-let unregister_source t s =
-  if s.s_live then begin
-    s.s_live <- false;
+let unregister_source t (Source s) =
+  if s.s_state land live <> 0 then begin
+    s.s_state <- s.s_state land lnot live;
     t.nsources <- t.nsources - 1
     (* A queued entry stays on the list and is skipped (uncharged) at the
        next drain — O(1) unregister, like an epoll interest removal. *)
   end
 
-let mark_ready t s =
-  if s.s_live && not s.s_queued then begin
-    s.s_queued <- true;
-    Queue.push s t.ready;
+let mark_ready t (Source s as src) =
+  if s.s_state = live then begin
+    s.s_state <- live lor queued;
+    Queue.push src t.ready;
     wake t
   end
 
-let source_live s = s.s_live
+let source_live (Source s) = s.s_state land live <> 0
 
 let ready_depth t = Queue.length t.ready
 

@@ -92,9 +92,12 @@ val polls_idle : t -> int
 
 type source
 
-val register_source : t -> drain:(unit -> unit) -> source
-(** A new readiness source. [drain] must deliver {e every} pending event
-    of the source and be non-blocking; it runs from the dispatcher. *)
+val register_source : t -> 'o -> drain:('o -> unit) -> source
+(** [register_source t owner ~drain] is a new readiness source whose
+    drain runs [drain owner] from the dispatcher. [drain] must deliver
+    {e every} pending event of the owner and be non-blocking. The source
+    stores [owner] and [drain] as they are, so a [drain] shared by all
+    sources of one kind costs no allocation per source. *)
 
 val no_source : source
 (** A source that is never live: {!mark_ready} and {!unregister_source}

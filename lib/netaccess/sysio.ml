@@ -5,56 +5,6 @@ module Trace = Padico_obs.Trace
 module Metrics = Padico_obs.Metrics
 module Stream = Hostio.Stream
 
-type t = {
-  sio_node : Simnet.Node.t;
-  core : Na_core.t;
-  dispatched : Stats.Counter.t;
-  mutable sim_stacks : Tcp.stack list; (* for the byte-budget gauges *)
-}
-
-let instances : (int, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset instances))
-
-let sum_stacks f t =
-  List.fold_left (fun acc st -> acc + f st) 0 t.sim_stacks
-
-let get n =
-  let key = Simnet.Node.uid n in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt instances key with
-      | Some t -> t
-      | None ->
-        let scope = Metrics.Node (Simnet.Node.name n) in
-        let t =
-          { sio_node = n; core = Na_core.get n;
-            dispatched = Metrics.fresh_counter scope "sysio.dispatched";
-            sim_stacks = [] }
-        in
-        Metrics.gauge scope "conn.count" (fun () ->
-            float_of_int (sum_stacks Tcp.conn_count t));
-        Metrics.gauge scope "conn.bytes_resident" (fun () ->
-            float_of_int (sum_stacks Tcp.resident_bytes t));
-        Hashtbl.replace instances key t;
-        t)
-
-let node t = t.sio_node
-
-(* ---------- backends ---------- *)
-
-type stack =
-  | Sim_stack of Tcp.stack
-  | Host_stack of host_stack
-
-and host_stack = {
-  hs_node : Simnet.Node.t;
-  hs_seg : Simnet.Segment.t;
-  hs_loop : Hostio.Loop.t;
-}
-
 (* Pending events of one watched connection: a FIFO of 3-bit event
    codes in one int, oldest in the low bits, a zero code ending it.
    [Readable] / [Writable] already pending absorb a new edge of the same
@@ -99,21 +49,29 @@ module Event_fifo = struct
     go q 0
 end
 
-(* A watched connection, on either backend, carries a readiness source:
-   its transport events accumulate here and the source sits on the
+type t = {
+  sio_node : Simnet.Node.t;
+  core : Na_core.t;
+  dispatched : Stats.Counter.t;
+  mutable sim_stacks : Tcp.stack list; (* for the byte-budget gauges *)
+  drain : conn -> unit; (* every watched connection's source drain *)
+}
+
+(* A connection on either backend is also its own watcher: its transport
+   events accumulate in [w_pending], and its readiness source (a
+   closure-free [Na_core.source] pointing back at it) sits on the
    dispatcher's ready list at most once until drained. An unwatched
-   connection points at [no_src]. *)
-type conn = { impl : conn_impl; mutable src : watcher }
+   connection holds [Na_core.no_source]. *)
+and conn = {
+  impl : conn_impl;
+  mutable w_cb : Tcp.event -> unit;
+  mutable w_pending : Event_fifo.t;
+  mutable w_src : Na_core.source;
+}
 
 and conn_impl =
   | Sim_conn of Tcp.conn
   | Host_conn of host_conn
-
-and watcher = {
-  mutable w_cb : Tcp.event -> unit;
-  mutable w_pending : Event_fifo.t;
-  mutable w_source : Na_core.source;
-}
 
 and host_conn = {
   (* [None] models a refused dial: a SYN answered by RST. *)
@@ -122,10 +80,24 @@ and host_conn = {
   mutable hc_dead : bool; (* guards the segment link-state subscription *)
 }
 
-(* Shared and never written: the source of every connection without one. *)
-let no_src =
-  { w_cb = ignore; w_pending = Event_fifo.empty;
-    w_source = Na_core.no_source }
+let instances : (int, t) Hashtbl.t = Hashtbl.create 16
+let registry_lock = Mutex.create ()
+
+let () =
+  Engine.Lifecycle.on_reset (fun () ->
+      Mutex.protect registry_lock (fun () -> Hashtbl.reset instances))
+
+(* ---------- backends ---------- *)
+
+type stack =
+  | Sim_stack of Tcp.stack
+  | Host_stack of host_stack
+
+and host_stack = {
+  hs_node : Simnet.Node.t;
+  hs_seg : Simnet.Segment.t;
+  hs_loop : Hostio.Loop.t;
+}
 
 let host_stacks : (int * int, host_stack) Hashtbl.t = Hashtbl.create 16
 let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset host_stacks)
@@ -228,18 +200,46 @@ let dispatch t f =
 
 (* ---------- readiness sources ---------- *)
 
-let drain_src t w () =
-  while not (Event_fifo.is_empty w.w_pending) do
-    let ev = Event_fifo.head w.w_pending in
-    w.w_pending <- Event_fifo.tail w.w_pending;
+(* Deliver every pending event of a watched connection. A callback that
+   unwatches its connection leaves the rest of the pending events to
+   [ignore]; they are still charged as dispatches. *)
+let drain_conn t c =
+  while not (Event_fifo.is_empty c.w_pending) do
+    let ev = Event_fifo.head c.w_pending in
+    c.w_pending <- Event_fifo.tail c.w_pending;
     charge t;
     trace_event t (event_name ev);
-    w.w_cb ev
+    c.w_cb ev
   done
 
-let push_event t w ev =
-  w.w_pending <- Event_fifo.push w.w_pending ev;
-  Na_core.mark_ready t.core w.w_source
+let push_event t c ev =
+  c.w_pending <- Event_fifo.push c.w_pending ev;
+  Na_core.mark_ready t.core c.w_src
+
+let sum_stacks f t =
+  List.fold_left (fun acc st -> acc + f st) 0 t.sim_stacks
+
+let get n =
+  let key = Simnet.Node.uid n in
+  Mutex.protect registry_lock (fun () ->
+      match Hashtbl.find_opt instances key with
+      | Some t -> t
+      | None ->
+        let scope = Metrics.Node (Simnet.Node.name n) in
+        let core = Na_core.get n in
+        let dispatched = Metrics.fresh_counter scope "sysio.dispatched" in
+        let rec t =
+          { sio_node = n; core; dispatched; sim_stacks = [];
+            drain = (fun c -> drain_conn t c) }
+        in
+        Metrics.gauge scope "conn.count" (fun () ->
+            float_of_int (sum_stacks Tcp.conn_count t));
+        Metrics.gauge scope "conn.bytes_resident" (fun () ->
+            float_of_int (sum_stacks Tcp.resident_bytes t));
+        Hashtbl.replace instances key t;
+        t)
+
+let node t = t.sio_node
 
 let set_transport_cb conn f =
   match conn.impl with
@@ -248,45 +248,39 @@ let set_transport_cb conn f =
     Stream.set_event_cb s (fun ev -> f (map_event ev))
   | Host_conn _ -> ()
 
-(* Give the connection a readiness source and point the transport's event
-   callback at it, or retarget the source it already has. *)
+(* Register the connection's readiness source and point the transport's
+   event callback at it, or retarget the watch it already has. A fresh
+   watch starts with no pending event. *)
 let attach t conn cb =
-  if conn.src != no_src then begin
-    conn.src.w_cb <- cb;
-    conn.src
-  end
-  else begin
-    let w =
-      { w_cb = cb; w_pending = Event_fifo.empty;
-        w_source = Na_core.no_source }
-    in
-    w.w_source <- Na_core.register_source t.core ~drain:(drain_src t w);
-    conn.src <- w;
-    set_transport_cb conn (fun ev -> push_event t w ev);
-    w
+  conn.w_cb <- cb;
+  if conn.w_src == Na_core.no_source then begin
+    conn.w_pending <- Event_fifo.empty;
+    conn.w_src <- Na_core.register_source t.core conn ~drain:t.drain;
+    set_transport_cb conn (fun ev -> push_event t conn ev)
   end
 
 let watch t conn cb =
-  let fresh = conn.src == no_src in
-  let w = attach t conn cb in
+  let fresh = conn.w_src == Na_core.no_source in
+  attach t conn cb;
   match conn.impl with
   | Host_conn { hc_stream = None; _ } when fresh ->
     (* Refused dial: the only event this connection will ever see. *)
-    push_event t w Tcp.Reset
+    push_event t conn Tcp.Reset
   | Sim_conn _ | Host_conn _ -> ()
 
 let unwatch t conn =
-  let w = conn.src in
-  if w != no_src then begin
-    Na_core.unregister_source t.core w.w_source;
+  if conn.w_src != Na_core.no_source then begin
+    Na_core.unregister_source t.core conn.w_src;
     (* Events still pending when the callback unwatches mid-drain are
        dropped, like an fd closed with events queued. *)
-    w.w_cb <- ignore;
-    conn.src <- no_src
+    conn.w_cb <- ignore;
+    conn.w_src <- Na_core.no_source
   end;
   set_transport_cb conn ignore
 
-let mk_conn impl = { impl; src = no_src }
+let mk_conn impl =
+  { impl; w_cb = ignore; w_pending = Event_fifo.empty;
+    w_src = Na_core.no_source }
 
 let listen ?sndbuf ?rcvbuf t stack ~port cb =
   match stack with
@@ -329,11 +323,12 @@ let connect ?sndbuf ?rcvbuf t stack ~dst ~port cb =
            (Host_conn
               { hc_stream = None; hc_node = hs.hs_node; hc_dead = true }))
   in
-  let w = attach t conn (cb conn) in
+  attach t conn (cb conn);
   (match conn.impl with
    | Host_conn { hc_stream = None; _ } ->
+     let src = conn.w_src in
      Clock.after (Simnet.Node.clock t.sio_node) 0 (fun () ->
-         push_event t w Tcp.Reset)
+         if conn.w_src == src then push_event t conn Tcp.Reset)
    | Sim_conn _ | Host_conn _ -> ());
   conn
 

@@ -139,188 +139,227 @@ let chunk ~total ~off n =
   done;
   b
 
-(* Per-shard server: incremental length-prefix parser per accepted
-   connection, acks owed flushed under backpressure. *)
+(* Per-shard server: an incremental length-prefix parser per accepted
+   connection, acks owed flushed under backpressure. One record holds a
+   connection's whole server state; the functions over it are shared. *)
+type served = {
+  sv_sio : Sysio.t;
+  sv_conn : Sysio.conn;
+  sv_count : int Atomic.t; (* the shard's [served] tally *)
+  mutable hgot : int; (* header bytes parsed *)
+  mutable need : int; (* payload length being parsed *)
+  mutable body : int; (* payload bytes still to come *)
+  mutable ack_owed : int;
+}
+
+let flush_acks s =
+  let continue = ref true in
+  while !continue && s.ack_owed > 0 do
+    let b = Bytebuf.create (min s.ack_owed 4) in
+    Bytebuf.fill_zero b;
+    let w = Sysio.write s.sv_conn b in
+    if w = 0 then continue := false else s.ack_owed <- s.ack_owed - w
+  done
+
+let request_done s =
+  Atomic.incr s.sv_count;
+  s.ack_owed <- s.ack_owed + 4;
+  flush_acks s
+
+let consume s b =
+  let len = Bytebuf.length b in
+  let pos = ref 0 in
+  while !pos < len do
+    if s.body > 0 then begin
+      let take = min s.body (len - !pos) in
+      s.body <- s.body - take;
+      pos := !pos + take;
+      if s.body = 0 then request_done s
+    end
+    else begin
+      s.need <- (s.need lsl 8) lor Bytebuf.get_u8 b !pos;
+      incr pos;
+      s.hgot <- s.hgot + 1;
+      if s.hgot = header_len then begin
+        s.body <- s.need;
+        s.hgot <- 0;
+        s.need <- 0;
+        if s.body = 0 then request_done s
+      end
+    end
+  done
+
+let on_readable s =
+  let continue = ref true in
+  while !continue do
+    match Sysio.read s.sv_conn ~max:65_536 with
+    | None -> continue := false
+    | Some b -> consume s b
+  done
+
+let hang_up s =
+  Sysio.unwatch s.sv_sio s.sv_conn;
+  Sysio.close s.sv_conn
+
+let on_server_event s = function
+  | Drivers.Tcp.Readable -> on_readable s
+  | Drivers.Tcp.Writable -> flush_acks s
+  | Drivers.Tcp.Peer_closed -> hang_up s
+  | Drivers.Tcp.Reset -> Sysio.unwatch s.sv_sio s.sv_conn
+  | Drivers.Tcp.Established -> ()
+
 let serve_shard e served node =
   let sio = Sysio.get node in
   let stack = Sysio.stack_on sio e.e_wan in
   Sysio.listen ~sndbuf:e.e_bufsize ~rcvbuf:e.e_bufsize sio stack
     ~port:e.e_port (fun conn ->
-        let hgot = ref 0 and need = ref 0 and body = ref 0 in
-        let ack_owed = ref 0 in
-        let flush_acks () =
-          let continue = ref true in
-          while !continue && !ack_owed > 0 do
-            let b = Bytebuf.create (min !ack_owed 4) in
-            Bytebuf.fill_zero b;
-            let w = Sysio.write conn b in
-            if w = 0 then continue := false else ack_owed := !ack_owed - w
-          done
+        let s =
+          { sv_sio = sio; sv_conn = conn; sv_count = served; hgot = 0;
+            need = 0; body = 0; ack_owed = 0 }
         in
-        let consume b =
-          let len = Bytebuf.length b in
-          let pos = ref 0 in
-          while !pos < len do
-            if !body > 0 then begin
-              let take = min !body (len - !pos) in
-              body := !body - take;
-              pos := !pos + take;
-              if !body = 0 then begin
-                Atomic.incr served;
-                ack_owed := !ack_owed + 4;
-                flush_acks ()
-              end
-            end
-            else begin
-              need := (!need lsl 8) lor Bytebuf.get_u8 b !pos;
-              incr pos;
-              incr hgot;
-              if !hgot = header_len then begin
-                body := !need;
-                hgot := 0;
-                need := 0;
-                if !body = 0 then begin
-                  Atomic.incr served;
-                  ack_owed := !ack_owed + 4;
-                  flush_acks ()
-                end
-              end
-            end
-          done
-        in
-        let on_readable () =
-          let continue = ref true in
-          while !continue do
-            match Sysio.read conn ~max:65_536 with
-            | None -> continue := false
-            | Some b -> consume b
-          done
-        in
-        Sysio.watch sio conn (fun ev ->
-            match ev with
-            | Drivers.Tcp.Readable -> on_readable ()
-            | Drivers.Tcp.Writable -> flush_acks ()
-            | Drivers.Tcp.Peer_closed ->
-              Sysio.unwatch sio conn;
-              Sysio.close conn
-            | Drivers.Tcp.Reset -> Sysio.unwatch sio conn
-            | Drivers.Tcp.Established -> ());
+        Sysio.watch sio conn (fun ev -> on_server_event s ev);
         (* The accept callback runs a dispatch round after [Established]:
            request bytes (or a FIN) may already be in — the edge-triggered
            events fired into the pre-watch no-op callback. Catch up by
            polling, the documented idiom. *)
-        if Sysio.readable_bytes conn > 0 then on_readable ();
-        if Sysio.peer_closed conn then begin
-          Sysio.unwatch sio conn;
-          Sysio.close conn
-        end)
+        if Sysio.readable_bytes conn > 0 then on_readable s;
+        if Sysio.peer_closed conn then hang_up s)
+
+(* Client sessions. Atomic tallies: in a sharded run the server-side
+   [served] bumps on frontend shards race the client-side counters; the
+   snapshot into [edge_stats] happens after the run returns. Single-domain
+   cost is negligible next to the TCP machinery per request. *)
+type tally = {
+  established : int Atomic.t;
+  requests : int Atomic.t;
+  reconnects : int Atomic.t;
+  aborted : int Atomic.t;
+  resets : int Atomic.t;
+  served : int Atomic.t;
+}
+
+(* One client: its draws, fixed before the run, and the state of its
+   current connection. [rounds] requests are left on that connection (0 on
+   the idle population); churners close after the first ack and re-dial
+   the same logical port. *)
+type session = {
+  cs_edge : edge;
+  cs_tally : tally;
+  cs_sio : Sysio.t;
+  cs_stack : Sysio.stack;
+  cs_dst : int; (* the frontend's node id *)
+  cs_first_rounds : int;
+  cs_abort : bool; (* gives up mid-handshake first *)
+  cs_size1 : int;
+  cs_size2 : int;
+  mutable rounds : int;
+  mutable reconnect : bool; (* the current connection is a re-dial *)
+  mutable total : int; (* request bytes, header included *)
+  mutable sent : int;
+  mutable ack : int;
+}
+
+let push s c =
+  let continue = ref true in
+  while !continue && s.sent < s.total do
+    let space = Sysio.write_space c in
+    if space = 0 then continue := false
+    else begin
+      let n = min space (min (s.total - s.sent) 4096) in
+      let w =
+        Sysio.write c (chunk ~total:(s.total - header_len) ~off:s.sent n)
+      in
+      s.sent <- s.sent + w;
+      if w = 0 then continue := false
+    end
+  done
+
+let rec dial s ~rounds ~reconnect =
+  s.rounds <- rounds;
+  s.reconnect <- reconnect;
+  s.total <- header_len + (if rounds = 2 then s.cs_size1 else s.cs_size2);
+  s.sent <- 0;
+  s.ack <- 0;
+  let e = s.cs_edge in
+  ignore
+    (Sysio.connect ~sndbuf:e.e_bufsize ~rcvbuf:e.e_bufsize s.cs_sio s.cs_stack
+       ~dst:s.cs_dst ~port:e.e_port (fun c ev -> on_client_event s c ev))
+
+and on_client_event s c = function
+  | Drivers.Tcp.Established ->
+    Atomic.incr s.cs_tally.established;
+    if s.reconnect then Atomic.incr s.cs_tally.reconnects;
+    if s.rounds > 0 then push s c
+  | Drivers.Tcp.Writable -> push s c
+  | Drivers.Tcp.Readable ->
+    let continue = ref true in
+    while !continue do
+      match Sysio.read c ~max:4096 with
+      | None -> continue := false
+      | Some b -> s.ack <- s.ack + Bytebuf.length b
+    done;
+    if s.ack >= 4 && s.sent >= s.total then begin
+      Atomic.incr s.cs_tally.requests;
+      if s.rounds >= 2 then begin
+        (* Churn: tear the connection down and come back to the same
+           logical port on a fresh ephemeral one. *)
+        Sysio.unwatch s.cs_sio c;
+        Sysio.close c;
+        dial s ~rounds:1 ~reconnect:true
+      end
+    end
+  | Drivers.Tcp.Peer_closed ->
+    Sysio.unwatch s.cs_sio c;
+    Sysio.close c
+  | Drivers.Tcp.Reset ->
+    Atomic.incr s.cs_tally.resets;
+    Sysio.unwatch s.cs_sio c
+
+let start_session s =
+  if s.cs_abort then begin
+    (* A client that gives up mid-handshake (SYN sent, then gone) and
+       re-dials: the accept path must survive half-open churn. *)
+    let e = s.cs_edge in
+    let c =
+      Sysio.connect ~sndbuf:e.e_bufsize ~rcvbuf:e.e_bufsize s.cs_sio
+        s.cs_stack ~dst:s.cs_dst ~port:e.e_port (fun _ _ -> ())
+    in
+    Clock.after (Simnet.Node.clock (Sysio.node s.cs_sio)) 1_000 (fun () ->
+        Sysio.abort c;
+        Sysio.unwatch s.cs_sio c;
+        Atomic.incr s.cs_tally.aborted;
+        dial s ~rounds:s.cs_first_rounds ~reconnect:true)
+  end
+  else dial s ~rounds:s.cs_first_rounds ~reconnect:false
 
 let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
-  (* Atomic tallies: in a sharded run the server-side [served] bumps on
-     frontend shards race the client-side counters; the snapshot into
-     [edge_stats] happens after the run returns. Single-domain cost is
-     negligible next to the TCP machinery per request. *)
-  let established = Atomic.make 0 and requests = Atomic.make 0 in
-  let reconnects = Atomic.make 0 and aborted = Atomic.make 0 in
-  let resets = Atomic.make 0 and served = Atomic.make 0 in
-  List.iter (serve_shard e served) e.e_shards;
+  let tally =
+    { established = Atomic.make 0; requests = Atomic.make 0;
+      reconnects = Atomic.make 0; aborted = Atomic.make 0;
+      resets = Atomic.make 0; served = Atomic.make 0 }
+  in
+  List.iter (serve_shard e tally.served) e.e_shards;
   let rng = Rng.create (e.e_seed lxor 0x5eed) in
   let shards = Array.of_list e.e_shards in
   let cnodes = Array.of_list e.e_clients in
   let nshards = Array.length shards in
   let active = match active with Some a -> min a e.e_nclients | None -> e.e_nclients in
-  let starts = Array.make (max 1 e.e_nclients) (fun () -> ()) in
-  for i = 0 to e.e_nclients - 1 do
-    let cnode = cnodes.(i mod Array.length cnodes) in
-    let shard = shards.(i mod nshards) in
-    let sio = Sysio.get cnode in
-    let stack = Sysio.stack_on sio e.e_wan in
-    let clk = Simnet.Node.clock cnode in
-    let sends_request = i < active in
-    let abort_handshake = e.e_churn > 0.0 && Rng.bool rng (e.e_churn /. 4.0) in
-    let churns = e.e_churn > 0.0 && Rng.bool rng e.e_churn in
-    let size1 = pareto_size rng ~tail:e.e_tail in
-    let size2 = pareto_size rng ~tail:e.e_tail in
-    let start () =
-      (* [rounds] requests left on the current connection (0 on the idle
-         population); churners close after the first ack and re-dial the
-         same logical port. *)
-      let rec dial ~rounds ~reconnect =
-        let total = ref (header_len + if rounds = 2 then size1 else size2) in
-        let sent = ref 0 and ack = ref 0 in
-        let conn = ref None in
-        let push () =
-          match !conn with
-          | None -> ()
-          | Some c ->
-            let continue = ref true in
-            while !continue && !sent < !total do
-              let space = Sysio.write_space c in
-              if space = 0 then continue := false
-              else begin
-                let n = min space (min (!total - !sent) 4096) in
-                let w = Sysio.write c (chunk ~total:(!total - header_len) ~off:!sent n) in
-                sent := !sent + w;
-                if w = 0 then continue := false
-              end
-            done
-        in
-        let c =
-          Sysio.connect ~sndbuf:e.e_bufsize ~rcvbuf:e.e_bufsize sio stack
-            ~dst:(Simnet.Node.id shard) ~port:e.e_port
-            (fun c ev ->
-               match ev with
-               | Drivers.Tcp.Established ->
-                 Atomic.incr established;
-                 if reconnect then Atomic.incr reconnects;
-                 if rounds > 0 then push ()
-               | Drivers.Tcp.Writable -> push ()
-               | Drivers.Tcp.Readable ->
-                 let continue = ref true in
-                 while !continue do
-                   match Sysio.read c ~max:4096 with
-                   | None -> continue := false
-                   | Some b -> ack := !ack + Bytebuf.length b
-                 done;
-                 if !ack >= 4 && !sent >= !total then begin
-                   Atomic.incr requests;
-                   if rounds >= 2 then begin
-                     (* Churn: tear the connection down and come back to
-                        the same logical port on a fresh ephemeral one. *)
-                     Sysio.unwatch sio c;
-                     Sysio.close c;
-                     dial ~rounds:1 ~reconnect:true
-                   end
-                 end
-               | Drivers.Tcp.Peer_closed ->
-                 Sysio.unwatch sio c;
-                 Sysio.close c
-               | Drivers.Tcp.Reset ->
-                 Atomic.incr resets;
-                 Sysio.unwatch sio c)
-        in
-        conn := Some c
-      in
-      if abort_handshake then begin
-        (* A client that gives up mid-handshake (SYN sent, then gone) and
-           re-dials: the accept path must survive half-open churn. *)
-        let c =
-          Sysio.connect ~sndbuf:e.e_bufsize ~rcvbuf:e.e_bufsize sio stack
-            ~dst:(Simnet.Node.id shard) ~port:e.e_port (fun _ _ -> ())
-        in
-        Clock.after clk 1_000 (fun () ->
-            Sysio.abort c;
-            Sysio.unwatch sio c;
-            Atomic.incr aborted;
-            dial ~rounds:(if sends_request then if churns then 2 else 1 else 0)
-              ~reconnect:true)
-      end
-      else
-        dial ~rounds:(if sends_request then if churns then 2 else 1 else 0)
-          ~reconnect:false
-    in
-    starts.(i) <- start
-  done;
+  let sessions =
+    Array.init e.e_nclients (fun i ->
+        let cnode = cnodes.(i mod Array.length cnodes) in
+        let sio = Sysio.get cnode in
+        let stack = Sysio.stack_on sio e.e_wan in
+        let abort = e.e_churn > 0.0 && Rng.bool rng (e.e_churn /. 4.0) in
+        let churns = e.e_churn > 0.0 && Rng.bool rng e.e_churn in
+        let size1 = pareto_size rng ~tail:e.e_tail in
+        let size2 = pareto_size rng ~tail:e.e_tail in
+        { cs_edge = e; cs_tally = tally; cs_sio = sio; cs_stack = stack;
+          cs_dst = Simnet.Node.id shards.(i mod nshards);
+          cs_first_rounds =
+            (if i < active then if churns then 2 else 1 else 0);
+          cs_abort = abort; cs_size1 = size1; cs_size2 = size2; rounds = 0;
+          reconnect = false; total = 0; sent = 0; ack = 0 })
+  in
   (* Ramped arrivals: a flash crowd is modelled by a short ramp, steady
      load by a long one. Client [i] starts at [i * ramp_ns], on its own
      node's clock (so on its own shard). Each client node runs one
@@ -333,7 +372,7 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
     let clk = Simnet.Node.clock cnodes.(k) in
     let rec kick i () =
       if i < e.e_nclients then begin
-        starts.(i) ();
+        start_session sessions.(i);
         Clock.after clk (ncnodes * ramp_ns) (kick (i + ncnodes))
       end
     in
@@ -342,9 +381,9 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
   (match until with
    | Some u -> Padico.run e.e_grid ~until:u ?domains
    | None -> Padico.run e.e_grid ?domains);
-  { es_established = Atomic.get established;
-    es_requests = Atomic.get requests;
-    es_reconnects = Atomic.get reconnects;
-    es_aborted = Atomic.get aborted;
-    es_resets = Atomic.get resets;
-    es_served = Atomic.get served }
+  { es_established = Atomic.get tally.established;
+    es_requests = Atomic.get tally.requests;
+    es_reconnects = Atomic.get tally.reconnects;
+    es_aborted = Atomic.get tally.aborted;
+    es_resets = Atomic.get tally.resets;
+    es_served = Atomic.get tally.served }

@@ -12,6 +12,7 @@ module Na = Netaccess.Na_core
 module Sysio = Netaccess.Sysio
 module Tcp = Drivers.Tcp
 module Timewheel = Padico_fault.Timewheel
+module Gridgen = Scenario.Gridgen
 
 (* ---------- readiness-queue protocol ---------- *)
 
@@ -39,7 +40,7 @@ let readiness_holds ops =
   let alive = Array.make nsrc false in
   let spurious = ref 0 and ghost = ref 0 in
   let mk_src i =
-    Na.register_source core ~drain:(fun () ->
+    Na.register_source core () ~drain:(fun () ->
         if not alive.(i) then incr ghost
         else if pending.(i) = 0 then incr spurious
         else pending.(i) <- 0)
@@ -315,6 +316,69 @@ let test_idle_live_words () =
     Alcotest.failf "idle connection end retains %.1f words (budget %d)" per_end
       max_words
 
+(* ---------- retained heap per served connection ---------- *)
+
+(* The same measurement for connections an edge frontend has served:
+   [n] clients each send one request to a [Gridgen.serve_shard] frontend
+   over a loss-free WAN, read its 4-byte ack and stay open. After a full
+   major collection the live-heap growth per connection end must stay
+   within [served_max_words]. It covers the server's parser state and
+   whatever the exchange left behind on both ends (receive queues,
+   retransmission timers and their wheel entries, loss-recovery blocks);
+   the clients share one static callback. Send rings parked in the
+   process-wide pool once acknowledged are not per-connection state: the
+   pool is emptied before each snapshot. *)
+
+let served_max_words = 76
+let served_request = Bb.of_string "\000\000\000\004ping"
+let served_acks = ref 0
+
+let served_client conn = function
+  | Tcp.Established -> ignore (Sysio.write conn served_request)
+  | Tcp.Readable ->
+    (match Sysio.read conn ~max:16 with
+     | Some ack -> served_acks := !served_acks + Bb.length ack
+     | None -> ())
+  | _ -> ()
+
+let test_served_live_words () =
+  let n = 10_000 in
+  let wan =
+    { Simnet.Presets.vthd with Simnet.Linkmodel.loss = 0.0; jitter_ns = 0 }
+  in
+  let e =
+    Gridgen.edge ~wan ~shards:1 ~client_nodes:1 ~clients:n ~churn:0.0
+      ~tail:1.3 ()
+  in
+  let served = Atomic.make 0 in
+  List.iter (Gridgen.serve_shard e served) e.Gridgen.e_shards;
+  let frontend = List.hd e.Gridgen.e_shards in
+  let sio_c = Sysio.get (List.hd e.Gridgen.e_clients) in
+  let st_c = Sysio.stack_on sio_c e.Gridgen.e_wan in
+  served_acks := 0;
+  Bb.Pool.reset ();
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let conns =
+    Array.init n (fun _ ->
+        Sysio.connect ~sndbuf:4096 ~rcvbuf:4096 sio_c st_c
+          ~dst:(Node.id frontend) ~port:e.Gridgen.e_port served_client)
+  in
+  Tutil.run_grid e.Gridgen.e_grid;
+  Bb.Pool.reset ();
+  Gc.compact ();
+  let words = (Gc.stat ()).Gc.live_words - before in
+  Tutil.check_int "every request served" n (Atomic.get served);
+  Tutil.check_int "every ack received" (4 * n) !served_acks;
+  Tutil.check_int "frontend holds every connection" n
+    (Sysio.conn_count (Sysio.get frontend));
+  ignore (Sys.opaque_identity conns);
+  let per_end = float_of_int words /. float_of_int (2 * n) in
+  Printf.printf "retained %.1f words per served connection end\n" per_end;
+  if per_end > float_of_int served_max_words then
+    Alcotest.failf "served connection end retains %.1f words (budget %d)"
+      per_end served_max_words
+
 (* ---------- reaping on a plain grid ---------- *)
 
 (* Every TCP stack reaps, not only an edge gateway's: on a plain grid,
@@ -425,7 +489,8 @@ let () =
       Tutil.qsuite "events" [ prop_event_fifo ];
       ("budget",
        [ Alcotest.test_case "idle bytes pinned" `Quick test_idle_budget;
-         Alcotest.test_case "idle live words" `Quick test_idle_live_words ]);
+         Alcotest.test_case "idle live words" `Quick test_idle_live_words;
+         Alcotest.test_case "served live words" `Quick test_served_live_words ]);
       ("reap",
        [ Alcotest.test_case "plain grid reaps closed connections" `Quick
            test_plain_reap;

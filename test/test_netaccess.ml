@@ -121,7 +121,7 @@ let test_dead_ready_source_uncharged () =
   let a = Simnet.Net.add_node net "a" in
   let core = Na.get a in
   let drained = ref 0 in
-  let src = Na.register_source core ~drain:(fun () -> incr drained) in
+  let src = Na.register_source core () ~drain:(fun () -> incr drained) in
   Na.mark_ready core src;
   Na.unregister_source core src;
   Tutil.run_net net;

@@ -502,6 +502,34 @@ let test_lost_fast_retransmit () =
   Tutil.check_bool "stream identical" true
     (Buffer.contents got = Bb.to_string msg)
 
+(* Every ACK that moves [snd_una] cancels the retransmission timer and
+   arms a new one. The cancelled timer must leave the node's wheel at
+   once, not when its instant passes: after 1 000 connections each finish
+   the handshake and one acknowledged request and echo, the wheel holds
+   no pending timer, 150 ms in — before the 1 s SYN timers or the 200 ms
+   (at least) retransmission timers they replaced were due. *)
+let test_acked_timers_cancelled () =
+  let n = 1_000 in
+  let net, a, b, sa, sb = tcp_pair () in
+  echo_server sb ~port:80;
+  let echoed = ref 0 in
+  for _ = 1 to n do
+    let c = Tcp.connect sa ~dst:(Simnet.Node.id b) ~port:80 in
+    Tcp.set_event_cb c (function
+      | Tcp.Established -> ignore (Tcp.write c (Bb.of_string "ping"))
+      | Tcp.Readable ->
+        (match Tcp.read c ~max:16 with
+         | Some r -> echoed := !echoed + Bb.length r
+         | None -> ())
+      | _ -> ())
+  done;
+  Tutil.run_net net ~until:(Engine.Time.ms 150);
+  Tutil.check_int "every request echoed" (4 * n) !echoed;
+  let wheel = Padico_fault.Timewheel.for_clock (Simnet.Node.clock a) in
+  Tutil.check_bool "one wheel for both ends" true
+    (wheel == Padico_fault.Timewheel.for_clock (Simnet.Node.clock b));
+  Tutil.check_int "no timer pending" 0 (Padico_fault.Timewheel.pending wheel)
+
 let () =
   Alcotest.run "tcp"
     [ ("lifecycle",
@@ -512,6 +540,8 @@ let () =
          Alcotest.test_case "two connections" `Quick
            test_two_connections_demux;
          Alcotest.test_case "ephemeral ports wrap" `Quick test_ephemeral_wrap;
+         Alcotest.test_case "acked connections leave no timer pending" `Quick
+           test_acked_timers_cancelled;
          Alcotest.test_case "ephemeral ports exhausted" `Quick
            test_ephemeral_exhausted ]);
       ("data",
