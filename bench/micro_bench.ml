@@ -47,6 +47,12 @@ let test_crypto =
   Test.make ~name:"crypto.encrypt 64KB"
     (Staged.stage (fun () -> ignore (Methods.Crypto.encrypt crypto_key payload_64k)))
 
+let payload_4k = Bb.sub payload_64k 1 4096
+
+let test_checksum =
+  Test.make ~name:"bytebuf.checksum 4KB"
+    (Staged.stage (fun () -> ignore (Bb.checksum payload_4k)))
+
 (* Event-queue hold model, the simulator's steady state: at a standing
    depth, each round dispatches the earliest event and schedules one at a
    later time. The depths are the mean per-heap queue depths, at event
@@ -105,8 +111,8 @@ let benchmark () =
   let tests =
     Test.make_grouped ~name:"padico"
       [ test_lz_compress; test_lz_decompress; test_cdr_encode_zero_copy;
-        test_cdr_encode_copying; test_crypto; test_heap_hold_256;
-        test_heap_hold_16k; test_base64;
+        test_cdr_encode_copying; test_crypto; test_checksum;
+        test_heap_hold_256; test_heap_hold_16k; test_base64;
         test_streamq_shallow; test_streamq_deep ]
   in
   let ols =
@@ -169,6 +175,26 @@ let san_message () =
   Array.sort compare samples;
   (samples.(batches / 2), words)
 
+(* Words allocated per 64 KiB [Crypto.encrypt], over 16 calls:
+   (minor-heap words, all words). The output frame is larger than the
+   minor heap's allocation limit, so it lands in the major heap directly
+   and appears only in the second figure. Allocation is deterministic.
+   Minor words come from [Gc.minor_words]: [Gc.counters]' minor figure
+   under-counts across the minor collections the frames force. *)
+let crypto_alloc () =
+  let calls = 16 in
+  ignore (Methods.Crypto.encrypt crypto_key payload_64k);
+  let _, promoted0, major0 = Gc.counters () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Methods.Crypto.encrypt crypto_key payload_64k))
+  done;
+  let w1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let per x = x /. float_of_int calls in
+  let minor = w1 -. w0 in
+  (per minor, per (minor +. (major1 -. major0) -. (promoted1 -. promoted0)))
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -199,7 +225,21 @@ let run () =
        | Some ns -> Bhelp.record ~experiment:"micro" key ns
        | None -> failwith (sub ^ " estimate missing"))
     [ ("heap.hold depth=256", "heap_hold_256_ns");
-      ("heap.hold depth=16k", "heap_hold_16k_ns") ];
+      ("heap.hold depth=16k", "heap_hold_16k_ns");
+      ("bytebuf.checksum 4KB", "checksum_4k_ns");
+      ("crypto.encrypt 64KB", "crypto_encrypt_64k_ns") ];
+  (* The cipher allocates its output frame and a constant number of words
+     besides: no per-byte boxing. The budget is the frame plus 64 words. *)
+  let minor, total = crypto_alloc () in
+  let frame = Bb.length payload_64k + Methods.Crypto.overhead in
+  let budget = float_of_int ((frame / 8) + 1 + 64) in
+  Printf.printf "%-32s %12.1f minor words %8.1f words in all (budget %.0f)\n"
+    "crypto.encrypt 64KB allocation" minor total budget;
+  Bhelp.record ~experiment:"micro" "crypto_encrypt_64k_minor_words" minor;
+  if total > budget then
+    failwith
+      (Printf.sprintf "crypto.encrypt 64KB allocates %.0f words (budget %.0f)"
+         total budget);
   let ns, words = san_message () in
   Printf.printf "%-32s %12.1f ns/msg %8.1f minor words/msg\n"
     "san message (Circuit/MadIO/GM)" ns words;

@@ -99,7 +99,7 @@ let pack out piece =
 
 let pack_int out v =
   let b = Bytebuf.create 8 in
-  Bytebuf.set_i64 b 0 (Int64.of_int v);
+  Bytebuf.set_int b 0 v;
   pack out b
 
 let end_packing ?on_sent out =
@@ -144,7 +144,7 @@ let unpack inc n =
 
 let unpack_int inc =
   check_remaining inc 8;
-  let v = Int64.to_int (Bytebuf.get_i64 inc.payload inc.pos) in
+  let v = Bytebuf.get_int inc.payload inc.pos in
   inc.pos <- inc.pos + 8;
   v
 

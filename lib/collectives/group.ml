@@ -536,7 +536,7 @@ let apply_rop rop (acc : Bb.t) (body : Bb.t) =
 
 (* Body cursor for parsing stored message bodies. *)
 let read_int body pos =
-  let v = Int64.to_int (Bb.get_i64 body !pos) in
+  let v = Bb.get_int body !pos in
   pos := !pos + 8;
   v
 

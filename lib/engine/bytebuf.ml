@@ -56,10 +56,20 @@ let copy b =
   blit ~src:b ~src_off:0 ~dst:out ~dst_off:0 ~len:b.len;
   out
 
+(* Byte [i] of the seed-0 pattern is [31 i mod 256], laid out twice so
+   that any 256-byte window can be read in one blit. Since 31 * 223 = 1
+   (mod 256), the seed-[s] pattern [(s + 31 i) mod 256] is the window
+   starting at [223 s mod 256]. *)
+let pattern = Bytes.init 512 (fun i -> Char.unsafe_chr ((31 * i) land 0xff))
+
 let fill_pattern b ~seed =
-  for i = 0 to b.len - 1 do
-    Bytes.unsafe_set b.data (b.off + i)
-      (Char.chr ((seed + (i * 31)) land 0xff))
+  let first = if b.len < 256 then b.len else 256 in
+  Bytes.blit pattern ((seed * 223) land 0xff) b.data b.off first;
+  let filled = ref first in
+  while !filled < b.len do
+    let n = if 2 * !filled <= b.len then !filled else b.len - !filled in
+    Bytes.blit b.data b.off b.data (b.off + !filled) n;
+    filled := !filled + n
   done
 
 let fill_zero b = Bytes.fill b.data b.off b.len '\000'
@@ -89,12 +99,30 @@ let equal a b =
   in
   go 0
 
+(* 64-bit little-endian words, then the tail bytes, through
+   [h <- (h xor w) * p]: with [p] odd each step is a bijection of [h] and
+   of [w], so changing any one word or byte changes the 64-bit state. The
+   murmur3 finaliser then spreads that change over every bit before the
+   result is cut to 62 bits, so a change confined to the top bits of the
+   state is not masked away. *)
 let checksum b =
-  let h = ref 0x3bf29ce484222325 in
-  for i = 0 to b.len - 1 do
-    h := (!h lxor Char.code (Bytes.get b.data (b.off + i))) * 0x100000001b3
+  let d = b.data and o = b.off in
+  let words = b.len lsr 3 in
+  let h = ref 0xcbf29ce484222325L in
+  for w = 0 to words - 1 do
+    h := Int64.mul (Int64.logxor !h (Bytes.get_int64_le d (o + (8 * w))))
+        0x100000001b3L
   done;
-  !h land max_int
+  for i = 8 * words to b.len - 1 do
+    let c = Char.code (Bytes.unsafe_get d (o + i)) in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int c)) 0x100000001b3L
+  done;
+  let z = Int64.logxor !h (Int64.of_int b.len) in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33))
+      0xff51afd7ed558ccdL in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33))
+      0xc4ceb9fe1a85ec53L in
+  Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 33)) land max_int
 
 module Pool = struct
   let slab = 64
@@ -203,25 +231,40 @@ let set b i c =
 
 let get_u8 b i = Char.code (get b i)
 
-let set_u8 b i v = set b i (Char.chr (v land 0xff))
+let set_u8 b i v = set b i (Char.unsafe_chr (v land 0xff))
 
-let get_u16 b i = get_u8 b i lor (get_u8 b (i + 1) lsl 8)
+(* Multi-byte accessors: little-endian, one bounds check over the whole
+   field and one load or store. *)
+let check name b i width = if i < 0 || i > b.len - width then invalid_arg name
+
+let get_u16 b i =
+  check "Bytebuf.get" b i 2;
+  Bytes.get_uint16_le b.data (b.off + i)
 
 let set_u16 b i v =
-  set_u8 b i (v land 0xff);
-  set_u8 b (i + 1) ((v lsr 8) land 0xff)
+  check "Bytebuf.set" b i 2;
+  Bytes.set_uint16_le b.data (b.off + i) v
 
-let get_u32 b i = get_u16 b i lor (get_u16 b (i + 2) lsl 16)
+let get_u32 b i =
+  check "Bytebuf.get" b i 4;
+  Int32.to_int (Bytes.get_int32_le b.data (b.off + i)) land 0xffffffff
 
 let set_u32 b i v =
-  set_u16 b i (v land 0xffff);
-  set_u16 b (i + 2) ((v lsr 16) land 0xffff)
+  check "Bytebuf.set" b i 4;
+  Bytes.set_int32_le b.data (b.off + i) (Int32.of_int v)
 
-(* One 64-bit little-endian load/store each. *)
 let get_i64 b i =
-  if i < 0 || i > b.len - 8 then invalid_arg "Bytebuf.get";
+  check "Bytebuf.get" b i 8;
   Bytes.get_int64_le b.data (b.off + i)
 
 let set_i64 b i v =
-  if i < 0 || i > b.len - 8 then invalid_arg "Bytebuf.set";
+  check "Bytebuf.set" b i 8;
   Bytes.set_int64_le b.data (b.off + i) v
+
+let get_int b i =
+  check "Bytebuf.get" b i 8;
+  Int64.to_int (Bytes.get_int64_le b.data (b.off + i))
+
+let set_int b i v =
+  check "Bytebuf.set" b i 8;
+  Bytes.set_int64_le b.data (b.off + i) (Int64.of_int v)

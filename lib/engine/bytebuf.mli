@@ -40,7 +40,9 @@ val blit_dma : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
     audit. *)
 
 val fill_pattern : t -> seed:int -> unit
-(** Fill with a deterministic byte pattern (for integrity checks). *)
+(** Fill with a deterministic byte pattern (for integrity checks): byte [i]
+    is [(seed + 31 i) mod 256]. Written one 256-byte period at a time with
+    blits; allocates nothing. *)
 
 val fill_zero : t -> unit
 (** Fill with zeros — a maximally compressible payload for AdOC tests. *)
@@ -50,10 +52,26 @@ val fill_random : t -> Rng.t -> unit
 
 val equal : t -> t -> bool
 val checksum : t -> int
-(** Order-dependent FNV-1a checksum of the contents. *)
+(** A 62-bit non-negative checksum of the contents, for integrity checks:
+    FNV-style [h <- (h xor w) * 0x100000001b3] over the 64-bit
+    little-endian words, then over the tail bytes one by one, from the
+    64-bit offset basis [0xcbf29ce484222325]; the length is xored in and
+    the murmur3 64-bit finaliser applied, and the result is cut to 62 bits.
+    Order-dependent, independent of the slice's offset in its backing
+    buffer, and changed by every single-bit change of the contents
+    (checked exhaustively up to 40 bytes). Not cryptographic: an
+    adversary can forge collisions. Allocates nothing. *)
 
 val get : t -> int -> char
 val set : t -> int -> char -> unit
+
+(** {2 Integer accessors}
+
+    Little-endian. A [k]-byte accessor at [i] is one bounds check
+    ([0 <= i <= length - k], else [Invalid_argument]) and one load or
+    store, and allocates nothing (the [int64] that {!get_i64} returns or
+    {!set_i64} takes is boxed across the module boundary; {!get_int} and
+    {!set_int} avoid it). Setters keep the low [8k] bits of the value. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
@@ -63,6 +81,15 @@ val get_u32 : t -> int -> int
 val set_u32 : t -> int -> int -> unit
 val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
+
+val get_int : t -> int -> int
+(** [get_int b i] is the 64-bit word at [i] as an [int] (its top bit
+    dropped). The same bytes as [Int64.to_int (get_i64 b i)], without
+    boxing an [int64] across the module boundary. *)
+
+val set_int : t -> int -> int -> unit
+(** [set_int b i v] writes [v] sign-extended to 64 bits: the same bytes as
+    [set_i64 b i (Int64.of_int v)], without boxing. *)
 
 val copies_performed : unit -> int
 (** Total bytes copied through this module since start (or last reset). *)

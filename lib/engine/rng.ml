@@ -1,24 +1,32 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer rather than a mutable
+   [int64] field: reading and writing it with [Bytes.get/set_int64_ne]
+   keeps the arithmetic unboxed, so a draw allocates nothing (a mutable
+   [int64] field boxes a fresh value on every store). *)
+type t = bytes
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed =
-  { state = Int64.mul (Int64.of_int (seed + 1)) 0x2545F4914F6CDD1DL }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let mix z =
+let create seed =
+  of_state (Int64.mul (Int64.of_int (seed + 1)) 0x2545F4914F6CDD1DL)
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t =
-  let s = int64 t in
-  { state = s }
+let split t = of_state (int64 t)
 
 (* Keyed derivation: the [i]-th child stream of [t]'s current state,
    without advancing [t]. Children of distinct indices are independent
@@ -27,10 +35,10 @@ let split t =
    engine needs so per-shard / per-port streams do not depend on the
    order in which shards happen to ask for them. *)
 let stream t i =
-  let z =
-    mix (Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) golden_gamma))
-  in
-  { state = z }
+  of_state
+    (mix
+       (Int64.add (Bytes.get_int64_ne t 0)
+          (Int64.mul (Int64.of_int (i + 1)) golden_gamma)))
 
 let int t bound =
   assert (bound > 0);
@@ -38,7 +46,7 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   v mod bound
 
-let float t x =
+let[@inline] float t x =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   (* 53 random bits scaled to [0,1). *)
   x *. (v /. 9007199254740992.0)

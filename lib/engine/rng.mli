@@ -2,7 +2,10 @@
 
     Every stochastic element of the simulation (packet loss, jitter, workload
     generation) draws from an explicit [Rng.t], so whole-grid simulations are
-    reproducible from a single seed. *)
+    reproducible from a single seed.
+
+    The state is kept unboxed: {!int} and {!bool} allocate nothing, and
+    {!float} only its boxed result. Segments draw loss once per frame. *)
 
 type t
 

@@ -106,7 +106,7 @@ let encode_fin ~total_chunks ~total_bytes =
   let out = Bytebuf.create 13 in
   Bytebuf.set_u8 out 0 4;
   Bytebuf.set_u32 out 1 total_chunks;
-  Bytebuf.set_i64 out 5 (Int64.of_int total_bytes);
+  Bytebuf.set_int out 5 total_bytes;
   out
 
 (* ---------- sender ---------- *)

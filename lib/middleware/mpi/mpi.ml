@@ -81,7 +81,7 @@ let send t ~dst ~tag payload =
   charge t;
   let out = Madpers.begin_packing t.mp ~dst in
   let tagbuf = Bytebuf.create 8 in
-  Bytebuf.set_i64 tagbuf 0 (Int64.of_int tag);
+  Bytebuf.set_int tagbuf 0 tag;
   Madpers.pack out tagbuf;
   Madpers.pack out payload;
   Madpers.end_packing out
@@ -90,7 +90,7 @@ let isend t ~dst ~tag payload =
   charge_async t;
   let out = Madpers.begin_packing t.mp ~dst in
   let tagbuf = Bytebuf.create 8 in
-  Bytebuf.set_i64 tagbuf 0 (Int64.of_int tag);
+  Bytebuf.set_int tagbuf 0 tag;
   Madpers.pack out tagbuf;
   Madpers.pack out payload;
   Madpers.end_packing out;
@@ -161,12 +161,12 @@ let floats_of_buf b =
 
 let ints_to_buf v =
   let b = Bytebuf.create (8 * Array.length v) in
-  Array.iteri (fun i x -> Bytebuf.set_i64 b (8 * i) (Int64.of_int x)) v;
+  Array.iteri (fun i x -> Bytebuf.set_int b (8 * i) x) v;
   b
 
 let ints_of_buf b =
   let n = Bytebuf.length b / 8 in
-  Array.init n (fun i -> Int64.to_int (Bytebuf.get_i64 b (8 * i)))
+  Array.init n (fun i -> Bytebuf.get_int b (8 * i))
 
 let combine ~op ~datatype a b =
   let fop : float -> float -> float =
@@ -187,7 +187,7 @@ let combine ~op ~datatype a b =
 let csend t ~dst ~tag payload =
   let out = Madpers.begin_packing t.mp ~dst in
   let tagbuf = Bytebuf.create 8 in
-  Bytebuf.set_i64 tagbuf 0 (Int64.of_int tag);
+  Bytebuf.set_int tagbuf 0 tag;
   Madpers.pack out tagbuf;
   Madpers.pack out payload;
   Madpers.end_packing out

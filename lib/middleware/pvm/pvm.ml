@@ -134,7 +134,7 @@ let emit sb ~dst_rank ~tag =
   Simnet.Node.cpu (node t) Calib.mpi_ns;
   let out = Madpers.begin_packing t.mp ~dst:dst_rank in
   let tagbuf = Bytebuf.create 8 in
-  Bytebuf.set_i64 tagbuf 0 (Int64.of_int tag);
+  Bytebuf.set_int tagbuf 0 tag;
   Madpers.pack out tagbuf;
   Madpers.pack out (Bytebuf.of_string (Buffer.contents sb.buf));
   Madpers.end_packing out
@@ -190,7 +190,7 @@ let expect rb kind what =
 
 let upkint rb =
   expect rb k_int "int";
-  let v = Int64.to_int (Bytebuf.get_i64 rb.data rb.pos) in
+  let v = Bytebuf.get_int rb.data rb.pos in
   rb.pos <- rb.pos + 8;
   v
 

@@ -219,6 +219,90 @@ let test_rng_split_independent () =
   Tutil.check_bool "split streams differ" true
     (Engine.Rng.int64 r <> Engine.Rng.int64 s)
 
+(* Minor-heap words allocated per call of [f], over [n] calls. *)
+let minor_words_per_call ?(n = 1000) f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A reference splitmix64, written here with plain (boxed) [int64]
+   arithmetic: every stream [Rng] hands out must match it draw for draw. *)
+module Ref_rng = struct
+  type t = { mutable s : int64 }
+
+  let gamma = 0x9E3779B97F4A7C15L
+
+  let create seed =
+    { s = Int64.mul (Int64.of_int (seed + 1)) 0x2545F4914F6CDD1DL }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int64 t =
+    t.s <- Int64.add t.s gamma;
+    mix t.s
+
+  let split t = { s = int64 t }
+  let stream t i =
+    { s = mix (Int64.add t.s (Int64.mul (Int64.of_int (i + 1)) gamma)) }
+
+  let int t bound =
+    Int64.to_int (Int64.shift_right_logical (int64 t) 2) mod bound
+
+  let float t x =
+    x *. (Int64.to_float (Int64.shift_right_logical (int64 t) 11)
+          /. 9007199254740992.0)
+end
+
+let test_rng_matches_reference () =
+  let module R = Engine.Rng in
+  let draws = 10_000 in
+  let same name r q =
+    for k = 1 to draws do
+      let ok =
+        match k mod 4 with
+        | 0 -> R.int64 r = Ref_rng.int64 q
+        | 1 -> R.int r 1000 = Ref_rng.int q 1000
+        | 2 -> Int64.bits_of_float (R.float r 2.5)
+               = Int64.bits_of_float (Ref_rng.float q 2.5)
+        | _ -> R.bool r 0.3 = (Ref_rng.float q 1.0 < 0.3)
+      in
+      if not ok then Alcotest.failf "%s: draw %d differs" name k
+    done
+  in
+  List.iter
+    (fun seed ->
+       let r = R.create seed and q = Ref_rng.create seed in
+       let rs = R.stream r 5 and qs = Ref_rng.stream q 5 in
+       let rs0 = R.stream r 0 and qs0 = Ref_rng.stream q 0 in
+       let rc = R.split r and qc = Ref_rng.split q in
+       same (Printf.sprintf "seed %d" seed) r q;
+       same (Printf.sprintf "seed %d split" seed) rc qc;
+       same (Printf.sprintf "seed %d stream 5" seed) rs qs;
+       same (Printf.sprintf "seed %d stream 0" seed) rs0 qs0)
+    [ 0; 1; 7; 42; -3; max_int ]
+
+let test_rng_draws_allocate_nothing () =
+  let r = Engine.Rng.create 5 in
+  let sink = ref 0 in
+  Alcotest.(check (float 0.0)) "int" 0.0
+    (minor_words_per_call (fun () -> sink := !sink + Engine.Rng.int r 97));
+  Alcotest.(check (float 0.0)) "bool" 0.0
+    (minor_words_per_call (fun () ->
+         if Engine.Rng.bool r 0.5 then incr sink));
+  (* A float returned across the module boundary is boxed: two words,
+     the result itself. The draw allocates nothing more. *)
+  Alcotest.(check (float 0.0)) "float: its boxed result only" 2.0
+    (minor_words_per_call (fun () ->
+         if Engine.Rng.float r 1.0 < 0.5 then incr sink));
+  ignore (Sys.opaque_identity !sink)
+
 (* ---------- Sim ---------- *)
 
 let test_sim_ordering () =
@@ -525,6 +609,129 @@ let test_bytebuf_equal_4k () =
   Tutil.check_bool "offsets 1/7" true (equal_matches_bytewise s 1 7);
   Tutil.check_bool "offsets 0/3" true (equal_matches_bytewise s 0 3)
 
+(* [checksum] must change for every single-bit flip: enumerated over
+   lengths 0-40 at slice offsets 0-7 (a bit flip in the top bits of the
+   last word is what a plain word-wise FNV cut to 62 bits would miss).
+   The slice's offset in its backing buffer must not matter. *)
+let test_checksum_every_bit_flip () =
+  let reference =
+    Array.init 41 (fun n -> Bb.checksum (Tutil.pattern_buf ~seed:5 n))
+  in
+  for n = 0 to 40 do
+    for off = 0 to 7 do
+      let base = Bb.create (off + n + 3) in
+      Bb.fill_pattern base ~seed:77;
+      let b = Bb.sub base off n in
+      Bb.blit ~src:(Tutil.pattern_buf ~seed:5 n) ~src_off:0 ~dst:b ~dst_off:0
+        ~len:n;
+      let c = Bb.checksum b in
+      if c <> reference.(n) then
+        Alcotest.failf "length %d: checksum depends on offset %d" n off;
+      if c < 0 then Alcotest.failf "length %d: negative checksum" n;
+      for bit = 0 to (8 * n) - 1 do
+        let i = bit / 8 in
+        let v = Bb.get_u8 b i in
+        Bb.set_u8 b i (v lxor (1 lsl (bit land 7)));
+        if Bb.checksum b = c then
+          Alcotest.failf "length %d offset %d: flip of bit %d unseen" n off bit;
+        Bb.set_u8 b i v
+      done
+    done
+  done
+
+(* [fill_pattern] and the integer accessors against byte-wise references,
+   at every position of slices at offsets 0-7. *)
+let test_fill_pattern_bytewise () =
+  List.iter
+    (fun n ->
+       for off = 0 to 7 do
+         List.iter
+           (fun seed ->
+              let base = Bb.create (off + n + 1) in
+              Bb.fill_zero base;
+              Bb.set_u8 base (off + n) 0xA5;
+              Bb.fill_pattern (Bb.sub base off n) ~seed;
+              for i = 0 to n - 1 do
+                if Bb.get_u8 base (off + i) <> (seed + (31 * i)) land 0xff then
+                  Alcotest.failf "n=%d off=%d seed=%d: byte %d" n off seed i
+              done;
+              for i = 0 to off - 1 do
+                if Bb.get_u8 base i <> 0 then
+                  Alcotest.failf "n=%d off=%d: wrote before the slice" n off
+              done;
+              if Bb.get_u8 base (off + n) <> 0xA5 then
+                Alcotest.failf "n=%d off=%d: wrote past the slice" n off)
+           [ 0; 1; 3; 255; 256; -7; 1_000_003 ]
+       done)
+    [ 0; 1; 7; 8; 31; 255; 256; 257; 511; 512; 513; 1000; 4096; 5000 ]
+
+let le_bytes b i k =
+  let v = ref 0 in
+  for j = k - 1 downto 0 do
+    v := (!v lsl 8) lor Bb.get_u8 b (i + j)
+  done;
+  !v
+
+let test_accessors_bytewise () =
+  let n = 24 in
+  let rng = Engine.Rng.create 3 in
+  for off = 0 to 7 do
+    let base = Bb.create (off + n + 8) in
+    Bb.fill_random base rng;
+    let b = Bb.sub base off n in
+    let check_rw name k get set value =
+      for i = 0 to n - k do
+        if get b i <> le_bytes b i k then
+          Alcotest.failf "%s get at off=%d i=%d" name off i;
+        let before = Bb.to_string base in
+        set b i value;
+        let after = Bb.to_string base in
+        for j = 0 to String.length after - 1 do
+          let want =
+            if j >= off + i && j < off + i + k then
+              (value asr (8 * (j - off - i))) land 0xff
+            else Char.code before.[j]
+          in
+          if Char.code after.[j] <> want then
+            Alcotest.failf "%s set at off=%d i=%d: byte %d" name off i j
+        done
+      done;
+      List.iter
+        (fun i ->
+           (match get b i with
+            | _ -> Alcotest.failf "%s get accepted i=%d" name i
+            | exception Invalid_argument _ -> ());
+           match set b i value with
+           | () -> Alcotest.failf "%s set accepted i=%d" name i
+           | exception Invalid_argument _ -> ())
+        [ -1; n - k + 1; n ]
+    in
+    check_rw "u16" 2 Bb.get_u16 Bb.set_u16 0xBEEF;
+    check_rw "u32" 4 Bb.get_u32 Bb.set_u32 0xDEAD1234;
+    check_rw "int" 8 Bb.get_int Bb.set_int (-0x123456789ABCDE);
+    check_rw "i64 as int" 8
+      (fun b i -> Int64.to_int (Bb.get_i64 b i))
+      (fun b i v -> Bb.set_i64 b i (Int64.of_int v))
+      0x0123456789ABCDE
+  done
+
+let test_bytebuf_kernels_allocate_nothing () =
+  let b = Tutil.pattern_buf ~seed:1 4100 in
+  let s = Bb.sub b 3 4093 in
+  let sink = ref 0 in
+  let zero name f =
+    Alcotest.(check (float 0.0)) name 0.0 (minor_words_per_call f)
+  in
+  zero "checksum" (fun () -> sink := !sink + Bb.checksum s);
+  zero "fill_pattern" (fun () -> Bb.fill_pattern s ~seed:!sink);
+  zero "get_u16" (fun () -> sink := !sink + Bb.get_u16 s 7);
+  zero "set_u16" (fun () -> Bb.set_u16 s 7 !sink);
+  zero "get_u32" (fun () -> sink := !sink + Bb.get_u32 s 9);
+  zero "set_u32" (fun () -> Bb.set_u32 s 9 !sink);
+  zero "get_int" (fun () -> sink := !sink + Bb.get_int s 11);
+  zero "set_int" (fun () -> Bb.set_int s 11 !sink);
+  ignore (Sys.opaque_identity !sink)
+
 (* ---------- Stats ---------- *)
 
 let test_stats_summary () =
@@ -626,7 +833,11 @@ let () =
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
          Alcotest.test_case "bounds" `Quick test_rng_bounds;
          Alcotest.test_case "bernoulli bias" `Quick test_rng_bool_bias;
-         Alcotest.test_case "split" `Quick test_rng_split_independent ]);
+         Alcotest.test_case "split" `Quick test_rng_split_independent;
+         Alcotest.test_case "matches a reference splitmix64" `Quick
+           test_rng_matches_reference;
+         Alcotest.test_case "draws allocate nothing" `Quick
+           test_rng_draws_allocate_nothing ]);
       ("sim",
        [ Alcotest.test_case "ordering" `Quick test_sim_ordering;
          Alcotest.test_case "same-time fifo" `Quick test_sim_same_time_fifo;
@@ -653,7 +864,15 @@ let () =
          Alcotest.test_case "concat/split" `Quick test_bytebuf_concat_split;
          Alcotest.test_case "integer accessors" `Quick test_bytebuf_ints;
          Alcotest.test_case "copy counter" `Quick test_bytebuf_copy_counter;
-         Alcotest.test_case "equal on 4 KiB" `Quick test_bytebuf_equal_4k ]);
+         Alcotest.test_case "equal on 4 KiB" `Quick test_bytebuf_equal_4k;
+         Alcotest.test_case "checksum sees every bit flip" `Quick
+           test_checksum_every_bit_flip;
+         Alcotest.test_case "fill_pattern = byte-wise reference" `Quick
+           test_fill_pattern_bytewise;
+         Alcotest.test_case "accessors = byte-wise reference" `Quick
+           test_accessors_bytewise;
+         Alcotest.test_case "kernels allocate nothing" `Quick
+           test_bytebuf_kernels_allocate_nothing ]);
       Tutil.qsuite "bytebuf-props"
         [ prop_bytebuf_string_roundtrip; prop_bytebuf_checksum_sensitive;
           prop_bytebuf_equal_bytewise ];

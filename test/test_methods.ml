@@ -173,6 +173,52 @@ let prop_crypto_roundtrip =
        | Ok out -> Bb.to_string out = data
        | Error _ -> false)
 
+(* Every single-byte change of a frame, in the ciphertext or in the MAC,
+   must be rejected: lengths 0-40, every position, every non-zero xor. The
+   frames are also decrypted from slices at offsets 1-7 (unaligned words). *)
+let test_crypto_rejects_every_byte_flip () =
+  let key = Crypto.key_of_string "secret" in
+  for n = 0 to 40 do
+    let msg = Tutil.pattern_buf ~seed:n n in
+    let ct = Crypto.encrypt key msg in
+    Tutil.check_int "frame length" (n + Crypto.overhead) (Bb.length ct);
+    let padded = Bb.create (Bb.length ct + 7) in
+    for off = 1 to 7 do
+      Bb.blit ~src:ct ~src_off:0 ~dst:padded ~dst_off:off ~len:(Bb.length ct);
+      match Crypto.decrypt key (Bb.sub padded off (Bb.length ct)) with
+      | Ok out when Bb.equal out msg -> ()
+      | Ok _ -> Alcotest.failf "n=%d off=%d: wrong plaintext" n off
+      | Error e -> Alcotest.failf "n=%d off=%d: %s" n off e
+    done;
+    for i = 0 to Bb.length ct - 1 do
+      let v = Bb.get_u8 ct i in
+      for d = 1 to 255 do
+        Bb.set_u8 ct i (v lxor d);
+        match Crypto.decrypt key ct with
+        | Ok _ -> Alcotest.failf "n=%d: byte %d xor %d accepted" n i d
+        | Error _ -> ()
+      done;
+      Bb.set_u8 ct i v
+    done
+  done
+
+(* 64 KiB: the output frame plus a constant number of words. *)
+let test_crypto_allocates_its_output () =
+  let key = Crypto.key_of_string "bench" in
+  let msg = Tutil.pattern_buf ~seed:3 65_536 in
+  ignore (Crypto.encrypt key msg);
+  let _, promoted0, major0 = Gc.counters () in
+  let w0 = Gc.minor_words () in
+  let ct = Crypto.encrypt key msg in
+  let w1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let words = w1 -. w0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let frame_words = float_of_int ((Bb.length ct / 8) + 1) in
+  Tutil.check_bool
+    (Printf.sprintf "%.0f words for a %.0f-word frame" words frame_words)
+    true
+    (words <= frame_words +. 64.0)
+
 (* ---------- VRP ---------- *)
 
 let vrp_run ~loss ~tolerance ~mbytes =
@@ -243,7 +289,11 @@ let () =
          Alcotest.test_case "wrong key" `Quick test_crypto_wrong_key_fails;
          Alcotest.test_case "tamper" `Quick test_crypto_tamper_detected;
          Alcotest.test_case "ciphertext differs" `Quick
-           test_crypto_ciphertext_differs ]);
+           test_crypto_ciphertext_differs;
+         Alcotest.test_case "rejects every single-byte flip" `Quick
+           test_crypto_rejects_every_byte_flip;
+         Alcotest.test_case "encrypt allocates its output only" `Quick
+           test_crypto_allocates_its_output ]);
       Tutil.qsuite "crypto-props" [ prop_crypto_roundtrip ];
       ("vrp",
        [ Alcotest.test_case "tolerance 0 reliable" `Quick
