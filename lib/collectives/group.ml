@@ -83,11 +83,9 @@ type hstate = {
   mutable centries : Bb.t array; (* pristine scatter payloads (root) *)
   mutable done_seq : int; (* last committed operation *)
   mutable done_op : opkind;
-  mutable done_root : int;
   mutable drecord : Bb.t option; (* committed result, if the op had one *)
   mutable dentries : Bb.t array; (* committed scatter entries (root) *)
   mutable pulls : int list; (* ranks pulling the current op: serve at commit *)
-  mutable deadline : Clock.timer option; (* cancellable op deadline *)
   mutable restarts : int;
   mutable evictions : int;
 }
@@ -121,6 +119,7 @@ type t = {
   mutable acc : Bb.t option; (* reduction accumulator / payload / result *)
   mutable finish : (unit, string) result -> unit;
   mutable poisoned : string option;
+  mutable deadline : Clock.timer option; (* armed until the op ends *)
   (* Tree coordinates of the current operation (root-dependent). *)
   mutable c_root : int; (* root's cluster *)
   mutable c_me : int; (* this member's cluster *)
@@ -145,6 +144,9 @@ type t = {
    arrays — navigation allocates nothing. After an eviction the same
    arithmetic runs over the evicted partition, so the shrunken trees need
    no separate code path. *)
+
+let healing t = match t.heal with Some _ -> true | None -> false
+let is_dead t r = match t.heal with Some h -> h.dead.(r) | None -> false
 
 let croot t c = if c = t.c_root then t.root else Netdb.leader t.db c
 
@@ -175,10 +177,7 @@ let iter_children_of t f =
   | Flat ->
     if t.rank = t.root then
       for r = 0 to t.n - 1 do
-        if
-          r <> t.root
-          && (match t.heal with Some h -> not h.dead.(r) | None -> true)
-        then f r
+        if r <> t.root && not (is_dead t r) then f r
       done
   | Multilevel ->
     (* Top-level (WAN) children first so inter-cluster messages leave the
@@ -244,13 +243,10 @@ let emit_member t action rank ~epoch =
 (* ---------- failure ---------- *)
 
 let cancel_deadline t =
-  match t.heal with
-  | Some h -> (
-    match h.deadline with
-    | Some tm ->
-      Clock.cancel tm;
-      h.deadline <- None
-    | None -> ())
+  match t.deadline with
+  | Some tm ->
+    Clock.cancel tm;
+    t.deadline <- None
   | None -> ()
 
 let fail t msg =
@@ -278,6 +274,25 @@ let abort_op t msg =
     t.finish <- (fun _ -> ());
     k (Error (Printf.sprintf "group %s rank %d: %s" t.gname t.rank msg))
   end
+
+(* Every group arms one cancellable deadline per operation and disarms it
+   when the operation ends, so no timer outlives its operation (on the
+   wall clock a pending timer would keep the reactor alive). A healing
+   member re-arms it at each restart; the incarnation retires a timer that
+   raced one. *)
+let arm_deadline t ~suffix =
+  match t.deadline_ns with
+  | None -> ()
+  | Some d ->
+    let inc t = match t.heal with Some h -> h.inc | None -> 0 in
+    let s = t.seq and i = inc t in
+    t.deadline <-
+      Some
+        (Clock.arm t.clk d (fun () ->
+             if t.active && t.seq = s && inc t = i then
+               fail t
+                 (Printf.sprintf "%s exceeded its %d ns deadline%s"
+                    (op_name t.op) d suffix)))
 
 (* ---------- framing ----------
 
@@ -438,7 +453,7 @@ let mark_and_heal t h newly =
    sequence numbers can differ by at most one — retaining the single last
    record per member is enough. *)
 
-let h_serve_record t h ~dst =
+let serve_record t h ~dst =
   send_ctl t ~dst ~seq:h.done_seq ~hdr:hdr_serve ~wan:true (fun out ->
       match h.done_op with
       | Barrier | Reduce | Gather -> 0
@@ -465,18 +480,17 @@ let h_serve_record t h ~dst =
 (* A pull for the already-committed op is served immediately; a pull for
    the op we are still running is queued and served at commit. Pulls from
    the future (we have not begun that op) are buffered by the caller. *)
-let h_handle_pull t h ~src ~pseq =
-  if pseq = h.done_seq then h_serve_record t h ~dst:src
+let handle_pull t h ~src ~pseq =
+  if pseq = h.done_seq then serve_record t h ~dst:src
   else if t.active && pseq = t.seq then begin
     if not (List.mem src h.pulls) then h.pulls <- src :: h.pulls
   end
 (* other pseq: a pull for an op that failed locally — drop; the puller's
    own deadline is the backstop *)
 
-let h_commit t h =
+let commit t h =
   h.done_seq <- t.seq;
   h.done_op <- t.op;
-  h.done_root <- t.root;
   (match t.op with
    | Allreduce | Bcast -> h.drecord <- t.acc
    | Reduce -> h.drecord <- (if t.rank = t.root then t.acc else None)
@@ -484,14 +498,9 @@ let h_commit t h =
   (match t.op with
    | Scatter when t.rank = t.root -> h.dentries <- h.centries
    | _ -> h.dentries <- [||]);
-  (match h.deadline with
-   | Some tm ->
-     Clock.cancel tm;
-     h.deadline <- None
-   | None -> ());
   let ps = h.pulls in
   h.pulls <- [];
-  List.iter (fun src -> if not h.dead.(src) then h_serve_record t h ~dst:src) ps
+  List.iter (fun src -> if not h.dead.(src) then serve_record t h ~dst:src) ps
 
 (* ---------- completion ---------- *)
 
@@ -500,7 +509,8 @@ let maybe_complete t =
   then begin
     t.active <- false;
     close_stage t;
-    (match t.heal with Some h -> h_commit t h | None -> ());
+    cancel_deadline t;
+    (match t.heal with Some h -> commit t h | None -> ());
     let k = t.finish in
     t.finish <- (fun _ -> ());
     k (Ok ())
@@ -540,10 +550,21 @@ let read_int body pos =
   pos := !pos + 8;
   v
 
-let read_buf body pos len =
-  let b = Bb.sub body !pos len in
-  pos := !pos + len;
-  b
+(* Store a received entry list in [pack_entries]' format, [count; (rank;
+   len; payload)...]: this member's own entry is its scatter result, the
+   others fill the slots (a gather's subtree, a scatter's entries to
+   route on). *)
+let read_entries t body =
+  let pos = ref 0 in
+  let cnt = read_int body pos in
+  for _ = 1 to cnt do
+    let r = read_int body pos in
+    let len = read_int body pos in
+    let p = Bb.sub body !pos len in
+    pos := !pos + len;
+    if r = t.rank then t.acc <- Some p
+    else if r >= 0 && r < t.n then t.slots.(r) <- Some p
+  done
 
 (* Only gather and scatter use the slots: allocated by the first one. *)
 let reset_slots t =
@@ -573,14 +594,37 @@ let pack_entries t out keep =
 
 (* ---------- phase machinery ----------
 
-   The default (non-healing) machinery is verbatim PR-6 behaviour. The
-   h_-prefixed healing variants run every operation in two phases regardless of
-   kind — up-first ops (barrier/reduce/allreduce/gather) add an explicit
-   commit broadcast down the tree; down-first ops (bcast/scatter) add an
-   explicit ack wave up it — so every member knows when an operation has
-   committed group-wide and can retain the pristine state a retry needs
-   only until then. Stray duplicates after a retry are benign: expected
-   counters are forced and extra frames ignore-match. *)
+   One state machine runs every group; the group's kind only picks the
+   phase shape each operation runs. A plain group runs an operation's own
+   phases: up-first barrier/reduce/allreduce/gather send towards the root,
+   down-first bcast/scatter away from it, and barrier/allreduce end with a
+   release down. A healing group runs every operation in two phases —
+   up-first ops add an explicit commit broadcast down the tree, down-first
+   ops an explicit ack wave up it — so every member knows when an
+   operation has committed group-wide and keeps the pristine state a retry
+   needs only until then. The kinds also differ on a phase frame nobody
+   awaits: a plain group fails the operation, a healing group drops it as
+   a stray duplicate of a retry (commits and serves force the expected
+   counters). *)
+
+let runs_up t = has_up t.op || healing t
+let runs_down t = has_down t.op || healing t
+
+(* Place this member in the current operation's trees over the current
+   partition, clear the slots and count the frames each phase awaits. *)
+let place t =
+  t.c_root <- Netdb.cluster_of t.db t.root;
+  t.c_me <- Netdb.cluster_of t.db t.rank;
+  t.mc <- Array.length (Netdb.members t.db t.c_me);
+  t.base <- Netdb.position t.db (croot t t.c_me);
+  t.v_me <- (Netdb.position t.db t.rank - t.base + t.mc) mod t.mc;
+  reset_slots t;
+  t.expect_up <- (if runs_up t then child_count_of t else 0);
+  t.expect_down <- (if runs_down t && t.rank <> t.root then 1 else 0)
+
+(* Hold a frame that arrived ahead of this member until [drain_pending]. *)
+let park t ~seq ~src ~hdr ~ep ~dg body =
+  Queue.push (seq, src, hdr, ep, dg, body) t.pending
 
 let rec send t ~dst ~phase fill =
   t.sends_pending <- t.sends_pending + 1;
@@ -604,9 +648,11 @@ let rec send t ~dst ~phase fill =
   in
   t.stage_bytes <- t.stage_bytes + total
 
+(* Down phase: the payload of a bcast/allreduce, the entries of a scatter,
+   an empty barrier release or healing commit otherwise. *)
 and forward_down t =
   match t.op with
-  | Barrier ->
+  | Barrier | Reduce | Gather ->
     iter_children_of t (fun c -> send t ~dst:c ~phase:1 (fun _ -> 0))
   | Bcast | Allreduce -> (
     match t.acc with
@@ -634,44 +680,57 @@ and forward_down t =
             | _ -> ()
           done
         end)
-  | Reduce | Gather -> assert false
 
-and up_complete t =
-  if t.rank <> t.root then begin
-    let p = parent_of t in
-    (match t.op with
-     | Barrier -> send t ~dst:p ~phase:0 (fun _ -> 0)
-     | Reduce | Allreduce -> (
-       match t.acc with
-       | Some acc ->
-         send t ~dst:p ~phase:0 (fun out ->
-             Ct.pack out acc;
-             Bb.length acc)
-       | None -> fail t "up phase without an accumulator")
-     | Gather ->
-       send t ~dst:p ~phase:0 (fun out -> pack_entries t out (fun _ -> true))
-     | Bcast | Scatter -> assert false);
-    if t.active then begin
+(* Up phase to the parent: the contribution of an up-first op, an empty
+   barrier arrival or healing ack otherwise. *)
+and send_up t =
+  let p = parent_of t in
+  (match t.op with
+   | Barrier | Bcast | Scatter -> send t ~dst:p ~phase:0 (fun _ -> 0)
+   | Reduce | Allreduce -> (
+     match t.acc with
+     | Some acc ->
+       send t ~dst:p ~phase:0 (fun out ->
+           Ct.pack out acc;
+           Bb.length acc)
+     | None -> fail t "up phase without an accumulator")
+   | Gather ->
+     send t ~dst:p ~phase:0 (fun out -> pack_entries t out (fun _ -> true)));
+  if t.active then
+    if t.expect_down = 1 then begin
       close_stage t;
-      if has_down t.op then open_stage t "down"
+      open_stage t "down"
     end
-  end
-  else begin
-    close_stage t;
-    if has_down t.op then begin
-      open_stage t "down";
-      forward_down t
+    else if not (healing t) then close_stage t
+
+(* Every awaited child frame is in: data for up-first ops, acks for a
+   healing group's down-first ones. *)
+and up_complete t =
+  if t.rank = t.root then begin
+    if has_up t.op then begin
+      close_stage t;
+      if runs_down t then begin
+        open_stage t "down";
+        forward_down t
+      end
     end
+    (* down-first healing root: all acks collected, maybe_complete fires *)
   end
+  else if has_up t.op || t.expect_down = 0 then
+    (* a down-first healing member acks its parent only once its own data
+       arrived and was forwarded AND every child acked *)
+    send_up t
 
 and handle_up t src body =
-  if (not (has_up t.op)) || t.expect_up <= 0 then
-    fail t
-      (Printf.sprintf "unexpected up-phase message from rank %d during %s"
-         src (op_name t.op))
+  if t.expect_up <= 0 then begin
+    if not (healing t) then
+      fail t
+        (Printf.sprintf "unexpected up-phase message from rank %d during %s"
+           src (op_name t.op))
+  end
   else begin
     (match t.op with
-     | Barrier -> ()
+     | Barrier | Bcast | Scatter -> () (* arrival / ack: empty *)
      | Reduce | Allreduce -> (
        match t.acc with
        | Some acc when Bb.length body = Bb.length acc ->
@@ -681,16 +740,7 @@ and handle_up t src body =
            (Printf.sprintf "rank %d contributed %d bytes to %s, expected %d"
               src (Bb.length body) (op_name t.op) (Bb.length acc))
        | None -> fail t "up phase without an accumulator")
-     | Gather ->
-       let pos = ref 0 in
-       let cnt = read_int body pos in
-       for _ = 1 to cnt do
-         let r = read_int body pos in
-         let len = read_int body pos in
-         let p = read_buf body pos len in
-         if r >= 0 && r < t.n then t.slots.(r) <- Some p
-       done
-     | Bcast | Scatter -> assert false);
+     | Gather -> read_entries t body);
     if t.active then begin
       t.expect_up <- t.expect_up - 1;
       if t.expect_up = 0 then up_complete t;
@@ -699,27 +749,26 @@ and handle_up t src body =
   end
 
 and handle_down t src body =
-  if (not (has_down t.op)) || t.expect_down <> 1 then
-    fail t
-      (Printf.sprintf "unexpected down-phase message from rank %d during %s"
-         src (op_name t.op))
+  if t.expect_down <> 1 then begin
+    if not (healing t) then
+      fail t
+        (Printf.sprintf "unexpected down-phase message from rank %d during %s"
+           src (op_name t.op))
+  end
   else begin
     t.expect_down <- 0;
     (match t.op with
-     | Barrier -> ()
+     | Barrier | Reduce | Gather -> ()
      | Bcast | Allreduce -> t.acc <- Some body
-     | Scatter ->
-       let pos = ref 0 in
-       let cnt = read_int body pos in
-       for _ = 1 to cnt do
-         let r = read_int body pos in
-         let len = read_int body pos in
-         let p = read_buf body pos len in
-         if r = t.rank then t.acc <- Some p
-         else if r >= 0 && r < t.n then t.slots.(r) <- Some p
-       done
-     | Reduce | Gather -> assert false);
+     | Scatter -> read_entries t body);
+    (* A healing up-first op's down frame is the commit: adopt it even if
+       some child data never arrived (the root proved it has the full
+       contribution set). *)
+    if healing t && has_up t.op then t.expect_up <- 0;
     forward_down t;
+    (* a healing down-first leaf starts the ack wave *)
+    if healing t && (not (has_up t.op)) && t.active && t.expect_up = 0 then
+      up_complete t;
     maybe_complete t
   end
 
@@ -737,146 +786,14 @@ and dispatch t src hdr body =
   else if phase = 0 then handle_up t src body
   else handle_down t src body
 
-(* ----- healing phase machinery ----- *)
-
-and h_forward_down t =
-  (* Down phase of a healing op: data for bcast/scatter, the (possibly
-     empty) commit broadcast for up-first ops. *)
-  match t.op with
-  | Reduce | Gather ->
-    iter_children_of t (fun c -> send t ~dst:c ~phase:1 (fun _ -> 0))
-  | Barrier | Bcast | Allreduce | Scatter -> forward_down t
-
-and h_send_up t =
-  let p = parent_of t in
-  (match t.op with
-   | Barrier | Bcast | Scatter -> send t ~dst:p ~phase:0 (fun _ -> 0)
-   | Reduce | Allreduce -> (
-     match t.acc with
-     | Some acc ->
-       send t ~dst:p ~phase:0 (fun out ->
-           Ct.pack out acc;
-           Bb.length acc)
-     | None -> fail t "up phase without an accumulator")
-   | Gather ->
-     send t ~dst:p ~phase:0 (fun out -> pack_entries t out (fun _ -> true)));
-  if t.active && t.expect_down = 1 then begin
-    close_stage t;
-    open_stage t "down"
-  end
-
-and h_up_complete t =
-  (* All expected child frames are in: data for up-first ops, acks for
-     down-first ones. *)
-  if t.rank = t.root then begin
-    if has_up t.op then begin
-      close_stage t;
-      open_stage t "down";
-      h_forward_down t
-    end
-    (* down-first root: all acks collected, maybe_complete fires *)
-  end
-  else if has_up t.op then h_send_up t
-  else if t.expect_down = 0 then
-    (* down-first non-root: ack the parent only once our own data arrived
-       and was forwarded AND every child acked *)
-    h_send_up t
-
-and h_handle_up t src body =
-  if t.expect_up <= 0 then ()
-    (* stray duplicate after an adopt-commit or a retry — benign *)
-  else begin
-    (match t.op with
-     | Barrier | Bcast | Scatter -> () (* arrival / ack: empty *)
-     | Reduce | Allreduce -> (
-       match t.acc with
-       | Some acc when Bb.length body = Bb.length acc ->
-         apply_rop t.rop acc body
-       | Some acc ->
-         fail t
-           (Printf.sprintf "rank %d contributed %d bytes to %s, expected %d"
-              src (Bb.length body) (op_name t.op) (Bb.length acc))
-       | None -> fail t "up phase without an accumulator")
-     | Gather ->
-       let pos = ref 0 in
-       let cnt = read_int body pos in
-       for _ = 1 to cnt do
-         let r = read_int body pos in
-         let len = read_int body pos in
-         let p = read_buf body pos len in
-         if r >= 0 && r < t.n then t.slots.(r) <- Some p
-       done);
-    if t.active then begin
-      t.expect_up <- t.expect_up - 1;
-      if t.expect_up = 0 then h_up_complete t;
-      maybe_complete t
-    end
-  end
-
-and h_handle_down t _src body =
-  if t.expect_down <> 1 then () (* duplicate commit after a retry — benign *)
-  else begin
-    t.expect_down <- 0;
-    if has_up t.op then begin
-      (* up-first op: this is the commit broadcast. Adopt it even if some
-         child data never arrived (the root proved it has the full
-         contribution set): force the up count and relay. *)
-      (match t.op with Allreduce -> t.acc <- Some body | _ -> ());
-      t.expect_up <- 0;
-      h_forward_down t;
-      maybe_complete t
-    end
-    else begin
-      (* down-first op: this is the data. *)
-      (match t.op with
-       | Bcast -> t.acc <- Some body
-       | Scatter ->
-         let pos = ref 0 in
-         let cnt = read_int body pos in
-         for _ = 1 to cnt do
-           let r = read_int body pos in
-           let len = read_int body pos in
-           let p = read_buf body pos len in
-           if r = t.rank then t.acc <- Some p
-           else if r >= 0 && r < t.n then t.slots.(r) <- Some p
-         done
-       | _ -> ());
-      h_forward_down t;
-      if t.active && t.expect_up = 0 then h_up_complete t;
-      maybe_complete t
-    end
-  end
-
-and h_dispatch t src hdr body =
-  let phase = hdr land 1 in
-  let idx = hdr asr 1 in
-  if idx <> op_index t.op then
-    fail t
-      (Printf.sprintf
-         "rank %d sent a %s message during %s — members disagree on the \
-          operation"
-         src
-         (op_name (op_of_index idx))
-         (op_name t.op))
-  else if phase = 0 then h_handle_up t src body
-  else h_handle_down t src body
-
-and h_handle_serve t body =
+and handle_serve t body =
   (* A committed neighbour re-served the operation we are retrying: adopt
      its result, stop expecting anything, relay to our subtree (whose
      members may be waiting on us the same way) and complete. *)
   (match t.op with
    | Barrier | Reduce | Gather -> ()
    | Allreduce | Bcast -> t.acc <- Some body
-   | Scatter ->
-     let pos = ref 0 in
-     let cnt = read_int body pos in
-     for _ = 1 to cnt do
-       let r = read_int body pos in
-       let len = read_int body pos in
-       let p = read_buf body pos len in
-       if r = t.rank then t.acc <- Some p
-     done);
+   | Scatter -> read_entries t body);
   t.expect_up <- 0;
   t.expect_down <- 0;
   (match t.op with
@@ -894,6 +811,59 @@ and h_handle_serve t body =
              | _ -> 0)));
   maybe_complete t
 
+(* Route one frame: at its [arrival] from the circuit, or replayed from the
+   pending queue, which holds frames that arrived ahead of this member
+   (never heartbeats or evictions). A frame of a later operation or epoch
+   is parked; one matching the current operation is dispatched. *)
+and route t ~arrival ~seq ~src ~hdr ~ep ~dg body =
+  match t.heal with
+  | None ->
+    if t.active && seq = t.seq then dispatch t src hdr body
+    else if seq > t.seq then park t ~seq ~src ~hdr ~ep ~dg body
+    (* seq <= t.seq while inactive: the operation failed locally
+       (deadline) — drop the late message *)
+  | Some h ->
+    if h.dead.(src) then () (* evicted ranks are ignored group-wide *)
+    else begin
+      if arrival then Detect.heard h.det ~peer:src;
+      if hdr = hdr_hb then ()
+      else if hdr = hdr_evict then begin
+        handle_evict t h ~src body;
+        drain_pending t;
+        maybe_complete t
+      end
+      else if ep > h.epoch then
+        (* the sender knows deaths we have not heard of yet; its EVICT
+           flood is coming — park the frame *)
+        park t ~seq ~src ~hdr ~ep ~dg body
+      else if ep < h.epoch then begin
+        (* pre-eviction frame: drop, and re-sync the laggard (once per
+           epoch per rank) when it first shows up *)
+        if arrival && h.resynced.(src) < h.epoch then begin
+          h.resynced.(src) <- h.epoch;
+          send_evict t h ~dst:src
+        end
+      end
+      else if dg <> h.digest then
+        (* same death count, different dead sets: exchange *)
+        send_evict t h ~dst:src
+      else if hdr = hdr_pull then begin
+        if seq > t.seq then park t ~seq ~src ~hdr ~ep ~dg body
+        else handle_pull t h ~src ~pseq:seq
+      end
+      else if t.active && seq = t.seq then begin
+        if hdr = hdr_serve then handle_serve t body
+        else dispatch t src hdr body
+      end
+      else if seq > t.seq then park t ~seq ~src ~hdr ~ep ~dg body
+      else if seq = h.done_seq && hdr <> hdr_serve then
+        (* a retrying neighbour re-sent data for an operation we already
+           committed (its restart crossed our commit): re-serve the record
+           so it can complete *)
+        serve_record t h ~dst:src
+      (* other seq <= t.seq while inactive: late frame — drop *)
+    end
+
 (* Replay buffered messages that match the current operation. Dispatching
    may complete the operation and let the caller start the next one
    reentrantly, so the queue length is only a rotation bound. *)
@@ -901,31 +871,18 @@ and drain_pending t =
   let rounds = Queue.length t.pending in
   for _ = 1 to rounds do
     if not (Queue.is_empty t.pending) then begin
-      let ((seq, src, hdr, ep, dg, body) as msg) = Queue.pop t.pending in
-      match t.heal with
-      | None ->
-        if t.active && seq = t.seq then dispatch t src hdr body
-        else if seq > t.seq then Queue.push msg t.pending
-        (* seq < t.seq: leftover from a failed operation — drop *)
-      | Some h ->
-        if h.dead.(src) || ep < h.epoch then () (* pre-eviction frame *)
-        else if ep > h.epoch then Queue.push msg t.pending
-        else if dg <> h.digest then send_evict t h ~dst:src
-        else if hdr = hdr_pull then begin
-          if seq > t.seq then Queue.push msg t.pending
-          else h_handle_pull t h ~src ~pseq:seq
-        end
-        else if t.active && seq = t.seq then begin
-          if hdr = hdr_serve then h_handle_serve t body
-          else h_dispatch t src hdr body
-        end
-        else if seq > t.seq then Queue.push msg t.pending
-        else if seq = h.done_seq && hdr <> hdr_serve then
-          (* a retrying neighbour re-sent data for an operation we already
-             committed: re-serve our record so it can complete *)
-          h_serve_record t h ~dst:src
+      let seq, src, hdr, ep, dg, body = Queue.pop t.pending in
+      route t ~arrival:false ~seq ~src ~hdr ~ep ~dg body
     end
   done
+
+(* Start the operation's first wave: the leaves of an up-first op send up,
+   the root of a down-first op sends down. *)
+and start_wave t =
+  if has_up t.op then begin
+    if t.expect_up = 0 then up_complete t
+  end
+  else if t.rank = t.root then forward_down t
 
 (* Rewind and retry the in-flight operation over the shrunken membership:
    the heart of self-healing. The per-operation state is reset from the
@@ -937,11 +894,7 @@ and restart_active t h =
   if t.active then begin
     h.inc <- h.inc + 1;
     t.sends_pending <- 0;
-    (match h.deadline with
-     | Some tm ->
-       Clock.cancel tm;
-       h.deadline <- None
-     | None -> ());
+    cancel_deadline t;
     let rerooted = h.dead.(t.root) in
     if rerooted then begin
       match t.op with
@@ -953,12 +906,7 @@ and restart_active t h =
           (Printf.sprintf "%s root (rank %d) died" (op_name t.op) t.root)
     end;
     if t.active then begin
-      t.c_root <- Netdb.cluster_of t.db t.root;
-      t.c_me <- Netdb.cluster_of t.db t.rank;
-      t.mc <- Array.length (Netdb.members t.db t.c_me);
-      t.base <- Netdb.position t.db (croot t t.c_me);
-      t.v_me <- (Netdb.position t.db t.rank - t.base + t.mc) mod t.mc;
-      reset_slots t;
+      place t;
       (match t.op with
        | Barrier -> t.acc <- None
        | Bcast ->
@@ -984,29 +932,12 @@ and restart_active t h =
              if i = t.rank then t.acc <- Some h.centries.(i)
              else if not h.dead.(i) then t.slots.(i) <- Some h.centries.(i)
            done);
-      t.expect_up <- child_count_of t;
-      t.expect_down <- (if t.rank = t.root then 0 else 1);
       h.restarts <- h.restarts + 1;
       emit_member t "restart" t.rank ~epoch:h.epoch;
       close_stage t;
       open_stage t "retry";
-      (match t.deadline_ns with
-       | None -> ()
-       | Some d ->
-         let s = t.seq and i = h.inc in
-         h.deadline <-
-           Some
-             (Clock.arm t.clk d (fun () ->
-                  if t.active && t.seq = s && h.inc = i then
-                    fail t
-                      (Printf.sprintf
-                         "%s exceeded its %d ns deadline after eviction"
-                         (op_name t.op) d))));
-      (* kick the retry wave *)
-      if has_up t.op then begin
-        if t.expect_up = 0 then h_up_complete t
-      end
-      else if t.rank = t.root then h_forward_down t;
+      arm_deadline t ~suffix:" after eviction";
+      start_wave t;
       (* pull members that may already have committed and gone quiet *)
       if t.active && t.rank <> t.root then begin
         let target =
@@ -1024,7 +955,7 @@ and restart_active t h =
     end
   end
 
-and h_handle_evict t h ~src body =
+and handle_evict t h ~src body =
   let pos = ref 0 in
   let cnt = read_int body pos in
   let newly = ref [] in
@@ -1106,66 +1037,29 @@ let begin_op t op ~root finish =
       t.op <- op;
       t.root <- root;
       t.finish <- finish;
-      t.c_root <- Netdb.cluster_of t.db root;
-      t.c_me <- Netdb.cluster_of t.db t.rank;
-      t.mc <- Array.length (Netdb.members t.db t.c_me);
-      t.base <- Netdb.position t.db (croot t t.c_me);
-      t.v_me <- (Netdb.position t.db t.rank - t.base + t.mc) mod t.mc;
-      reset_slots t;
+      place t;
       t.acc <- None;
       (match t.heal with
-       | None ->
-         t.expect_up <- (if has_up op then child_count_of t else 0);
-         t.expect_down <- (if has_down op && t.rank <> root then 1 else 0)
        | Some h ->
-         (* two-phase shapes: every op acknowledges up and commits down *)
          h.contrib <- None;
-         h.centries <- [||];
-         t.expect_up <- child_count_of t;
-         t.expect_down <- (if t.rank <> root then 1 else 0));
+         h.centries <- [||]
+       | None -> ());
       open_stage t (if has_up op then "up" else "down");
-      (match t.deadline_ns with
-       | None -> ()
-       | Some d -> (
-         match t.heal with
-         | None ->
-           let s = t.seq in
-           Clock.after t.clk d (fun () ->
-               if t.active && t.seq = s then
-                 fail t
-                   (Printf.sprintf "%s exceeded its %d ns deadline"
-                      (op_name op) d))
-         | Some h ->
-           (* cancellable: a healing group outlives deadlines routinely
-              (commit cancels, restart re-arms) and on the wall clock a
-              pending timer would pin the reactor *)
-           let s = t.seq and i = h.inc in
-           h.deadline <-
-             Some
-               (Clock.arm t.clk d (fun () ->
-                    if t.active && t.seq = s && h.inc = i then
-                      fail t
-                        (Printf.sprintf "%s exceeded its %d ns deadline"
-                           (op_name op) d)))));
+      arm_deadline t ~suffix:"";
       true
     end
 
 let kickoff t =
-  (match t.heal with
-   | None ->
-     if has_up t.op then begin
-       if t.expect_up = 0 then up_complete t
-     end
-     else if t.rank = t.root then forward_down t
-   | Some _ ->
-     if has_up t.op then begin
-       if t.expect_up = 0 then h_up_complete t
-     end
-     else if t.rank = t.root then h_forward_down t);
+  start_wave t;
   drain_pending t;
   maybe_complete t
 
 (* ---------- public operations ---------- *)
+
+(* A healing member keeps its pristine contribution until the operation
+   commits: a retry refolds it. *)
+let keep_contrib t p =
+  match t.heal with Some h -> h.contrib <- Some p | None -> ()
 
 let ibarrier t k = if begin_op t Barrier ~root:0 (fun r -> k r) then kickoff t
 
@@ -1181,7 +1075,7 @@ let ibcast t ~root payload k =
   then begin
     if t.rank = t.root then begin
       t.acc <- Some payload;
-      match t.heal with Some h -> h.contrib <- Some payload | None -> ()
+      keep_contrib t payload
     end;
     kickoff t
   end
@@ -1197,7 +1091,7 @@ let ireduce t ~root ~op payload k =
     (* Private accumulator: combining must not scribble on the caller's
        buffer. *)
     t.acc <- Some (Bb.copy payload);
-    (match t.heal with Some h -> h.contrib <- Some payload | None -> ());
+    keep_contrib t payload;
     kickoff t
   end
 
@@ -1213,7 +1107,7 @@ let iallreduce t ~op payload k =
   then begin
     t.rop <- op;
     t.acc <- Some (Bb.copy payload);
-    (match t.heal with Some h -> h.contrib <- Some payload | None -> ());
+    keep_contrib t payload;
     kickoff t
   end
 
@@ -1224,12 +1118,9 @@ let igather t ~root payload k =
         | Ok () ->
           if t.rank <> t.root then k (Ok None)
           else begin
-            let is_dead i =
-              match t.heal with Some h -> h.dead.(i) | None -> false
-            in
             let missing = ref (-1) in
             for i = t.n - 1 downto 0 do
-              if (not (is_dead i)) && t.slots.(i) = None then missing := i
+              if (not (is_dead t i)) && t.slots.(i) = None then missing := i
             done;
             if !missing >= 0 then
               k
@@ -1251,7 +1142,7 @@ let igather t ~root payload k =
         | Error e -> k (Error e))
   then begin
     t.slots.(t.rank) <- Some payload;
-    (match t.heal with Some h -> h.contrib <- Some payload | None -> ());
+    keep_contrib t payload;
     kickoff t
   end
 
@@ -1270,11 +1161,8 @@ let iscatter t ~root payloads k =
         | Error e -> k (Error e))
   then begin
     if t.rank = root then begin
-      let is_dead i =
-        match t.heal with Some h -> h.dead.(i) | None -> false
-      in
       for i = 0 to t.n - 1 do
-        if not (is_dead i) then
+        if not (is_dead t i) then
           if i = t.rank then t.acc <- Some payloads.(i)
           else t.slots.(i) <- Some payloads.(i)
       done;
@@ -1329,7 +1217,8 @@ let create ?(strategy = Multilevel) ?deadline_ns ?heal padico ~name nodes =
            pending = Queue.create (); on_sent = (fun () -> ()); heal = None;
            seq = 0; active = false; op = Barrier; root = 0; rop = Sum;
            expect_up = 0; expect_down = 0; sends_pending = 0; acc = None;
-           finish = (fun _ -> ()); poisoned = None; c_root = 0; c_me = 0;
+           finish = (fun _ -> ()); poisoned = None; deadline = None;
+           c_root = 0; c_me = 0;
            mc = 1; base = 0; v_me = 0; stage = ""; stage_since = -1;
            stage_bytes = 0 }
        in
@@ -1338,26 +1227,15 @@ let create ?(strategy = Multilevel) ?deadline_ns ?heal padico ~name nodes =
             t.sends_pending <- t.sends_pending - 1;
             maybe_complete t);
        (match heal with
-        | None ->
-          Ct.set_recv ct (fun inc ->
-              let seq = Ct.unpack_int inc in
-              let hdr = Ct.unpack_int inc in
-              let src = Ct.incoming_src inc in
-              let body = Ct.unpack inc (Ct.remaining inc) in
-              if t.active && seq = t.seq then dispatch t src hdr body
-              else if seq > t.seq then
-                Queue.push (seq, src, hdr, 0, 0, body) t.pending
-              (* seq <= t.seq while inactive: the operation failed locally
-                 (deadline) — drop the late message *))
+        | None -> ()
         | Some dcfg ->
           let det = Detect.create ~config:dcfg ~name:("coll." ^ name) node in
           let h =
             { det; dead = Array.make n false; epoch = 0;
               digest = empty_digest; resynced = Array.make n (-1); inc = 0;
               contrib = None; centries = [||]; done_seq = 0;
-              done_op = Barrier; done_root = 0; drecord = None;
-              dentries = [||]; pulls = []; deadline = None; restarts = 0;
-              evictions = 0 }
+              done_op = Barrier; drecord = None;
+              dentries = [||]; pulls = []; restarts = 0; evictions = 0 }
           in
           t.heal <- Some h;
           let mons = monitor_set t h in
@@ -1368,55 +1246,15 @@ let create ?(strategy = Multilevel) ?deadline_ns ?heal padico ~name nodes =
           Detect.start det
             ~send_hb:(fun p -> send_hb t ~dst:p)
             ~on_confirm:(fun r -> confirmed t h r)
-            ();
-          Ct.set_recv ct (fun inc ->
-              let seq = Ct.unpack_int inc in
-              let hdr = Ct.unpack_int inc in
-              let ep = Ct.unpack_int inc in
-              let dg = Ct.unpack_int inc in
-              let src = Ct.incoming_src inc in
-              let body = Ct.unpack inc (Ct.remaining inc) in
-              if not h.dead.(src) then begin
-                Detect.heard det ~peer:src;
-                if hdr = hdr_hb then ()
-                else if hdr = hdr_evict then begin
-                  h_handle_evict t h ~src body;
-                  drain_pending t;
-                  maybe_complete t
-                end
-                else if ep > h.epoch then
-                  (* the sender knows deaths we have not heard of yet; its
-                     EVICT flood is coming — park the frame *)
-                  Queue.push (seq, src, hdr, ep, dg, body) t.pending
-                else if ep < h.epoch then begin
-                  (* pre-eviction frame: drop, and re-sync the laggard
-                     (once per epoch per rank) *)
-                  if h.resynced.(src) < h.epoch then begin
-                    h.resynced.(src) <- h.epoch;
-                    send_evict t h ~dst:src
-                  end
-                end
-                else if dg <> h.digest then
-                  (* same death count, different dead sets: exchange *)
-                  send_evict t h ~dst:src
-                else if hdr = hdr_pull then begin
-                  if seq > t.seq then
-                    Queue.push (seq, src, hdr, ep, dg, body) t.pending
-                  else h_handle_pull t h ~src ~pseq:seq
-                end
-                else if t.active && seq = t.seq then begin
-                  if hdr = hdr_serve then h_handle_serve t body
-                  else h_dispatch t src hdr body
-                end
-                else if seq > t.seq then
-                  Queue.push (seq, src, hdr, ep, dg, body) t.pending
-                else if seq = h.done_seq && hdr <> hdr_serve then
-                  (* a retrying neighbour re-sent data for an operation we
-                     already committed (its restart crossed our commit):
-                     re-serve the record so it can complete *)
-                  h_serve_record t h ~dst:src
-                (* other seq <= t.seq while inactive: late frame — drop *)
-              end));
+            ());
+       Ct.set_recv ct (fun inc ->
+           let seq = Ct.unpack_int inc in
+           let hdr = Ct.unpack_int inc in
+           let ep = if healing t then Ct.unpack_int inc else 0 in
+           let dg = if healing t then Ct.unpack_int inc else 0 in
+           let src = Ct.incoming_src inc in
+           let body = Ct.unpack inc (Ct.remaining inc) in
+           route t ~arrival:true ~seq ~src ~hdr ~ep ~dg body);
        t)
     cts
 
@@ -1431,7 +1269,6 @@ let poisoned t = t.poisoned
 let wan_messages t = Stats.Counter.value t.wmsgs
 let wan_bytes t = Stats.Counter.value t.wbytes
 
-let healing t = match t.heal with Some _ -> true | None -> false
 let epoch t = match t.heal with Some h -> h.epoch | None -> 0
 
 let live_count t =
@@ -1460,9 +1297,5 @@ let retire t =
   match t.heal with
   | Some h ->
     Detect.stop h.det;
-    (match h.deadline with
-     | Some tm ->
-       Clock.cancel tm;
-       h.deadline <- None
-     | None -> ())
+    cancel_deadline t
   | None -> ()

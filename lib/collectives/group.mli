@@ -91,7 +91,9 @@ val create :
     when given, bounds every operation: a member whose operation has not
     completed after that much virtual time fails it with an [Error] (and
     poisons the group) instead of hanging — the fault-injection story for
-    collectives. [heal], when given, makes the group self-healing (see
+    collectives. The deadline is one cancellable timer per operation,
+    cancelled when the operation completes on every backend, so on the
+    wall clock no timer outlives its operation. [heal], when given, makes the group self-healing (see
     above) with the detector tuned by the config; healing groups keep
     their detectors sweeping between operations, so call {!retire} when
     done with a group or a virtual-clock run will never quiesce. *)

@@ -260,6 +260,56 @@ let test_deadline_no_hang () =
   | Some (Error _) -> ()
   | _ -> Alcotest.fail "poisoned group accepted a new operation"
 
+(* ---------- failure: members disagree on the operation ---------- *)
+
+(* Rank 0 broadcasts while ranks 1-3 enter a barrier. Ranks 1 and 2 get
+   rank 0's bcast frame and fail on the mismatch; rank 3 waits on rank 2
+   and fails on its deadline. A plain bcast root is done once its frames
+   are handed off and drops the barrier frames that follow. A healing root
+   also waits for the ack wave, so it gets the barrier frames and fails on
+   the mismatch too. *)
+let test_op_mismatch ?heal ~root_fails () =
+  let grid, nodes = four_node_grid () in
+  let members =
+    Group.create ?heal ~deadline_ns:(Engine.Time.ms 400) grid ~name:"mismatch"
+      nodes
+  in
+  let outcome = Array.make 4 (Error "unfinished") in
+  let handles =
+    List.mapi
+      (fun r node ->
+         Padico.spawn grid node ~name:(Printf.sprintf "rank%d" r) (fun () ->
+             let g = members.(r) in
+             outcome.(r) <-
+               (match
+                  if r = 0 then ignore (Group.bcast g ~root:0 (byte_buf 8 1))
+                  else Group.barrier g
+                with
+                | () -> Ok ()
+                | exception Group.Failed e -> Error e)))
+      nodes
+  in
+  Tutil.run_grid grid ~until:(Engine.Time.ms 600);
+  Array.iter Group.retire members;
+  List.iter Tutil.assert_done handles;
+  let failed_on r pattern =
+    match outcome.(r) with
+    | Ok () -> false
+    | Error e -> (
+      try
+        ignore (Str.search_forward (Str.regexp_string pattern) e 0);
+        true
+      with Not_found -> false)
+  in
+  let disagree = "members disagree on the operation" in
+  Tutil.check_bool "rank 0 (bcast root)" root_fails (failed_on 0 disagree);
+  if not root_fails then
+    Tutil.check_bool "plain root returns" true (outcome.(0) = Ok ());
+  Tutil.check_bool "rank 1 disagrees" true (failed_on 1 disagree);
+  Tutil.check_bool "rank 2 disagrees" true (failed_on 2 disagree);
+  Tutil.check_bool "rank 3 hits its deadline" true
+    (failed_on 3 "barrier exceeded its 400000000 ns deadline")
+
 (* ---------- strategies agree ---------- *)
 
 let test_strategies_agree () =
@@ -364,5 +414,9 @@ let () =
          Alcotest.test_case "barrier round trip" `Quick
            test_barrier_wan_round_trip ]);
       ("faults",
-       [ Alcotest.test_case "deadline, no hang" `Quick test_deadline_no_hang ]);
+       [ Alcotest.test_case "deadline, no hang" `Quick test_deadline_no_hang;
+         Alcotest.test_case "operation mismatch, plain" `Quick
+           (test_op_mismatch ~root_fails:false);
+         Alcotest.test_case "operation mismatch, healing" `Quick
+           (test_op_mismatch ~heal:Detect.default_config ~root_fails:true) ]);
     ]

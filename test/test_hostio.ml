@@ -386,6 +386,43 @@ let test_host_circuit_burst () =
   check_int "every message" msgs !got;
   check_int "every byte" (msgs * size) !bytes
 
+(* A group's operation deadline is disarmed when the operation completes:
+   on the wall clock a pending timer keeps the reactor alive, so an idle
+   group must leave none behind. Three barriers on four ranks would leave
+   twelve 4 s timers if completion did not cancel them. *)
+let test_host_group_deadline_disarmed () =
+  let module Group = Collectives.Group in
+  let module Gridgen = Scenario.Gridgen in
+  let g =
+    Gridgen.generate ~backend:Padico.Host ~clusters:2 ~nodes_per_cluster:2 ()
+  in
+  let grid = g.Gridgen.grid in
+  let members =
+    Group.create ~deadline_ns:(Time.sec 4) grid ~name:"host-deadline"
+      g.Gridgen.nodes
+  in
+  let loop =
+    Option.get (Loop.of_clock (Simnet.Node.clock (List.hd g.Gridgen.nodes)))
+  in
+  let finished = ref 0 and live = ref (-1) in
+  List.iteri
+    (fun r node ->
+       ignore
+         (Padico.spawn grid node ~name:(Printf.sprintf "rank%d" r) (fun () ->
+              for _ = 1 to 3 do
+                Group.barrier members.(r)
+              done;
+              incr finished;
+              (* read once the last completion's own events have run *)
+              if !finished = 4 then
+                Clock.after (Simnet.Node.clock node) (Time.ms 20) (fun () ->
+                    live := Loop.live_timers loop;
+                    Loop.stop loop))))
+    g.Gridgen.nodes;
+  Padico.run grid ~until:(Time.sec 10);
+  check_int "every rank finished" 4 !finished;
+  check_int "no deadline outlives its barrier" 0 !live
+
 (* The conformance kit's host subset: the same obligations the simulated
    adapters satisfy, green over real Unix sockets. *)
 let test_host_conformance_kit () =
@@ -423,5 +460,7 @@ let () =
             `Quick test_host_readiness_source;
           Alcotest.test_case "circuit burst past the send buffer" `Quick
             test_host_circuit_burst;
+          Alcotest.test_case "group deadline disarmed at completion" `Quick
+            test_host_group_deadline_disarmed;
           Alcotest.test_case "conformance kit host subset" `Slow
             test_host_conformance_kit ] ) ]
