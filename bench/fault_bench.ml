@@ -8,6 +8,8 @@
       pair with the SAN killed mid-transfer. Reported: adapter switches,
       reconnect attempts, virtual downtime, and goodput versus the clean
       run and versus a LAN-only baseline (the floor once failed over).
+      The failover runs again with the two nodes on shards of their own,
+      at 1 and 2 domains, and must read the one-shard figures exactly.
 
    All numbers are virtual-time; same seed and plan replay identically.
    Numbers are recorded in EXPERIMENTS.md (experiment E10). *)
@@ -34,10 +36,10 @@ let wan_latency ~loss_burst () =
                  { link = "wan"; loss = 0.02; duration_ns = Time.sec 30 } } ]);
   Bhelp.vio_latency grid ~src:a ~dst:b ~port:4000 ~size:4 ~iters:lat_iters
 
-let san_lan_pair () =
-  let grid = Padico.create () in
+let san_lan_pair ~shards =
+  let grid = Padico.create ~shards () in
   let a = Padico.add_node grid "a" in
-  let b = Padico.add_node grid "b" in
+  let b = Padico.add_node ~shard:(shards - 1) grid "b" in
   ignore
     (Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]);
   ignore
@@ -50,8 +52,8 @@ let chunk = 65_536
 
 (* Resilient round-trip echo of [total] bytes under [plan]; returns
    (goodput MB/s counting both directions, failover stats). *)
-let resilient_echo ~plan () =
-  let grid, a, b = san_lan_pair () in
+let resilient_echo ?(shards = 1) ?domains ~plan () =
+  let grid, a, b = san_lan_pair ~shards in
   (match plan with
    | [] -> ()
    | plan -> ignore (Inject.apply (Padico.net grid) plan));
@@ -97,7 +99,7 @@ let resilient_echo ~plan () =
         rd ();
         t1 := Padico.now grid)
   in
-  Bhelp.run grid;
+  Padico.run grid ~until:(Time.sec 3600) ?domains;
   Bhelp.fail_on_error h;
   if !received < total then
     failwith (Printf.sprintf "incomplete: %d/%d bytes" !received total);
@@ -147,6 +149,25 @@ let run () =
   rec_ "failover_retries" (float_of_int fo_st.Resilient.retries);
   rec_ "failover_downtime_ms"
     (float_of_int fo_st.Resilient.downtime_ns /. 1e6);
+
+  (* The SAN's link-down fires once per shard it spans; each shard's
+     senders see it at the same instant, so the figures must not move. *)
+  List.iter
+    (fun domains ->
+       let bw, st =
+         resilient_echo ~shards:2 ~domains ~plan:failover_plan ()
+       in
+       Printf.printf "%-42s %10.2f MB/s  (%d switch, %d retry, %.3f ms)\n"
+         (Printf.sprintf "  same on 2 shards, %d domain(s)" domains)
+         bw st.Resilient.switches st.Resilient.retries
+         (float_of_int st.Resilient.downtime_ns /. 1e6);
+       if bw <> fo_bw || st <> fo_st then begin
+         Printf.eprintf
+           "E10: failover on 2 shards (%d domains) differs from 1 shard\n%!"
+           domains;
+         exit 1
+       end)
+    [ 1; 2 ];
 
   let lan_bw = lan_only_goodput () in
   Printf.printf "%-42s %10.2f MB/s  (one-way floor)\n"

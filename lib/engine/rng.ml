@@ -44,7 +44,9 @@ let int t bound =
   assert (bound > 0);
   (* Keep 62 bits so the conversion to OCaml's 63-bit int stays positive. *)
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
-  v mod bound
+  (* [v >= 0]: a power-of-two bound masks to what [mod] gives, sparing
+     [Bytebuf.fill_random] a division per byte. *)
+  if bound land (bound - 1) = 0 then v land (bound - 1) else v mod bound
 
 let[@inline] float t x =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in

@@ -86,7 +86,7 @@ let end_packing ?on_tx out =
      Detect a dead link synchronously at send time instead of letting the
      message vanish and the peer hang. The message is left unsent (not
      marked closed) so a caller that survives may retry after link-up. *)
-  if Simnet.Segment.is_down t.seg then
+  if Simnet.Segment.is_down t.seg t.mnode then
     raise (Link_down (Simnet.Segment.name t.seg));
   out.closed <- true;
   t.sent <- t.sent + 1;

@@ -162,7 +162,7 @@ let mk_host_conn hs stream =
       Stream.reset stream
     end
   in
-  Simnet.Segment.on_link_state hs.hs_seg kill;
+  Simnet.Segment.on_link_state hs.hs_seg hs.hs_node kill;
   (* A node crash kills that node's real sockets the same way: the peer
      sees an RST, which is exactly what a failure detector listening for
      transport death needs. *)

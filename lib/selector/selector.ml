@@ -61,7 +61,7 @@ let choose ?(prefs = Prefs.default) ?(exclude = []) net ~src ~dst =
     let usable =
       List.filter
         (fun s ->
-           (not (Simnet.Segment.is_down s))
+           (not (Simnet.Segment.is_down s src))
            && not
                 (List.exists
                    (fun e -> Simnet.Segment.uid e = Simnet.Segment.uid s)

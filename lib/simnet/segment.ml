@@ -1,10 +1,10 @@
 (* Owner-split port state: every mutable cell a send touches belongs to
-   exactly one shard. Egress state, tx counters and the loss/jitter
-   generator belong to the source port (its node's shard); ingress state
-   and rx counters belong to the destination port. Each port draws from
-   its own generator, a keyed non-advancing child of the segment stream,
-   so no two shards ever share an Rng and a port's draw sequence does not
-   depend on its peers' traffic. *)
+   exactly one shard. Egress state, tx counters, the loss/jitter
+   generator and the fault overlay belong to the source port (its node's
+   shard); ingress state and rx counters belong to the destination port.
+   Each port draws from its own generator, a keyed non-advancing child of
+   the segment stream, so no two shards ever share an Rng and a port's
+   draw sequence does not depend on its peers' traffic. *)
 type port = {
   node : Node.t;
   prng : Engine.Rng.t;
@@ -19,6 +19,13 @@ type port = {
   mutable rx_faulted : int;
   mutable rx_delivered : int;
   mutable rx_unclaimed : int;
+  (* Fault overlay (see Padico_fault.Inject): transient deltas over the
+     immutable Linkmodel, read by this port's sends. *)
+  mutable down : bool;
+  mutable extra_loss : float;
+  mutable extra_latency_ns : int;
+  mutable blocked : int list; (* peer node ids (partition) *)
+  mutable watchers : (bool -> unit) list;
 }
 
 let next_uid = ref 0
@@ -34,13 +41,6 @@ type t = {
      [ports_lo, ports_lo + length ports). *)
   mutable ports_lo : int;
   mutable ports : port option array;
-  (* Dynamic fault overlay (see Padico_fault.Inject): the static Linkmodel
-     stays immutable; faults are transient deltas consulted per frame. *)
-  mutable down : bool;
-  mutable extra_loss : float;
-  mutable extra_latency_ns : int;
-  blocked : (int * int, unit) Hashtbl.t; (* partition: (lo, hi) node ids *)
-  mutable link_watchers : (bool -> unit) list;
 }
 
 let log = Logs.Src.create "simnet.segment"
@@ -51,9 +51,7 @@ let create ~rng ~cross model ~name =
   incr next_uid;
   let model = Linkmodel.validate model in
   { uid = !next_uid; name; model; rng = Engine.Rng.split rng; cross;
-    ports_lo = 0; ports = [||];
-    down = false; extra_loss = 0.0; extra_latency_ns = 0;
-    blocked = Hashtbl.create 4; link_watchers = [] }
+    ports_lo = 0; ports = [||] }
 
 let uid t = t.uid
 let name t = t.name
@@ -93,7 +91,9 @@ let attach t node =
           egress_busy_until = 0; arrival_floor = 0; ingress_busy_until = 0;
           handlers = [];
           tx_sent = 0; tx_bytes = 0; tx_lost = 0; tx_faulted = 0;
-          rx_faulted = 0; rx_delivered = 0; rx_unclaimed = 0 }
+          rx_faulted = 0; rx_delivered = 0; rx_unclaimed = 0;
+          down = false; extra_loss = 0.0; extra_latency_ns = 0;
+          blocked = []; watchers = [] }
   end
 
 let attached t node = Option.is_some (port_opt t (Node.id node))
@@ -142,42 +142,43 @@ let deliver t (dst : port) (pkt : Packet.t) =
 
 (* ---------- dynamic fault overlay ---------- *)
 
-let is_down t = t.down
+(* The selected ports ([?ports], default every port) of a setter. *)
+let each_port ?ports t f =
+  match ports with
+  | None -> Array.iter (Option.iter f) t.ports
+  | Some nodes ->
+    List.iter (fun n -> f (port_exn t (Node.id n) "fault overlay")) nodes
 
-let set_down t down =
-  if t.down <> down then begin
-    t.down <- down;
-    List.iter (fun f -> f (not down)) (List.rev t.link_watchers)
-  end
+let is_down t node = (port_exn t (Node.id node) "is_down").down
 
-let on_link_state t f = t.link_watchers <- f :: t.link_watchers
+let set_down ?ports t down =
+  each_port ?ports t (fun p ->
+      if p.down <> down then begin
+        p.down <- down;
+        List.iter (fun f -> f (not down)) (List.rev p.watchers)
+      end)
 
-let set_extra_loss t p =
-  if not (p >= 0.0 && p <= 1.0) then
+let on_link_state t node f =
+  let p = port_exn t (Node.id node) "on_link_state" in
+  p.watchers <- f :: p.watchers
+
+let set_extra_loss ?ports t loss =
+  if not (loss >= 0.0 && loss <= 1.0) then
     invalid_arg
-      (Printf.sprintf "Segment %s: extra loss %g not in [0, 1]" t.name p);
-  t.extra_loss <- p
+      (Printf.sprintf "Segment %s: extra loss %g not in [0, 1]" t.name loss);
+  each_port ?ports t (fun p -> p.extra_loss <- loss)
 
-let extra_loss t = t.extra_loss
-
-let set_extra_latency t ns =
+let set_extra_latency ?ports t ns =
   if ns < 0 then
     invalid_arg
       (Printf.sprintf "Segment %s: extra latency %d is negative" t.name ns);
-  t.extra_latency_ns <- ns
+  each_port ?ports t (fun p -> p.extra_latency_ns <- ns)
 
-let extra_latency_ns t = t.extra_latency_ns
+let block t node ~peer =
+  let p = port_exn t (Node.id node) "block" in
+  p.blocked <- peer :: p.blocked
 
-let pair_key a b = if a <= b then (a, b) else (b, a)
-
-let block_pair t a b = Hashtbl.replace t.blocked (pair_key a b) ()
-
-let unblock_pair t a b = Hashtbl.remove t.blocked (pair_key a b)
-
-let clear_blocked t = Hashtbl.reset t.blocked
-
-let pair_blocked t a b =
-  Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (pair_key a b)
+let clear_blocked ?ports t = each_port ?ports t (fun p -> p.blocked <- [])
 
 (* Ingress contention, resolved on the receiver's shard when the frame
    arrives: the receiving port absorbs at most one frame per
@@ -202,7 +203,9 @@ let send t (pkt : Packet.t) =
          pkt.size t.model.Linkmodel.mtu);
   src.tx_sent <- src.tx_sent + 1;
   src.tx_bytes <- src.tx_bytes + pkt.size;
-  if t.down || pair_blocked t pkt.src pkt.dst || not (Node.is_up src.node)
+  if src.down
+     || List.mem pkt.dst src.blocked
+     || not (Node.is_up src.node)
   then begin
     (* Fault overlay: the frame never reaches the wire. No egress time is
        charged (the NIC rejects immediately) and no randomness is consumed,
@@ -223,7 +226,7 @@ let send t (pkt : Packet.t) =
     in
     let start = if busy then src.egress_busy_until else now in
     src.egress_busy_until <- start + ser;
-    let loss = Float.min 1.0 (t.model.Linkmodel.loss +. t.extra_loss) in
+    let loss = Float.min 1.0 (t.model.Linkmodel.loss +. src.extra_loss) in
     if Engine.Rng.bool src.prng loss then begin
       src.tx_lost <- src.tx_lost + 1;
       Log.debug (fun m -> m "%s: lost %a" t.name Packet.pp pkt)
@@ -237,7 +240,7 @@ let send t (pkt : Packet.t) =
          order they left, each after its predecessor's ingress slot. *)
       let arrival =
         max src.arrival_floor
-          (start + ser + t.model.Linkmodel.latency_ns + t.extra_latency_ns
+          (start + ser + t.model.Linkmodel.latency_ns + src.extra_latency_ns
            + jitter)
       in
       src.arrival_floor <- arrival + ser;

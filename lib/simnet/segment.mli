@@ -59,43 +59,47 @@ val send : t -> Packet.t -> unit
 (** {1 Dynamic fault overlay}
 
     Transient faults layered over the immutable {!Linkmodel}: link up/down,
-    extra loss (bursts), extra latency (spikes) and blocked node pairs
+    extra loss (bursts), extra latency (spikes) and blocked peers
     (partitions). Driven by [Padico_fault.Inject]; consulted per frame by
-    {!send}. A fault-dropped frame consumes no randomness, so a healed link
-    resumes with the same loss/jitter stream as an unfaulted run. The
-    overlay is read by the senders of every shard the segment spans, so
-    on such a segment change it only between runs. *)
+    {!send}. Like the rest of a port's egress state the overlay is per
+    port, and a frame reads only its source port's. A fault-dropped frame
+    consumes no randomness, so a healed link resumes with the same
+    loss/jitter stream as an unfaulted run.
 
-val is_down : t -> bool
+    The setters change the ports of [?ports] (default: every port). A
+    port belongs to its node's shard: during a run of a grid of several
+    shards, change only the ports of the shard running the caller. Between
+    runs any port may change. [Padico_fault.Inject] arms one part per
+    spanned shard, so on a grid of several shards a plan must be armed
+    between runs. *)
 
-val set_down : t -> bool -> unit
-(** Take the link down / bring it up. On every change the {!on_link_state}
-    watchers fire with the new carrier state ([true] = up). *)
+val is_down : t -> Node.t -> bool
+(** [is_down t node]: [node]'s port is down. *)
 
-val on_link_state : t -> (bool -> unit) -> unit
-(** Subscribe to carrier changes (the simulated NIC link-status interrupt).
-    Watchers stack and cannot be removed; guard stale subscriptions with a
-    generation check on the caller side. *)
+val set_down : ?ports:Node.t list -> t -> bool -> unit
+(** Take the ports down / bring them up. On every change of a port its
+    {!on_link_state} watchers fire with the new carrier state ([true] =
+    up). *)
 
-val set_extra_loss : t -> float -> unit
+val on_link_state : t -> Node.t -> (bool -> unit) -> unit
+(** [on_link_state t node f] subscribes to carrier changes of [node]'s
+    port (the simulated NIC link-status interrupt); [f] runs on that
+    node's shard. Watchers stack and cannot be removed; guard stale
+    subscriptions with a generation check on the caller side. *)
+
+val set_extra_loss : ?ports:Node.t list -> t -> float -> unit
 (** Additional frame-loss probability added to the model's during a burst
     window. Raises [Invalid_argument] outside [0, 1]. *)
 
-val extra_loss : t -> float
-
-val set_extra_latency : t -> int -> unit
+val set_extra_latency : ?ports:Node.t list -> t -> int -> unit
 (** Additional one-way latency in ns (a congestion spike). Raises
     [Invalid_argument] when negative. *)
 
-val extra_latency_ns : t -> int
+val block : t -> Node.t -> peer:int -> unit
+(** [block t node ~peer] drops every frame [node]'s port sends to node id
+    [peer] — the per-port building block of a network bipartition. *)
 
-val block_pair : t -> int -> int -> unit
-(** Drop every frame between the two node ids (either direction) — the
-    per-segment building block of a network bipartition. *)
-
-val unblock_pair : t -> int -> int -> unit
-val clear_blocked : t -> unit
-val pair_blocked : t -> int -> int -> bool
+val clear_blocked : ?ports:Node.t list -> t -> unit
 
 (** Observability for tests and benchmarks: totals summed over the ports,
     exact once the run has returned. *)

@@ -220,7 +220,7 @@ let get mio =
            resilience layer above may then re-select another adapter) instead
            of hanging on a silent link. *)
         Simnet.Segment.on_link_state (Madeleine.Mad.segment (Madio.mad mio))
-          (fun up ->
+          (Madio.node mio) (fun up ->
              if not up then
                Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
                |> List.sort (fun a b -> compare a.local_id b.local_id)

@@ -331,7 +331,7 @@ let prop_selector_decision_table =
        let usable =
          List.filter
            (fun s ->
-              (not (Simnet.Segment.is_down s))
+              (not (Simnet.Segment.is_down s src))
               && not
                    (List.exists
                       (fun e -> Simnet.Segment.uid e = Simnet.Segment.uid s)

@@ -266,9 +266,13 @@ let test_rng_matches_reference () =
   let same name r q =
     for k = 1 to draws do
       let ok =
-        match k mod 4 with
+        match k mod 5 with
         | 0 -> R.int64 r = Ref_rng.int64 q
         | 1 -> R.int r 1000 = Ref_rng.int q 1000
+        | 4 ->
+          (* Every power-of-two bound, 2^0 to 2^61. *)
+          let bound = 1 lsl (k / 5 mod 62) in
+          R.int r bound = Ref_rng.int q bound
         | 2 -> Int64.bits_of_float (R.float r 2.5)
                = Int64.bits_of_float (Ref_rng.float q 2.5)
         | _ -> R.bool r 0.3 = (Ref_rng.float q 1.0 < 0.3)

@@ -103,7 +103,7 @@ let test_link_down_drops () =
   in
   send ();
   Seg.set_down seg true;
-  check_bool "is_down" true (Seg.is_down seg);
+  check_bool "is_down" true (Seg.is_down seg a);
   send ();
   send ();
   Seg.set_down seg false;
@@ -131,9 +131,9 @@ let test_node_crash_blocks_traffic () =
   check_int "one faulted" 1 (Seg.frames_faulted seg)
 
 let test_link_watcher_fires () =
-  let _net, _a, _b, seg = Tutil.pair ~seed:5 Simnet.Presets.ethernet100 in
+  let _net, a, _b, seg = Tutil.pair ~seed:5 Simnet.Presets.ethernet100 in
   let states = ref [] in
-  Seg.on_link_state seg (fun up -> states := up :: !states);
+  Seg.on_link_state seg a (fun up -> states := up :: !states);
   Seg.set_down seg true;
   Seg.set_down seg true (* no change, no event *);
   Seg.set_down seg false;

@@ -314,16 +314,17 @@ let test_rounds_determinism () =
 (* A crash planned for a node on shard 1 fires on shard 1's timeline: the
    victim's own 1 ms ticks stop at the last one before [crash_at], however
    far shard 1 may run ahead of shard 0 (here up to the 10 ms WAN
-   lookahead). A link fault on a segment spanning both shards is refused
-   when the plan is armed. *)
+   lookahead). A link fault on a segment spanning both shards is armed
+   once per shard and takes down both ports. *)
 let test_crash_on_own_shard () =
   let net = Simnet.Net.create ~shards:2 () in
   let a = Simnet.Net.add_node ~shard:0 net "a" in
   let b = Simnet.Net.add_node ~shard:1 net "b" in
   let wan =
-    { Simnet.Presets.vthd with Simnet.Linkmodel.latency_ns = ms 10 }
+    Simnet.Net.add_segment net
+      { Simnet.Presets.vthd with Simnet.Linkmodel.latency_ns = ms 10 }
+      ~name:"wan" [ a; b ]
   in
-  ignore (Simnet.Net.add_segment net wan ~name:"wan" [ a; b ]);
   let crash_at = ms 25 + 500_000 in
   let plan at_ns action = [ { Padico_fault.Plan.at_ns; action } ] in
   ignore
@@ -340,12 +341,106 @@ let test_crash_on_own_shard () =
   Sim.at sim1 0 tick;
   Simnet.Net.run net;
   Tutil.check_int "victim's last tick before crash_at" (ms 25) !last;
-  match
+  let inj =
     Padico_fault.Inject.apply net
       (plan (ms 70) (Padico_fault.Plan.Link_down "wan"))
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "link fault on a segment spanning shards accepted"
+  in
+  Tutil.check_int "link fault armed" 1 (Padico_fault.Inject.pending inj);
+  Simnet.Net.run net;
+  Tutil.check_int "link fault fired once" 1 (Padico_fault.Inject.fired inj);
+  Tutil.check_bool "both ports down" true
+    (Segment.is_down wan a && Segment.is_down wan b)
+
+(* Every fault kind on a 10 ms WAN between a and b, which sit on shards
+   of their own when [shards] = 2: a partition from 20 to 40 ms, the link
+   down from 60 to 80 ms, a 10 ms loss burst of 1.0 at 100 ms and a 5 ms
+   latency spike from 120 to 130 ms. Each node sends a frame at k ms +
+   0.5 ms for k < 150. Returns the injector, each port's arrival times
+   and the segment's faulted and lost totals. *)
+let fault_plan =
+  let ev at_ns action = { Padico_fault.Plan.at_ns; action } in
+  Padico_fault.Plan.
+    [ ev (ms 20) (Partition { group_a = [ "a" ]; group_b = [ "b" ] });
+      ev (ms 40) Heal;
+      ev (ms 60) (Link_down "wan");
+      ev (ms 80) (Link_up "wan");
+      ev (ms 100) (Loss_burst { link = "wan"; loss = 1.0; duration_ns = ms 10 });
+      ev (ms 120)
+        (Latency_spike { link = "wan"; add_ns = ms 5; duration_ns = ms 10 }) ]
+
+let wan_faults ~shards ~domains plan =
+  let net = Simnet.Net.create ~shards () in
+  let a = Simnet.Net.add_node net "a" in
+  let b = Simnet.Net.add_node ~shard:(shards - 1) net "b" in
+  let model =
+    { Simnet.Presets.vthd with
+      Simnet.Linkmodel.latency_ns = ms 10; loss = 0.0; jitter_ns = 0 }
+  in
+  let wan = Simnet.Net.add_segment net model ~name:"wan" [ a; b ] in
+  let inj = Padico_fault.Inject.apply net plan in
+  let arrivals node =
+    let log = ref [] in
+    Segment.set_handler wan node ~proto:99 (fun _ ->
+        log := Sim.now (Simnet.Node.sim node) :: !log);
+    log
+  in
+  let at_a = arrivals a and at_b = arrivals b in
+  let sender src dst =
+    let sim = Simnet.Node.sim src in
+    let rec tick k =
+      if k < 150 then begin
+        Segment.send wan
+          (Simnet.Packet.make ~src:(Simnet.Node.id src)
+             ~dst:(Simnet.Node.id dst) ~proto:99 ~size:100
+             (Simnet.Packet.Raw (Bb.create 100)));
+        Sim.after sim (ms 1) (fun () -> tick (k + 1))
+      end
+    in
+    Sim.at sim 500_000 (fun () -> tick 0)
+  in
+  sender a b;
+  sender b a;
+  Simnet.Net.run ~domains net;
+  ( inj,
+    ( List.rev !at_a, List.rev !at_b, Segment.frames_faulted wan,
+      Segment.frames_lost wan ) )
+
+(* Per port, a fault on a segment spanning shards drops, loses and delays
+   exactly the frames it does on one shard, at 1 and 2 domains. *)
+let test_faults_across_shards () =
+  let _, reference = wan_faults ~shards:1 ~domains:1 fault_plan in
+  let at_a, at_b, faulted, lost = reference in
+  Tutil.check_int "a receives" 100 (List.length at_a);
+  Tutil.check_int "b receives" 100 (List.length at_b);
+  Tutil.check_int "faulted (partition + link down)" 80 faulted;
+  Tutil.check_int "lost (burst)" 20 lost;
+  Tutil.check_bool "spike delays arrivals" true
+    (List.exists (fun t -> t > ms 135 && t < ms 136) at_a);
+  List.iter
+    (fun domains ->
+       let _, d = wan_faults ~shards:2 ~domains fault_plan in
+       if d <> reference then
+         Alcotest.failf "faults on 2 shards (%d domains) differ from 1 shard"
+           domains)
+    [ 1; 2 ]
+
+(* [fired] counts plan events, not the parts a shard layout splits them
+   into: a heal on a grid of two shards is one event. *)
+let test_fired_counts_events () =
+  let inj, _ =
+    wan_faults ~shards:2 ~domains:1
+      [ { Padico_fault.Plan.at_ns = ms 10; action = Padico_fault.Plan.Heal } ]
+  in
+  Tutil.check_int "heal fires once" 1 (Padico_fault.Inject.fired inj);
+  List.iter
+    (fun domains ->
+       let inj, _ = wan_faults ~shards:2 ~domains fault_plan in
+       let what s = Printf.sprintf "%s (%d domains)" s domains in
+       Tutil.check_int (what "6 events + 2 restores") 8
+         (Padico_fault.Inject.fired inj);
+       Tutil.check_int (what "none pending") 0
+         (Padico_fault.Inject.pending inj))
+    [ 1; 2 ]
 
 (* ---------- sharded grid: edge-gateway determinism ---------- *)
 
@@ -500,6 +595,10 @@ let () =
            test_rounds_determinism;
          Alcotest.test_case "node crash lands on its own shard" `Quick
            test_crash_on_own_shard;
+         Alcotest.test_case "faults on a segment spanning shards" `Quick
+           test_faults_across_shards;
+         Alcotest.test_case "fired counts plan events" `Quick
+           test_fired_counts_events;
          Alcotest.test_case "edge determinism matrix" `Quick
            test_edge_determinism;
          Alcotest.test_case "tcp rtt on a segment spanning shards" `Quick

@@ -78,7 +78,7 @@ let test_unattached_rejected () =
 (* Frame conservation at quiescence, on a one-shard grid and on a segment
    spanning two shards (tx counters on the sender's shard, rx counters on
    the receiver's): every frame sent is fault-dropped, lost, delivered or
-   unclaimed. Frame 7 meets a blocked pair; every 50th frame carries a
+   unclaimed. Frame 7 meets a blocked peer; every 50th frame carries a
    protocol nobody handles. *)
 let loss_conservation ~shards =
   let net = Simnet.Net.create ~shards () in
@@ -96,9 +96,9 @@ let loss_conservation ~shards =
           (Simnet.Packet.Raw (Bb.create 100))
       in
       if i = 7 then begin
-        Seg.block_pair seg ida idb;
+        Seg.block seg a ~peer:idb;
         Seg.send seg pkt;
-        Seg.unblock_pair seg ida idb
+        Seg.clear_blocked ~ports:[ a ] seg
       end
       else Seg.send seg pkt;
       Sim.after (Simnet.Node.sim a) 10_000 (fun () -> send_next (i + 1))

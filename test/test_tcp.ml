@@ -479,7 +479,8 @@ let test_lost_fast_retransmit () =
   let msg = Tutil.pattern_buf ~seed:3 (writes * 36) in
   let ms = 1_000_000 in
   let block_for ns =
-    Simnet.Segment.block_pair seg (Simnet.Node.id a) (Simnet.Node.id b);
+    Simnet.Segment.block seg a ~peer:(Simnet.Node.id b);
+    Simnet.Segment.block seg b ~peer:(Simnet.Node.id a);
     Engine.Sim.after sim ns (fun () -> Simnet.Segment.clear_blocked seg)
   in
   for i = 0 to writes - 1 do
