@@ -195,6 +195,64 @@ let crypto_alloc () =
   let minor = w1 -. w0 in
   (per minor, per (minor +. (major1 -. major0) -. (promoted1 -. promoted0)))
 
+(* One steady-state 16 KiB round trip over a [Hostio.Stream.pair]: [a]
+   writes the request, [b] echoes every read straight back, [a] reads the
+   reply. Figures per round trip: host ns (median over batches) and
+   major-heap words, direct and promoted (over all batches). A round trip
+   delivers 32 KiB, half to each end, and its reads may allocate exactly
+   that: a buffer sized for the worst case (a 64 KiB block per read(2), a
+   fresh send chunk per write) shows up here. *)
+let host_stream_size = 16_384
+
+let host_stream_echo () =
+  let module Stream = Hostio.Stream in
+  let loop = Hostio.Loop.create () in
+  let a, b = Stream.pair loop in
+  let req = Bb.sub payload_64k 5 host_stream_size in
+  let echoed = ref 0 in
+  let rec drain s f =
+    match Stream.read s ~max:max_int with
+    | Some buf ->
+      f buf;
+      drain s f
+    | None -> ()
+  in
+  Stream.set_event_cb b (function
+    | Stream.Readable ->
+      drain b (fun buf ->
+          if Stream.write b buf <> Bb.length buf then
+            failwith "host stream echo: short echo")
+    | _ -> ());
+  Stream.set_event_cb a (function
+    | Stream.Readable ->
+      drain a (fun buf -> echoed := !echoed + Bb.length buf);
+      if !echoed >= host_stream_size then Hostio.Loop.stop loop
+    | _ -> ());
+  let round () =
+    echoed := 0;
+    if Stream.write a req <> host_stream_size then
+      failwith "host stream echo: short request";
+    Hostio.Loop.run loop
+      ~until_ns:(Hostio.Loop.now_ns loop + Engine.Time.sec 5);
+    if !echoed <> host_stream_size then
+      failwith (Printf.sprintf "host stream echo: %d bytes back" !echoed)
+  in
+  for _ = 1 to 100 do round () done;
+  let batch = 100 and batches = 20 in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
+  let samples =
+    Array.init batches (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to batch do round () done;
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch)
+  in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+  Stream.close a;
+  Stream.close b;
+  Hostio.Loop.run loop;
+  Array.sort compare samples;
+  (samples.(batches / 2), major /. float_of_int (batch * batches))
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -240,6 +298,19 @@ let run () =
     failwith
       (Printf.sprintf "crypto.encrypt 64KB allocates %.0f words (budget %.0f)"
          total budget);
+  (* Reused stream buffers: a round trip's reads allocate the bytes they
+     deliver, each in one block (a header word each), and 64 words
+     besides. *)
+  let ns, major = host_stream_echo () in
+  let budget = float_of_int ((2 * host_stream_size / 8) + 2 + 64) in
+  Printf.printf "%-32s %12.1f ns/rt   %8.1f major words/rt (budget %.0f)\n"
+    "host stream echo 16KB" ns major budget;
+  Bhelp.record ~experiment:"micro" "host_stream_echo_ns" ns;
+  Bhelp.record ~experiment:"micro" "host_stream_echo_major_words" major;
+  if major > budget then
+    failwith
+      (Printf.sprintf "host stream echo 16KB allocates %.0f major words (budget %.0f)"
+         major budget);
   let ns, words = san_message () in
   Printf.printf "%-32s %12.1f ns/msg %8.1f minor words/msg\n"
     "san message (Circuit/MadIO/GM)" ns words;

@@ -80,7 +80,7 @@ let handle_frag t (pkt : Simnet.Packet.t) =
          let buffer =
            if f.owned then f.data
            else begin
-             let b = Bytebuf.create f.total in
+             let b = Bytebuf.create_uninit f.total in
              Bytebuf.blit_dma ~src:f.data ~src_off:0 ~dst:b ~dst_off:0
                ~len:f.total;
              b
@@ -96,7 +96,7 @@ let handle_frag t (pkt : Simnet.Packet.t) =
            | Some p -> p
            | None ->
              let p =
-               { buffer = Bytebuf.create f.total; received = 0;
+               { buffer = Bytebuf.create_uninit f.total; received = 0;
                  nfrags = f.nfrags }
              in
              Hashtbl.replace ch.partials key p;
@@ -172,7 +172,7 @@ let iovec_slice iov ~off ~len =
   | pos, part :: _ when len > 0 && off + len <= pos + Bytebuf.length part ->
     (Bytebuf.sub part (off - pos) len, false)
   | pos, l ->
-    let g = Bytebuf.create len in
+    let g = Bytebuf.create_uninit len in
     let rec gather pos = function
       | part :: rest when pos < off + len ->
         let plen = Bytebuf.length part in

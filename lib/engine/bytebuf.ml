@@ -10,6 +10,8 @@ let reset_copy_counter () = Atomic.set copied 0
 
 let create len = { data = Bytes.make len '\000'; off = 0; len }
 
+let create_uninit len = { data = Bytes.create len; off = 0; len }
+
 let of_bytes data = { data; off = 0; len = Bytes.length data }
 
 let of_string s = of_bytes (Bytes.of_string s)
@@ -42,7 +44,7 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
 
 let concat parts =
   let total = List.fold_left (fun acc p -> acc + p.len) 0 parts in
-  let out = create total in
+  let out = create_uninit total in
   let pos = ref 0 in
   List.iter
     (fun p ->
@@ -52,7 +54,7 @@ let concat parts =
   out
 
 let copy b =
-  let out = create b.len in
+  let out = create_uninit b.len in
   blit ~src:b ~src_off:0 ~dst:out ~dst_off:0 ~len:b.len;
   out
 

@@ -12,6 +12,11 @@ type t = private { data : bytes; off : int; len : int }
 val create : int -> t
 (** A fresh zero-filled buffer of the given length. *)
 
+val create_uninit : int -> t
+(** A fresh buffer whose contents are unspecified, for a caller that
+    overwrites every byte before anyone reads it (a copy, a gather, a
+    reassembly): it skips {!create}'s zero fill. *)
+
 val of_bytes : bytes -> t
 val of_string : string -> t
 val to_string : t -> string

@@ -6,7 +6,7 @@ module Log = (val Logs.src_log log : Logs.LOG)
 
 type event = Established | Readable | Writable | Peer_closed | Reset
 
-(* Bounded byte FIFO standing in for a kernel socket buffer: chunks in,
+(* Received bytes, waiting for [read]: one exact-size chunk per read(2),
    bounded no-copy slices out. *)
 module Bq = struct
   type t = { q : Bytebuf.t Queue.t; mutable total : int }
@@ -18,15 +18,6 @@ module Bq = struct
   let push t b =
     if Bytebuf.length b > 0 then begin
       Queue.push b t.q;
-      t.total <- t.total + Bytebuf.length b
-    end
-
-  let push_front t b =
-    if Bytebuf.length b > 0 then begin
-      let others = Queue.create () in
-      Queue.transfer t.q others;
-      Queue.push b t.q;
-      Queue.transfer others t.q;
       t.total <- t.total + Bytebuf.length b
     end
 
@@ -63,16 +54,6 @@ module Bq = struct
       | parts -> Some (Bytebuf.concat (List.rev parts))
     end
 
-  (* One queued chunk, whole — the tx flush path writes chunk-by-chunk and
-     must not pay a concat copy per flush attempt. *)
-  let pop_chunk t =
-    if t.total = 0 then None
-    else begin
-      let head = Queue.pop t.q in
-      t.total <- t.total - Bytebuf.length head;
-      Some head
-    end
-
   let clear t =
     Queue.clear t.q;
     t.total <- 0
@@ -85,8 +66,7 @@ type t = {
   fd : Unix.file_descr;
   mutable st : state;
   rx : Bq.t;
-  tx : Bq.t;
-  tx_cap : int;
+  tx : Txring.t;
   rx_hwm : int;
   mutable cb : (event -> unit) option;
   mutable estab_notified : bool;
@@ -101,19 +81,27 @@ type t = {
 let default_buf = 262_144
 let read_chunk = 65_536
 
+(* Every read(2) lands in this domain's one scratch block (a loop runs on
+   one domain, and the bytes leave the block before any callback runs);
+   only the bytes read are copied out, into a chunk of their exact
+   size. *)
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create read_chunk)
+
 let emit t ev = match t.cb with None -> () | Some f -> f ev
 
 let is_open t = t.st <> Closed
 let readable_bytes t = Bq.length t.rx
 let peer_closed t = t.peer_closed_fired || t.reset || (t.rx_eof && Bq.is_empty t.rx)
+let held_bytes t = Txring.held_bytes t.tx + Bq.length t.rx
 
 let write_space t =
-  if t.st <> Estab || t.closing then 0 else t.tx_cap - Bq.length t.tx
+  if t.st <> Estab || t.closing then 0 else Txring.space t.tx
 
 (* Fully close the descriptor and drop it from the loop. *)
 let teardown t =
   if t.st <> Closed then begin
     t.st <- Closed;
+    Txring.clear t.tx;
     Loop.unwatch_fd t.loop t.fd;
     (try Unix.close t.fd with Unix.Unix_error _ -> ())
   end
@@ -122,7 +110,6 @@ let do_reset t =
   if t.st <> Closed && not t.reset then begin
     t.reset <- true;
     Bq.clear t.rx;
-    Bq.clear t.tx;
     (* RST on the wire, not a graceful FIN. *)
     (try Unix.setsockopt_optint t.fd Unix.SO_LINGER (Some 0)
      with Unix.Unix_error _ -> ());
@@ -136,38 +123,32 @@ let fire_peer_closed t =
   if not t.peer_closed_fired && not t.reset then begin
     t.peer_closed_fired <- true;
     (* Both directions done: the fd has nothing left to deliver. *)
-    if t.closing && Bq.is_empty t.tx then teardown t;
+    if t.closing && Txring.length t.tx = 0 then teardown t;
     emit t Peer_closed
   end
 
 (* ---------- tx ---------- *)
 
+(* Write from the ring until it drains or the kernel refuses more. A short
+   count is not yet a full kernel buffer (one [Unix.single_write] moves at
+   most 64 KiB, and a wrapped run stops at the ring's end): only [EAGAIN]
+   waits for writability. *)
 let rec flush_tx t =
   if t.st = Estab then begin
-    let before = Bq.length t.tx in
+    let before = Txring.length t.tx in
     let blocked = ref false in
-    while (not !blocked) && not (Bq.is_empty t.tx) do
-      match Bq.pop_chunk t.tx with
-      | None -> blocked := true
-      | Some chunk ->
-        let { Bytebuf.data; off; len } = chunk in
-        (match Unix.single_write t.fd data off len with
-         | n when n = len -> ()
-         | n ->
-           (* Short write: requeue the unsent tail at the front. *)
-           Bq.push_front t.tx (Bytebuf.sub chunk n (len - n));
-           blocked := true
-         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-           ->
-           Bq.push_front t.tx chunk;
-           blocked := true
-         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-           ->
-           do_reset t;
-           blocked := true)
+    while (not !blocked) && Txring.length t.tx > 0 do
+      match Txring.write_front t.tx (Unix.single_write t.fd) with
+      | 0 -> blocked := true
+      | _ -> ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        blocked := true
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        do_reset t;
+        blocked := true
     done;
     if t.st = Estab then begin
-      if not (Bq.is_empty t.tx) then
+      if Txring.length t.tx > 0 then
         Loop.set_write t.loop t.fd (Some (fun () -> on_fd_writable t))
       else begin
         Loop.set_write t.loop t.fd None;
@@ -176,7 +157,7 @@ let rec flush_tx t =
           teardown t
         end
       end;
-      let freed = before - Bq.length t.tx in
+      let freed = before - Txring.length t.tx in
       if freed > 0 && t.want_writable && write_space t > 0 then begin
         t.want_writable <- false;
         emit t Writable
@@ -194,7 +175,7 @@ and on_fd_writable t =
        Loop.set_read t.loop t.fd (Some (fun () -> on_fd_readable t));
        t.estab_notified <- true;
        emit t Established;
-       if not (Bq.is_empty t.tx) then flush_tx t
+       if Txring.length t.tx > 0 then flush_tx t
      | Some _ -> do_reset t)
   | Estab -> flush_tx t
   | Closed -> ()
@@ -203,14 +184,14 @@ and on_fd_writable t =
 
 and on_fd_readable t =
   if t.st = Estab then begin
-    let buf = Bytes.create read_chunk in
+    let buf = Domain.DLS.get scratch in
     match Unix.read t.fd buf 0 read_chunk with
     | 0 ->
       t.rx_eof <- true;
       Loop.set_read t.loop t.fd None;
       if Bq.is_empty t.rx then fire_peer_closed t
     | n ->
-      Bq.push t.rx (Bytebuf.sub (Bytebuf.of_bytes buf) 0 n);
+      Bq.push t.rx (Bytebuf.of_bytes (Bytes.sub buf 0 n));
       if Bq.length t.rx >= t.rx_hwm then begin
         (* Backpressure: stop reading; the kernel window fills and pushes
            back on the sender — the host analogue of the sim driver's
@@ -232,7 +213,7 @@ let mk loop fd ~established =
    with Unix.Unix_error _ -> () (* socketpairs are not TCP *));
   let t =
     { loop; fd; st = (if established then Estab else Connecting);
-      rx = Bq.create (); tx = Bq.create (); tx_cap = default_buf;
+      rx = Bq.create (); tx = Txring.create ~cap:default_buf;
       rx_hwm = default_buf; cb = None; estab_notified = false;
       rx_eof = false; peer_closed_fired = false; closing = false;
       reset = false; want_writable = false; rx_paused = false }
@@ -328,19 +309,10 @@ let writev t bufs =
        waiting for space: announce it when it reopens. *)
     if n = space then t.want_writable <- true;
     if n > 0 then begin
-      (* Copy into one send-buffer chunk (the kernel-copy analogue): the
-         caller keeps ownership of the pieces, accepted bytes survive their
-         reuse, and the flush below issues one write(2) for all of them. *)
-      let chunk = Bytebuf.create n in
-      let rec copy pos = function
-        | b :: rest when pos < n ->
-          let k = min (n - pos) (Bytebuf.length b) in
-          Bytebuf.blit ~src:b ~src_off:0 ~dst:chunk ~dst_off:pos ~len:k;
-          copy (pos + k) rest
-        | _ -> ()
-      in
-      copy 0 bufs;
-      Bq.push t.tx chunk;
+      (* Copy into the send ring (the kernel-copy analogue): the caller
+         keeps ownership of the pieces, accepted bytes survive their reuse,
+         and the flush below writes them from the ring. *)
+      Txring.push t.tx bufs n;
       flush_tx t
     end;
     n
@@ -367,7 +339,7 @@ let close t =
     t.closing <- true;
     match t.st with
     | Connecting -> teardown t
-    | Estab -> if Bq.is_empty t.tx then teardown t else flush_tx t
+    | Estab -> if Txring.length t.tx = 0 then teardown t else flush_tx t
     | Closed -> ()
   end
 
@@ -375,6 +347,5 @@ let abort t =
   if t.st <> Closed then begin
     (try Unix.setsockopt_optint t.fd Unix.SO_LINGER (Some 0)
      with Unix.Unix_error _ -> ());
-    Bq.clear t.tx;
     teardown t
   end

@@ -11,11 +11,15 @@
     sockets.
 
     Two transports: real TCP over 127.0.0.1 ({!listen}/{!connect}) and a
-    socketpair for same-process loopback ({!pair}). Writes copy into an
-    internal bounded send buffer and are flushed opportunistically — like a
-    kernel socket buffer, [write] never loses accepted bytes even if the
-    descriptor is momentarily full, and [write_space] tells producers when
-    to stop. *)
+    socketpair for same-process loopback ({!pair}). Writes copy into a
+    bounded per-connection send ring and are flushed opportunistically —
+    like a kernel socket buffer, [write] never loses accepted bytes even if
+    the descriptor is momentarily full, and [write_space] tells producers
+    when to stop. The ring is taken on the first write, grows with the
+    bytes pending, and returns to a shared pool once drained and at
+    teardown; reads land in one reused scratch block and are copied out
+    at their exact size, so no read or write allocates a block sized for
+    the worst case. *)
 
 type t
 
@@ -60,8 +64,9 @@ val pair : Loop.t -> t * t
 
 val writev : t -> Engine.Bytebuf.t list -> int
 (** Gather-write: the accepted prefix of the pieces' concatenation is
-    copied into one send-buffer chunk, so it leaves in one [write(2)] when
-    the descriptor has room. Returns the bytes accepted (0 = full or not
+    copied into the send ring behind the bytes already pending, so it
+    leaves in one [write(2)] when the descriptor has room (two when it
+    wraps the ring's end). Returns the bytes accepted (0 = full or not
     yet established: wait for [Writable]). Accepted bytes are never
     lost. *)
 
@@ -75,6 +80,10 @@ val read : t -> max:int -> Engine.Bytebuf.t option
 (** Up to [max] buffered bytes; [None] when nothing is pending. *)
 
 val readable_bytes : t -> int
+
+val held_bytes : t -> int
+(** Buffer memory the stream holds: its send ring's capacity (0 when
+    nothing is pending) plus the received bytes not yet read. *)
 
 val peer_closed : t -> bool
 (** True once the peer's FIN (or a reset) has been reached — the

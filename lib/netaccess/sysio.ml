@@ -139,9 +139,24 @@ let udp_on t seg = Drivers.Udp.attach seg t.sio_node
 
 (* Logical (segment, listening node, logical port) -> the real listener,
    whose ephemeral OS port peers actually dial. Segment uids are
-   process-unique, so concurrent grids never collide. *)
+   process-unique, so concurrent grids never collide. A reset closes the
+   listening sockets: left open, each would keep its loop, and every
+   stream that loop watches, reachable for the rest of the process. *)
 let rendezvous : (int * int * int, Stream.listener) Hashtbl.t =
   Hashtbl.create 16
+
+let () =
+  Engine.Lifecycle.on_reset (fun () ->
+      Hashtbl.iter (fun _ l -> Stream.close_listener l) rendezvous;
+      Hashtbl.reset rendezvous)
+
+let host_listener_port stack ~port =
+  match stack with
+  | Sim_stack _ -> None
+  | Host_stack hs ->
+    Hashtbl.find_opt rendezvous
+      (Simnet.Segment.uid hs.hs_seg, Simnet.Node.id hs.hs_node, port)
+    |> Option.map Stream.listener_port
 
 let map_event = function
   | Stream.Established -> Tcp.Established

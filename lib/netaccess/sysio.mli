@@ -75,6 +75,12 @@ val listen :
     buffers of accepted sim connections (edge gateways listen small so
     100k connections fit a fixed byte budget); ignored on host stacks. *)
 
+val host_listener_port : stack -> port:int -> int option
+(** The OS port behind a host stack's listener on logical [port]; [None]
+    on a sim stack or when nothing listens there. The rendezvous table is
+    process-wide and {!Engine.Lifecycle.reset_registries} closes every
+    listener in it. *)
+
 val connect :
   ?sndbuf:int -> ?rcvbuf:int -> t -> stack -> dst:int -> port:int ->
   (conn -> Drivers.Tcp.event -> unit) -> conn

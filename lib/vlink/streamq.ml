@@ -56,7 +56,7 @@ let pop_exact t n =
     match pop t ~max:n with
     | Some first when Bytebuf.length first = n -> first
     | Some first ->
-      let out = Bytebuf.create n in
+      let out = Bytebuf.create_uninit n in
       Bytebuf.blit_dma ~src:first ~src_off:0 ~dst:out ~dst_off:0
         ~len:(Bytebuf.length first);
       let filled = ref (Bytebuf.length first) in

@@ -194,6 +194,56 @@ let prop_gm_any_size_roundtrip =
        Tutil.run_net net;
        !ok)
 
+(* Every buffer that skips the zero fill ([Bytebuf.concat] and [copy],
+   GM's single-fragment copy, reassembly buffer and gather,
+   [Streamq.pop_exact]) must come out byte for byte equal to a reference
+   built from strings. Payload bytes are never zero, so a skipped tail
+   shows even in memory that happens to be zeroed. *)
+let prop_uninit_allocations_match_reference =
+  let parts =
+    QCheck.make
+      ~print:(fun l ->
+          String.concat "," (List.map (fun s -> string_of_int (String.length s)) l))
+      QCheck.Gen.(
+        list_size (1 -- 5)
+          (string_size
+             ~gen:(map Char.chr (1 -- 255))
+             (oneof [ 0 -- 64; 0 -- 40_000 ])))
+  in
+  QCheck.Test.make ~name:"uninitialised allocations match a byte-wise reference"
+    ~count:60 parts (fun strs ->
+        let want = String.concat "" strs in
+        (* Slices at an offset into a larger buffer, as on the data path. *)
+        let slices =
+          List.map
+            (fun s -> Bb.sub (Bb.of_string ("#" ^ s)) 1 (String.length s))
+            strs
+        in
+        let concat_ok = Bb.to_string (Bb.concat slices) = want in
+        let copy_ok =
+          List.for_all2 (fun s b -> Bb.to_string (Bb.copy b) = s) strs slices
+        in
+        let q = Vlink.Streamq.create () in
+        List.iter (Vlink.Streamq.push q) slices;
+        let half = String.length want / 2 in
+        let first = Bb.to_string (Vlink.Streamq.pop_exact q half) in
+        let rest =
+          Bb.to_string (Vlink.Streamq.pop_exact q (String.length want - half))
+        in
+        let streamq_ok = first ^ rest = want in
+        (* GM: the whole list gathered (several fragments past 32 KB), and
+           each piece alone as a view of the sender's buffer. *)
+        let net, _a, b, _seg, pa, pb = gm_pair () in
+        let ca = Gm.open_channel pa ~id:0 and cb = Gm.open_channel pb ~id:0 in
+        let got = ref [] in
+        Gm.set_recv cb (fun ~src:_ buf -> got := Bb.to_string buf :: !got);
+        let dst = Simnet.Node.id b in
+        Gm.sendv ca ~dst slices;
+        List.iter (Gm.send ca ~dst) slices;
+        Tutil.run_net net;
+        let gm_ok = List.rev !got = want :: strs in
+        concat_ok && copy_ok && streamq_ok && gm_ok)
+
 (* ---------- UDP ---------- *)
 
 let udp_pair ?(model = Simnet.Presets.ethernet100) () =
@@ -292,7 +342,8 @@ let () =
            test_gm_single_fragment_view_copied;
          Alcotest.test_case "single fragment: pooled header reuse" `Quick
            test_gm_pooled_header_reuse ]);
-      Tutil.qsuite "gm-props" [ prop_gm_any_size_roundtrip ];
+      Tutil.qsuite "gm-props"
+        [ prop_gm_any_size_roundtrip; prop_uninit_allocations_match_reference ];
       ("udp",
        [ Alcotest.test_case "roundtrip" `Quick test_udp_roundtrip;
          Alcotest.test_case "port demux" `Quick test_udp_port_demux;

@@ -197,6 +197,262 @@ let test_abort_rst () =
     true
     (List.mem `Reset !server_events && not (List.mem `Fin !server_events))
 
+(* ---------- stream buffers ---------- *)
+
+(* The stream's send-ring cap and receive high watermark (256 KiB each). *)
+let stream_cap = 262_144
+
+(* A byte stream that does not repeat with any small period, so a byte
+   written out of place or twice never matches. *)
+let pat i = Char.unsafe_chr ((i * 7 + (i / 251)) land 0xff)
+
+let pattern_slice pos len = Bb.of_string (String.init len (fun i -> pat (pos + i)))
+
+let check_pattern what got =
+  let bad = ref (-1) in
+  String.iteri (fun i c -> if !bad < 0 && c <> pat i then bad := i) got;
+  check_int (what ^ ": first byte out of place") (-1) !bad
+
+(* Run the loop for [ms] wall milliseconds (both ends stay watched). *)
+let run_for loop ms = Loop.run loop ~until_ns:(Loop.now_ns loop + Time.ms ms)
+
+(* A producer that always has more to say: [total] pattern bytes offered in
+   gathered pieces of [piece] bytes (split in two), as fast as the stream
+   accepts them, then a graceful close. *)
+let produce a ~total ~piece =
+  let pos = ref 0 in
+  let rec push () =
+    if !pos < total && Stream.write_space a > 0 then begin
+      let len = min piece (total - !pos) in
+      let cut = len / 3 in
+      let k =
+        Stream.writev a
+          [ pattern_slice !pos cut; pattern_slice (!pos + cut) (len - cut) ]
+      in
+      pos := !pos + k;
+      if k = len then push ()
+    end;
+    if !pos >= total then Stream.close a
+  in
+  Stream.set_event_cb a (function
+    | Stream.Established | Stream.Writable -> push ()
+    | _ -> ());
+  push ();
+  pos
+
+(* The send ring against a plain byte queue: random gathered pushes and
+   writes that take a random prefix of the front run, on a ring small
+   enough to wrap and grow often. Every byte comes out once, in order,
+   and the ring holds a block exactly while bytes are pending. *)
+let prop_txring_model =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [ map (fun l -> `Push l) (list_size (1 -- 3) (0 -- 3_000));
+          map (fun k -> `Write k) (0 -- 9_000) ])
+  in
+  QCheck.Test.make ~name:"send ring keeps every byte in order" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (1 -- 60) op))
+    (fun ops ->
+       let cap = 16_384 in
+       let r = Hostio.Txring.create ~cap in
+       let pushed = ref 0 in
+       let out = Buffer.create 4096 in
+       let write_up_to k =
+         Hostio.Txring.write_front r (fun buf off len ->
+             let n = min len k in
+             Buffer.add_subbytes out buf off n;
+             n)
+       in
+       let ok = ref true in
+       let check () =
+         let len = Hostio.Txring.length r and held = Hostio.Txring.held_bytes r in
+         if len <> !pushed - Buffer.length out
+            || (len = 0) <> (held = 0)
+            || held > cap || held land (held - 1) <> 0 || held < len
+         then ok := false
+       in
+       List.iter
+         (fun op ->
+            (match op with
+             | `Push sizes ->
+               let pos = ref !pushed in
+               let pieces =
+                 List.map
+                   (fun n ->
+                      let b = pattern_slice !pos n in
+                      pos := !pos + n;
+                      b)
+                   sizes
+               in
+               let n = min (!pos - !pushed) (Hostio.Txring.space r) in
+               Hostio.Txring.push r pieces n;
+               pushed := !pushed + n
+             | `Write k -> ignore (write_up_to k));
+            check ())
+         ops;
+       while Hostio.Txring.length r > 0 do
+         ignore (write_up_to max_int)
+       done;
+       check ();
+       let got = Buffer.contents out in
+       !ok
+       && String.length got = !pushed
+       && String.equal got (String.init !pushed pat))
+
+(* Many passes round the send ring: the producer keeps it full, the
+   consumer drains in odd-sized reads, so appends and flushes keep
+   crossing the ring's end. Every byte must come out once, in order. *)
+let test_ring_wrap () =
+  let loop = Loop.create () in
+  let a, b = Stream.pair loop in
+  let total = 3 * 1024 * 1024 in
+  let got = Buffer.create total in
+  let ring_used = ref 0 in
+  Stream.set_event_cb b (function
+    | Stream.Readable ->
+      ring_used := max !ring_used (Stream.held_bytes a);
+      let rec take () =
+        match Stream.read b ~max:5003 with
+        | Some buf ->
+          Buffer.add_string got (Bb.to_string buf);
+          take ()
+        | None -> ()
+      in
+      take ()
+    | Stream.Peer_closed -> Stream.close b
+    | _ -> ());
+  ignore (produce a ~total ~piece:7001);
+  Loop.run ~until_ns:(Time.sec 20) loop;
+  check_bool "the send ring was in use" true (!ring_used > 0);
+  check_int "every byte" total (Buffer.length got);
+  check_pattern "ring wrap" (Buffer.contents got)
+
+(* The peer does not read: the first write fills the kernel buffer (a
+   short write(2)) and the rest waits in the ring (EAGAIN), and later
+   writes are accepted only in part. Once the peer drains, every accepted
+   byte arrives, in order, and nothing else. *)
+let test_short_write_keeps_bytes () =
+  let loop = Loop.create () in
+  let a, b = Stream.pair loop in
+  let first = Stream.write a (pattern_slice 0 stream_cap) in
+  check_int "first write accepted whole" stream_cap first;
+  check_bool "kernel full: bytes left in the ring" true
+    (Stream.held_bytes a > 0);
+  let accepted = ref first in
+  let short = ref false and tries = ref 0 in
+  while (not !short) && !tries < 100 do
+    let k = Stream.write a (pattern_slice !accepted 10_007) in
+    accepted := !accepted + k;
+    incr tries;
+    run_for loop 1;
+    if k < 10_007 then short := true
+  done;
+  check_bool "a write came up short" true !short;
+  check_int "no space left after a short write" 0 (Stream.write_space a);
+  Stream.close a;
+  let got = Buffer.create !accepted in
+  Stream.set_event_cb b (function
+    | Stream.Readable -> Buffer.add_string got (drain b)
+    | Stream.Peer_closed -> Stream.close b
+    | _ -> ());
+  Loop.run ~until_ns:(Time.sec 20) loop;
+  check_int "every accepted byte" !accepted (Buffer.length got);
+  check_pattern "short write" (Buffer.contents got)
+
+(* The receiver stops reading at the 256 KiB cap, stays paused while more
+   than half of it is unread, and reads again once it is down to half. *)
+let test_rx_pause_resume () =
+  let loop = Loop.create () in
+  let a, b = Stream.pair loop in
+  ignore (produce a ~total:(8 * stream_cap) ~piece:65_536);
+  Stream.set_event_cb b ignore;
+  run_for loop 200;
+  let full = Stream.readable_bytes b in
+  check_bool
+    (Printf.sprintf "paused at the cap (%d buffered)" full)
+    true
+    (full >= stream_cap && full < stream_cap + 65_536);
+  run_for loop 50;
+  check_int "nothing read while paused" full (Stream.readable_bytes b);
+  let take n =
+    let left = ref n in
+    while !left > 0 do
+      match Stream.read b ~max:!left with
+      | Some buf -> left := !left - Bb.length buf
+      | None -> Alcotest.fail "buffered bytes missing"
+    done
+  in
+  take (full - (stream_cap / 2) - 1);
+  run_for loop 50;
+  check_int "still paused above half" (stream_cap / 2 + 1)
+    (Stream.readable_bytes b);
+  take 1;
+  run_for loop 50;
+  check_bool "reading again at half" true
+    (Stream.readable_bytes b > stream_cap / 2)
+
+(* A 4-byte header sent as two 2-byte writes arrives in two read(2)s and
+   still comes out of one [read ~max:4] whole. *)
+let test_header_coalesces () =
+  let loop = Loop.create () in
+  let a, b = Stream.pair loop in
+  let reads = ref 0 in
+  Stream.set_event_cb b (function
+    | Stream.Readable ->
+      incr reads;
+      Loop.stop loop
+    | _ -> ());
+  ignore (Stream.write a (Bb.of_string "ab"));
+  Loop.run ~until_ns:(Time.sec 5) loop;
+  ignore (Stream.write a (Bb.of_string "cd"));
+  Loop.run ~until_ns:(Time.sec 5) loop;
+  check_int "two reads" 2 !reads;
+  Tutil.check_string "one header" "abcd"
+    (match Stream.read b ~max:4 with Some h -> Bb.to_string h | None -> "");
+  Stream.close a;
+  Stream.close b
+
+(* A stream holds no buffer until it moves data, and gives its send ring
+   back to the pool when it is torn down, however that happens. *)
+let test_buffers_released () =
+  let loop = Loop.create () in
+  let a, b = Stream.pair loop in
+  check_int "idle: nothing held" 0 (Stream.held_bytes a + Stream.held_bytes b);
+  let fill s =
+    let tries = ref 0 in
+    while Stream.write s (pattern_slice 0 65_536) > 0 && !tries < 100 do
+      incr tries;
+      run_for loop 1
+    done
+  in
+  fill a;
+  check_int "full ring held" stream_cap (Stream.held_bytes a);
+  let parked = Bb.Pool.sized_parked_bytes () in
+  Stream.abort a;
+  check_int "abort: nothing held" 0 (Stream.held_bytes a);
+  check_int "abort: ring pooled" (parked + stream_cap)
+    (Bb.Pool.sized_parked_bytes ());
+  Stream.close b;
+  let c, d = Stream.pair loop in
+  fill c;
+  Stream.reset c;
+  check_int "reset: nothing held" 0 (Stream.held_bytes c);
+  Stream.close d;
+  (* Graceful: the ring drains into the kernel, then the fd closes. *)
+  let e, f = Stream.pair loop in
+  let total = 4 * stream_cap in
+  ignore (produce e ~total ~piece:65_536);
+  let got = ref 0 in
+  Stream.set_event_cb f (function
+    | Stream.Readable -> got := !got + String.length (drain f)
+    | Stream.Peer_closed -> Stream.close f
+    | _ -> ());
+  Loop.run ~until_ns:(Time.sec 20) loop;
+  check_int "graceful: every byte" total !got;
+  check_bool "graceful: closed" false (Stream.is_open e);
+  check_int "graceful: nothing held" 0 (Stream.held_bytes e)
+
 (* ---------- host backend: end-to-end through Padico ---------- *)
 
 (* A VLink request/response over the full stack — selector, SysIO,
@@ -386,6 +642,33 @@ let test_host_circuit_burst () =
   check_int "every message" msgs !got;
   check_int "every byte" (msgs * size) !bytes
 
+(* A reset closes the host listeners: a dial to the OS port a grid's
+   listener was bound to is refused afterwards, instead of queueing on a
+   socket nothing will ever accept from. *)
+let test_reset_closes_listeners () =
+  let module Sysio = Netaccess.Sysio in
+  let grid = Padico.create ~backend:Padico.Host () in
+  let a = Padico.add_node grid "a" in
+  let b = Padico.add_node grid "b" in
+  let seg = Padico.add_segment grid Simnet.Presets.ethernet100 [ a; b ] in
+  let sio = Sysio.get b in
+  let st = Sysio.stack_on sio seg in
+  Sysio.listen sio st ~port:4300 (fun conn -> Sysio.close conn);
+  let port =
+    match Sysio.host_listener_port st ~port:4300 with
+    | Some p -> p
+    | None -> Alcotest.fail "no host listener on the logical port"
+  in
+  Padico.reset ();
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let refused =
+    match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true
+  in
+  Unix.close fd;
+  check_bool "dial to the old listener refused" true refused
+
 (* A group's operation deadline is disarmed when the operation completes:
    on the wall clock a pending timer keeps the reactor alive, so an idle
    group must leave none behind. Three barriers on four ranks would leave
@@ -449,6 +732,18 @@ let () =
           Alcotest.test_case "graceful close delivers FIN" `Quick
             test_graceful_close;
           Alcotest.test_case "abort delivers RST" `Quick test_abort_rst ] );
+      ( "buffers",
+        [ Alcotest.test_case "writes and reads across the ring's wrap" `Quick
+            test_ring_wrap;
+          Alcotest.test_case "short write and EAGAIN keep every byte" `Quick
+            test_short_write_keeps_bytes;
+          Alcotest.test_case "rx pauses at the cap, resumes at half" `Quick
+            test_rx_pause_resume;
+          Alcotest.test_case "header coalesces across two reads" `Quick
+            test_header_coalesces;
+          Alcotest.test_case "buffers released at teardown" `Quick
+            test_buffers_released;
+          QCheck_alcotest.to_alcotest prop_txring_model ] );
       ( "backend",
         [ Alcotest.test_case "Padico round-trip on host" `Quick
             test_host_backend_roundtrip;
@@ -460,6 +755,8 @@ let () =
             `Quick test_host_readiness_source;
           Alcotest.test_case "circuit burst past the send buffer" `Quick
             test_host_circuit_burst;
+          Alcotest.test_case "reset closes host listeners" `Quick
+            test_reset_closes_listeners;
           Alcotest.test_case "group deadline disarmed at completion" `Quick
             test_host_group_deadline_disarmed;
           Alcotest.test_case "conformance kit host subset" `Slow
