@@ -328,20 +328,19 @@ let test_ring_wrap () =
   check_int "every byte" total (Buffer.length got);
   check_pattern "ring wrap" (Buffer.contents got)
 
-(* The peer does not read: the first write fills the kernel buffer (a
-   short write(2)) and the rest waits in the ring (EAGAIN), and later
-   writes are accepted only in part. Once the peer drains, every accepted
-   byte arrives, in order, and nothing else. *)
+(* The peer's application does not read: the kernel buffers and the
+   peer's receive queue fill (short write(2)s, then EAGAIN), the rest
+   waits in the ring until it is full, and a write is accepted only in
+   part. Once the peer drains, every accepted byte arrives, in order, and
+   nothing else. *)
 let test_short_write_keeps_bytes () =
   let loop = Loop.create () in
   let a, b = Stream.pair loop in
   let first = Stream.write a (pattern_slice 0 stream_cap) in
   check_int "first write accepted whole" stream_cap first;
-  check_bool "kernel full: bytes left in the ring" true
-    (Stream.held_bytes a > 0);
   let accepted = ref first in
   let short = ref false and tries = ref 0 in
-  while (not !short) && !tries < 100 do
+  while (not !short) && !tries < 1_000 do
     let k = Stream.write a (pattern_slice !accepted 10_007) in
     accepted := !accepted + k;
     incr tries;
