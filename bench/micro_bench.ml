@@ -55,25 +55,64 @@ let test_checksum =
 
 (* Event-queue hold model, the simulator's steady state: at a standing
    depth, each round dispatches the earliest event and schedules one at a
-   later time. The depths are the mean per-heap queue depths, at event
-   dispatch, of the benchmark's workloads: about 260 on each of
-   grid_collectives' eight island shards, about 13k on edge_churn's one
-   heap. *)
+   later time. Depth 256 is the deepest a grid_collectives island shard's
+   heap gets (its mean at event dispatch is about 21); 16k is the
+   deep-queue case, a gateway holding one armed deadline per connection
+   (edge_churn's one heap averages about 1.15k, its cancelled RTOs
+   leaving at once). *)
 let heap_hold depth name =
   let h = Engine.Heap.create ~dummy:ignore in
   let rng = Engine.Rng.create 11 in
   for _ = 1 to depth do
-    Engine.Heap.push h ~prio:(Engine.Rng.int rng 1_000_000) ignore
+    ignore (Engine.Heap.push h ~prio:(Engine.Rng.int rng 1_000_000) ignore)
   done;
   Test.make ~name
     (Staged.stage (fun () ->
          let now = Engine.Heap.min_prio h in
          let f = Engine.Heap.pop h in
-         Engine.Heap.push h ~prio:(now + 1 + Engine.Rng.int rng 1_000_000) f))
+         ignore
+           (Engine.Heap.push h ~prio:(now + 1 + Engine.Rng.int rng 1_000_000) f)))
 
 let test_heap_hold_256 = heap_hold 256 "heap.hold depth=256"
 
 let test_heap_hold_16k = heap_hold 16_000 "heap.hold depth=16k"
+
+(* A deadline armed and cancelled before it fires, the edge gateway's
+   common case (a SYN's RTO, cancelled by its SYN-ACK), on the virtual
+   clock over a standing queue of 16k events: the cancel takes the entry
+   out of the simulator's heap. Built when the benchmark starts, after
+   any earlier experiment's reset. *)
+let sim_arm_cancel () =
+  let sim = Engine.Sim.create () in
+  let rng = Engine.Rng.create 13 in
+  for _ = 1 to 16_000 do
+    Engine.Sim.after sim (Engine.Rng.int rng 1_000_000) ignore
+  done;
+  let clk = Engine.Sim.clock sim in
+  Test.make ~name:"sim.arm+cancel depth=16k"
+    (Staged.stage (fun () ->
+         Engine.Clock.cancel
+           (Engine.Clock.arm clk (Engine.Rng.int rng 1_000_000) ignore)))
+
+(* Timers cancelled on the virtual clock, straight and through a wheel,
+   leave nothing in the simulator's queue: the number of events still
+   queued once 10k of each are cancelled (0 when cancellation removes
+   them). *)
+let cancelled_left_queued () =
+  let sim = Engine.Sim.create () in
+  let clk = Engine.Sim.clock sim in
+  let wheel = Padico_fault.Timewheel.create sim in
+  let timers =
+    List.init 10_000 (fun i -> Engine.Clock.arm clk (1 + i) ignore)
+  in
+  let wheeled =
+    List.init 10_000 (fun i ->
+        Padico_fault.Timewheel.arm wheel ~after_ns:(1_000_000 + (i * 1_000))
+          ignore)
+  in
+  List.iter Engine.Clock.cancel timers;
+  List.iter Padico_fault.Timewheel.cancel wheeled;
+  Engine.Sim.pending sim
 
 let test_base64 =
   Test.make ~name:"soap.base64 64KB"
@@ -112,7 +151,8 @@ let benchmark () =
     Test.make_grouped ~name:"padico"
       [ test_lz_compress; test_lz_decompress; test_cdr_encode_zero_copy;
         test_cdr_encode_copying; test_crypto; test_checksum;
-        test_heap_hold_256; test_heap_hold_16k; test_base64;
+        test_heap_hold_256; test_heap_hold_16k; sim_arm_cancel ();
+        test_base64;
         test_streamq_shallow; test_streamq_deep ]
   in
   let ols =
@@ -284,8 +324,15 @@ let run () =
        | None -> failwith (sub ^ " estimate missing"))
     [ ("heap.hold depth=256", "heap_hold_256_ns");
       ("heap.hold depth=16k", "heap_hold_16k_ns");
+      ("sim.arm+cancel depth=16k", "sim_arm_cancel_ns");
       ("bytebuf.checksum 4KB", "checksum_4k_ns");
       ("crypto.encrypt 64KB", "crypto_encrypt_64k_ns") ];
+  let left = cancelled_left_queued () in
+  Printf.printf "%-32s %12d events left queued\n"
+    "cancelled timers (10k + 10k wheel)" left;
+  if left > 0 then
+    failwith
+      (Printf.sprintf "%d cancelled virtual timers still queued in the sim" left);
   (* The cipher allocates its output frame and a constant number of words
      besides: no per-byte boxing. The budget is the frame plus 64 words. *)
   let minor, total = crypto_alloc () in

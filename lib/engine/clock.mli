@@ -59,8 +59,10 @@ val at : t -> int -> (unit -> unit) -> unit
 
 val arm : t -> int -> (unit -> unit) -> timer
 (** [arm c dt f] schedules [f] after [dt] ns and returns a handle;
-    {!cancel} guarantees [f] never runs and, on a wall clock, releases
-    the underlying OS timer so the reactor can quiesce. *)
+    {!cancel} guarantees [f] never runs. *)
 
 val cancel : timer -> unit
-(** Idempotent. *)
+(** Idempotent. On both clocks the timer's entry leaves its queue at
+    once: the simulator's event heap no longer holds it (so {!Sim.pending}
+    drops and no no-op event is ever dispatched for it), and a wall
+    clock's reactor no longer waits for it to quiesce. *)

@@ -235,7 +235,7 @@ let drain_channel t sh c =
       (match c.ring.(slot) with
        | Some fr ->
          c.ring.(slot) <- None;
-         Heap.push c.stage ~prio:fr.f_ts fr
+         ignore (Heap.push c.stage ~prio:fr.f_ts fr)
        | None -> assert false)
     done;
     Atomic.set c.head tail;

@@ -71,11 +71,13 @@ let at t time f =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.at: time %d is in the past (now %d)" time t.clock);
-  Heap.push t.events ~prio:time f
+  ignore (Heap.push t.events ~prio:time f)
 
-let after t dt f =
+let push_after t dt f =
   let dt = if dt < 0 then 0 else dt in
   Heap.push t.events ~prio:(t.clock + dt) f
+
+let after t dt f = ignore (push_after t dt f)
 
 let pending t = Heap.length t.events
 
@@ -157,9 +159,8 @@ let clock t =
         ~now:(fun () -> t.clock)
         ~schedule:(fun dt f -> after t dt f)
         ~arm:(fun dt f ->
-          let dead = ref false in
-          after t dt (fun () -> if not !dead then f ());
-          fun () -> dead := true)
+          let k = push_after t dt f in
+          fun () -> Heap.cancel t.events k)
     in
     t.cap <- Some c;
     c

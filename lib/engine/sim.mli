@@ -112,4 +112,7 @@ val clock : t -> Clock.t
 (** The simulator's virtual {!Clock.t} capability — cached, so repeated
     calls return the {e same} clock (same {!Clock.id}). Its [after] is
     exactly {!after}: code scheduling through the capability behaves
-    byte-identically to code calling the simulator directly. *)
+    byte-identically to code calling the simulator directly. A timer
+    {!Clock.arm}ed on it is one queued event, and {!Clock.cancel} takes
+    that event out of the queue: it is neither {!pending} nor
+    dispatched. *)

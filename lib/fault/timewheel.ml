@@ -1,15 +1,16 @@
 type timer = {
   mutable cb : unit -> unit; (* [spent] once fired or cancelled *)
   wheel : t;
-  slot_idx : int;
+  slot : slot;
   deadline : int; (* requested (unrounded) firing instant *)
   seq : int; (* arm order, the tie-break within a deadline *)
 }
 
 and slot = {
+  idx : int;
   mutable entries : timer list;
-  mutable alive : int; (* consulted on wall clocks only *)
-  mutable handle : Engine.Clock.timer option;
+  mutable alive : int; (* entries not cancelled *)
+  mutable handle : Engine.Clock.timer option; (* None once fired or released *)
 }
 
 and t = {
@@ -36,7 +37,9 @@ let none =
     Engine.Clock.make ~kind:Engine.Clock.Virtual ~now:(fun () -> 0)
       ~schedule:(fun _ _ -> ()) ~arm:(fun _ _ () -> ())
   in
-  { cb = spent; wheel = create_on inert; slot_idx = 0; deadline = 0; seq = -1 }
+  { cb = spent; wheel = create_on inert;
+    slot = { idx = 0; entries = []; alive = 0; handle = None };
+    deadline = 0; seq = -1 }
 
 (* One shared wheel per clock, keyed by Clock.id; the list stays tiny (one
    entry per live simulation or host loop). Mutex-guarded: in a sharded
@@ -70,6 +73,9 @@ let fire_slot t idx =
   | None -> ()
   | Some s ->
     Hashtbl.remove t.slots idx;
+    (* A timer of this slot cancelled while it fires must leave the table
+       alone: a callback may already have armed a new slot at [idx]. *)
+    s.handle <- None;
     (* Fire in (requested deadline, arm order): the wheel then observes the
        same relative firing order a per-timer heap would, even when timers
        with different deadlines share a slot. For equal deadlines this is
@@ -81,6 +87,8 @@ let fire_slot t idx =
            else compare a.seq b.seq)
         s.entries
     in
+    (* A fired timer its owner still holds keeps only the slot record. *)
+    s.entries <- [];
     List.iter
       (fun timer ->
          let f = timer.cb in
@@ -99,43 +107,42 @@ let arm t ~after_ns f =
   let idx = (deadline + t.slot_ns - 1) / t.slot_ns in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let timer = { cb = f; wheel = t; slot_idx = idx; deadline; seq } in
-  (match Hashtbl.find_opt t.slots idx with
-   | Some s ->
-     s.entries <- timer :: s.entries;
-     s.alive <- s.alive + 1
-   | None ->
-     let s = { entries = [ timer ]; alive = 1; handle = None } in
-     Hashtbl.replace t.slots idx s;
-     s.handle <-
-       Some
-         (Engine.Clock.arm t.clk
-            (max 0 ((idx * t.slot_ns) - now))
-            (fun () -> fire_slot t idx)));
+  let slot =
+    match Hashtbl.find_opt t.slots idx with
+    | Some s -> s
+    | None ->
+      let s = { idx; entries = []; alive = 0; handle = None } in
+      Hashtbl.replace t.slots idx s;
+      s.handle <-
+        Some
+          (Engine.Clock.arm t.clk
+             (max 0 ((idx * t.slot_ns) - now))
+             (fun () -> fire_slot t idx));
+      s
+  in
+  let timer = { cb = f; wheel = t; slot; deadline; seq } in
+  slot.entries <- timer :: slot.entries;
+  slot.alive <- slot.alive + 1;
   t.live <- t.live + 1;
   timer
 
 let cancel timer =
   if timer.cb != spent then begin
     timer.cb <- spent;
-    let t = timer.wheel in
+    let t = timer.wheel and s = timer.slot in
     t.live <- t.live - 1;
-    (* On a wall clock an armed-but-dead slot would keep the reactor alive
-       (e.g. 120 s conformance deadlines that always get cancelled), so
-       release the underlying OS timer once a slot holds no live entry.
-       The virtual heap has no such liveness notion — leave its (no-op)
-       slot event in place so heap contents stay byte-identical. *)
-    if not (Engine.Clock.is_virtual t.clk) then
-      match Hashtbl.find_opt t.slots timer.slot_idx with
+    s.alive <- s.alive - 1;
+    (* A slot with no live entry left releases its clock timer, so the
+       clock's queue holds no dead slot event: the simulator's heap stays
+       as deep as the live timers, and a wall-clock reactor can quiesce. *)
+    if s.alive = 0 then
+      match s.handle with
       | None -> ()
-      | Some s ->
-        s.alive <- s.alive - 1;
-        if s.alive <= 0 then begin
-          Hashtbl.remove t.slots timer.slot_idx;
-          match s.handle with
-          | None -> ()
-          | Some h -> Engine.Clock.cancel h
-        end
+      | Some h ->
+        s.handle <- None;
+        s.entries <- [];
+        Hashtbl.remove t.slots s.idx;
+        Engine.Clock.cancel h
   end
 
 let pending t = t.live

@@ -4,8 +4,10 @@
     cancelled (the request completes first). Pushing each one into the
     simulator's event heap would grow it with dead entries; the wheel
     instead buckets timers into fixed-width slots and schedules {e one}
-    simulator event per occupied slot. Cancellation is O(1) (flip a flag);
-    a fired slot skips cancelled entries.
+    clock timer per occupied slot. Cancellation flips a flag, and the
+    last live timer of a slot to be cancelled also cancels the slot's
+    clock timer, so no dead slot event stays queued; a fired slot skips
+    cancelled entries.
 
     Deadlines round {e up} to the slot boundary: a timeout fires at or
     slightly after the requested instant, never before — the right bias for
@@ -20,10 +22,9 @@ type timer
 val create_on : ?slot_ns:int -> Engine.Clock.t -> t
 (** A fresh wheel over any {!Engine.Clock.t}; [slot_ns] (default 65536 ns
     ≈ 66 µs) is the firing granularity. Raises [Invalid_argument] when
-    non-positive. On a wall clock, cancelling every timer of a slot also
-    releases the slot's underlying OS timer so the reactor can quiesce;
-    on the virtual clock the (no-op) slot event is left in the heap so
-    simulated schedules stay byte-identical. *)
+    non-positive. On every clock, cancelling every timer of a slot also
+    cancels the slot's clock timer: the simulator's heap holds no dead
+    slot event, and a wall-clock reactor can quiesce. *)
 
 val create : ?slot_ns:int -> Engine.Sim.t -> t
 (** [create_on] over the simulator's virtual clock. *)
@@ -41,8 +42,9 @@ val arm : t -> after_ns:int -> (unit -> unit) -> timer
 
 val cancel : timer -> unit
 (** Idempotent; a cancelled timer never fires. Its callback is released at
-    once; the timer record itself stays in its slot until the slot's
-    instant passes. *)
+    once. The timer record stays in its slot until the slot fires, or
+    until the slot's last live timer is cancelled: the slot then leaves
+    the wheel and its clock timer is cancelled. *)
 
 val none : timer
 (** A timer that was never armed: {!cancel} ignores it. A placeholder for

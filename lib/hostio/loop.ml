@@ -5,14 +5,6 @@ let log = Logs.Src.create "hostio.loop" ~doc:"real-OS reactor"
 
 module Log = (val Logs.src_log log : Logs.LOG)
 
-type timer = {
-  mutable tcb : (unit -> unit) option; (* None once fired or cancelled *)
-  live : int ref; (* the owning loop's live-timer count *)
-}
-
-(* Filler for the timer heap's vacant slots. *)
-let no_timer = { tcb = None; live = ref 0 }
-
 type fd_state = {
   mutable on_read : (unit -> unit) option;
   mutable on_write : (unit -> unit) option;
@@ -22,8 +14,7 @@ type fd_state = {
 type t = {
   t0 : float;
   mutable last_now : int; (* monotonicity clamp over gettimeofday *)
-  timers : timer Heap.t;
-  live_timers : int ref;
+  timers : (unit -> unit) Heap.t; (* armed, neither fired nor cancelled *)
   fds : (Unix.file_descr, fd_state) Hashtbl.t;
   (* Interest sets: exactly the fds with a read/write callback, so a
      select round is O(interested), not O(watched) — an idle watched
@@ -44,19 +35,15 @@ let now_ns t =
   if n > t.last_now then t.last_now <- n;
   t.last_now
 
-let arm t ~after_ns f =
-  let after_ns = if after_ns < 0 then 0 else after_ns in
-  let tm = { tcb = Some f; live = t.live_timers } in
-  Heap.push t.timers ~prio:(now_ns t + after_ns) tm;
-  incr t.live_timers;
-  tm
+type timer = { heap : (unit -> unit) Heap.t; handle : Heap.handle }
 
-let cancel tm =
-  match tm.tcb with
-  | None -> ()
-  | Some _ ->
-    tm.tcb <- None;
-    decr tm.live
+let push_timer t after_ns f =
+  let after_ns = if after_ns < 0 then 0 else after_ns in
+  Heap.push t.timers ~prio:(now_ns t + after_ns) f
+
+let arm t ~after_ns f = { heap = t.timers; handle = push_timer t after_ns f }
+
+let cancel tm = Heap.cancel tm.heap tm.handle
 
 (* Recover the loop behind a Clock.t capability: keyed by Clock.id so the
    engine stays free of any Hostio dependency. *)
@@ -70,10 +57,10 @@ let clock t =
     let c =
       Clock.make ~kind:Clock.Monotonic
         ~now:(fun () -> now_ns t)
-        ~schedule:(fun dt f -> ignore (arm t ~after_ns:dt f))
+        ~schedule:(fun dt f -> ignore (push_timer t dt f))
         ~arm:(fun dt f ->
-          let tm = arm t ~after_ns:dt f in
-          fun () -> cancel tm)
+          let k = push_timer t dt f in
+          fun () -> Heap.cancel t.timers k)
     in
     t.cap <- Some c;
     Hashtbl.replace by_clock (Clock.id c) t;
@@ -83,7 +70,7 @@ let of_clock c = Hashtbl.find_opt by_clock (Clock.id c)
 
 let create () =
   { t0 = Unix.gettimeofday (); last_now = 0;
-    timers = Heap.create ~dummy:no_timer; live_timers = ref 0;
+    timers = Heap.create ~dummy:ignore;
     fds = Hashtbl.create 64; read_set = Hashtbl.create 64;
     write_set = Hashtbl.create 64; active_fds = 0;
     stopped = false; cap = None; iterations = 0; timers_fired = 0;
@@ -148,15 +135,10 @@ let fire_due t =
     if Heap.is_empty t.timers || Heap.min_prio t.timers > now_ns t then
       continue := false
     else begin
-      let tm = Heap.pop t.timers in
-      match tm.tcb with
-      | None -> ()
-      | Some f ->
-        tm.tcb <- None;
-        decr t.live_timers;
-        t.timers_fired <- t.timers_fired + 1;
-        incr fired;
-        f ()
+      let f = Heap.pop t.timers in
+      t.timers_fired <- t.timers_fired + 1;
+      incr fired;
+      f ()
     end
   done
 
@@ -193,13 +175,7 @@ let run ?until_ns t =
     fire_due t;
     if t.stopped then continue := false
     else begin
-      (* The heap min may be a cancelled entry (its deadline is then a lower
-         bound on the next live one): at worst we wake early, pop it as a
-         no-op, and re-estimate — never late. The quiesce check below uses
-         the exact [live_timers] count, not the heap. *)
-      let next =
-        if !(t.live_timers) > 0 then Heap.min_prio t.timers else max_int
-      in
+      let next = Heap.min_prio t.timers in
       let now = now_ns t in
       let until = match until_ns with Some u -> u | None -> max_int in
       if now >= until || (next = max_int && t.active_fds = 0) then
@@ -225,6 +201,6 @@ let stop t = t.stopped <- true
 let iterations t = t.iterations
 let timers_fired t = t.timers_fired
 let fd_events t = t.fd_events
-let live_timers t = !(t.live_timers)
+let live_timers t = Heap.length t.timers
 let watched_fds t = Hashtbl.length t.fds
 let active_fds t = t.active_fds

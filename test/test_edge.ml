@@ -280,10 +280,16 @@ let test_idle_budget () =
    established watched connections (both ends in this process) must stay
    within [Tcp.conn_overhead_bytes] per connection end — the connection
    record, its table slot, its SysIO readiness source and nothing
-   eager. *)
+   eager. The pin sits below that floor (50 words on 64-bit) at the
+   measured 46.9 words plus one: the drained event queue gives its arrays
+   back, so they are not part of the growth. *)
+
+let idle_max_words = 48
 
 let test_idle_live_words () =
-  let max_words = Tcp.conn_overhead_bytes / (Sys.word_size / 8) in
+  let max_words =
+    min idle_max_words (Tcp.conn_overhead_bytes / (Sys.word_size / 8))
+  in
   let idle = 10_000 in
   let grid = Padico.create () in
   let s = Padico.add_node grid "s" in
@@ -329,7 +335,7 @@ let test_idle_live_words () =
    process-wide pool once acknowledged are not per-connection state: the
    pool is emptied before each snapshot. *)
 
-let served_max_words = 76
+let served_max_words = 74
 let served_request = Bb.of_string "\000\000\000\004ping"
 let served_acks = ref 0
 

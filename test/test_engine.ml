@@ -10,9 +10,8 @@ let test_heap_basic () =
   let h = Heap.create ~dummy:"" in
   Tutil.check_bool "empty" true (Heap.is_empty h);
   Tutil.check_int "empty min_prio" max_int (Heap.min_prio h);
-  Heap.push h ~prio:5 "five";
-  Heap.push h ~prio:1 "one";
-  Heap.push h ~prio:3 "three";
+  List.iter (fun (p, v) -> ignore (Heap.push h ~prio:p v))
+    [ (5, "five"); (1, "one"); (3, "three") ];
   Tutil.check_int "length" 3 (Heap.length h);
   Tutil.check_int "min_prio" 1 (Heap.min_prio h);
   let order = List.init 3 (fun _ -> Heap.pop h) in
@@ -28,7 +27,7 @@ let test_heap_basic () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create ~dummy:0 in
-  List.iter (fun v -> Heap.push h ~prio:7 v) [ 1; 2; 3; 4 ];
+  List.iter (fun v -> ignore (Heap.push h ~prio:7 v)) [ 1; 2; 3; 4 ];
   let order = List.init 4 (fun _ -> Heap.pop h) in
   Alcotest.(check (list int)) "fifo on equal priorities" [ 1; 2; 3; 4 ] order
 
@@ -38,7 +37,7 @@ let prop_heap_sorts =
     QCheck.(list small_int)
     (fun prios ->
        let h = Heap.create ~dummy:0 in
-       List.iter (fun p -> Heap.push h ~prio:p p) prios;
+       List.iter (fun p -> ignore (Heap.push h ~prio:p p)) prios;
        let rec drain acc =
          if Heap.is_empty h then List.rev acc
          else begin
@@ -50,28 +49,44 @@ let prop_heap_sorts =
        let out = drain [] in
        out = List.sort compare prios)
 
-(* Model-based check: random interleavings of push, pop and pop_min_nth
-   against a reference list kept sorted by (priority, push order). Values
-   are unique push indices, so every (priority, value) pair pins the exact
-   entry returned, FIFO order on equal priorities included. *)
-type heap_op = Push of int | Pop | Pop_nth of int
+(* Model-based check: random interleavings of push, pop, pop_min_nth and
+   cancel against a reference list kept sorted by (priority, push order).
+   Values are unique push indices, so every (priority, value) pair pins
+   the exact entry returned, FIFO order on equal priorities included.
+   [Cancel_live n] cancels the [n]-th queued entry of the reference list;
+   [Cancel_gone n] cancels the handle of an entry that already left the
+   queue: popped, or cancelled before (a second cancel), usually with its
+   slab slot handed to a later push since. Neither may disturb another
+   entry. *)
+type heap_op =
+  | Push of int
+  | Pop
+  | Pop_nth of int
+  | Cancel_live of int
+  | Cancel_gone of int
 
 let heap_op_gen =
   QCheck.Gen.(
     frequency
       [ (3, map (fun p -> Push p) (int_range 0 7));
         (2, return Pop);
-        (1, map (fun n -> Pop_nth n) (int_range (-1) 4)) ])
+        (1, map (fun n -> Pop_nth n) (int_range (-1) 4));
+        (1, map (fun n -> Cancel_live n) (int_range 0 63));
+        (1, map (fun n -> Cancel_gone n) (int_range 0 63)) ])
 
 let heap_op_print = function
   | Push p -> Printf.sprintf "push %d" p
   | Pop -> "pop"
   | Pop_nth n -> Printf.sprintf "pop_min_nth %d" n
+  | Cancel_live n -> Printf.sprintf "cancel live %d" n
+  | Cancel_gone n -> Printf.sprintf "cancel gone %d" n
 
 let heap_model ops =
   let h = Heap.create ~dummy:(-1) in
   (* Reference: (prio, value) pairs, sorted by prio then push order. *)
   let model = ref [] and next = ref 0 in
+  (* Handles by value, and the values no longer queued. *)
+  let handles = Hashtbl.create 64 and gone = ref [] in
   let bucket () =
     match !model with
     | [] -> []
@@ -85,6 +100,7 @@ let heap_model ops =
     | b ->
       let want = List.nth b (max 0 (min n (List.length b - 1))) in
       model := List.filter (fun e -> e != want) !model;
+      gone := snd want :: !gone;
       let p = Heap.min_prio h in
       (p, pop ()) = want
   in
@@ -95,13 +111,29 @@ let heap_model ops =
          | Push p ->
            let v = !next in
            incr next;
-           Heap.push h ~prio:p v;
+           Hashtbl.replace handles v (Heap.push h ~prio:p v);
            model :=
              List.stable_sort (fun (a, _) (b, _) -> compare a b)
                (!model @ [ (p, v) ]);
            true
          | Pop -> take (fun () -> Heap.pop h) 0
          | Pop_nth n -> take (fun () -> Heap.pop_min_nth h n) n
+         | Cancel_live n ->
+           (match !model with
+            | [] -> ()
+            | m ->
+              let (_, v) as e = List.nth m (n mod List.length m) in
+              Heap.cancel h (Hashtbl.find handles v);
+              model := List.filter (fun x -> x != e) !model;
+              gone := v :: !gone);
+           true
+         | Cancel_gone n ->
+           (match !gone with
+            | [] -> ()
+            | g ->
+              let v = List.nth g (n mod List.length g) in
+              Heap.cancel h (Hashtbl.find handles v));
+           true
        in
        agree
        && Heap.length h = List.length !model
@@ -109,6 +141,47 @@ let heap_model ops =
           = (match !model with [] -> max_int | (p, _) :: _ -> p)
        && Heap.min_count h = List.length (bucket ()))
     ops
+  (* Drain: the queued entries come out exactly as the model lists them. *)
+  && List.for_all
+       (fun e ->
+          let p = Heap.min_prio h in
+          (p, Heap.pop h) = e)
+       !model
+  && Heap.is_empty h
+
+(* The four kinds of handle [cancel] meets, each pinned: a queued entry
+   leaves at once; a popped entry's handle, a second cancel and a handle
+   whose slot a later push reused all leave the queue untouched. *)
+let test_heap_cancel () =
+  let h = Heap.create ~dummy:"" in
+  let a = Heap.push h ~prio:5 "a" in
+  let b = Heap.push h ~prio:3 "b" in
+  let c = Heap.push h ~prio:3 "c" in
+  Heap.cancel h b;
+  Tutil.check_int "live handle: entry leaves" 2 (Heap.length h);
+  Heap.cancel h b;
+  Tutil.check_int "second cancel: no-op" 2 (Heap.length h);
+  Alcotest.(check string) "popped is c" "c" (Heap.pop h);
+  Heap.cancel h c;
+  Tutil.check_int "popped handle: no-op" 1 (Heap.length h);
+  (* The slot of [c] (freed last) is the next one handed out. *)
+  let d = Heap.push h ~prio:1 "d" in
+  Heap.cancel h c;
+  Heap.cancel h b;
+  Tutil.check_int "reused slot: stale handles are no-ops" 2 (Heap.length h);
+  Alcotest.(check (list string)) "order kept" [ "d"; "a" ]
+    (List.init 2 (fun _ -> Heap.pop h));
+  Heap.cancel h a;
+  Heap.cancel h d;
+  Tutil.check_bool "drained" true (Heap.is_empty h);
+  (* Cancelling everything drains a heap that grew, and its handles stay
+     inert once the released arrays are rebuilt. *)
+  let hs = List.init 5000 (fun i -> Heap.push h ~prio:(i mod 17) "x") in
+  List.iter (Heap.cancel h) hs;
+  Tutil.check_bool "all cancelled" true (Heap.is_empty h);
+  ignore (Heap.push h ~prio:0 "y");
+  List.iter (Heap.cancel h) hs;
+  Tutil.check_int "old handles after release" 1 (Heap.length h)
 
 let prop_heap_model_short =
   QCheck.Test.make ~name:"heap model: small sizes"
@@ -152,7 +225,7 @@ let test_heap_releases_popped () =
   let h = Heap.create ~dummy:Bytes.empty in
   let w = Weak.create 100 in
   for i = 0 to 99 do
-    push_tracked h w ~prio:((i * 37) mod 11) i
+    ignore (push_tracked h w ~prio:((i * 37) mod 11) i)
   done;
   pop_n h 100;
   Tutil.check_int "fired values still alive after a drain" 0 (alive w);
@@ -162,18 +235,29 @@ let test_heap_releases_popped () =
   let h = Heap.create ~dummy:Bytes.empty in
   let w = Weak.create 65 in
   for i = 0 to 64 do
-    push_tracked h w ~prio:i i
+    ignore (push_tracked h w ~prio:i i)
   done;
   pop_n h 1;
   Tutil.check_int "popped minimum released after growth" 64 (alive w);
   Tutil.check_bool "the popped one is the dead one" false (Weak.check w 0);
   ignore (Sys.opaque_identity h)
 
+let test_heap_releases_cancelled () =
+  let h = Heap.create ~dummy:Bytes.empty in
+  let w = Weak.create 10 in
+  let hs = Array.init 10 (fun i -> push_tracked h w ~prio:(i mod 3) i) in
+  Heap.cancel h hs.(4);
+  Heap.cancel h hs.(0);
+  Tutil.check_int "alive after two cancels" 8 (alive w);
+  Tutil.check_bool "entry 4 released" false (Weak.check w 4);
+  Tutil.check_bool "entry 0 released" false (Weak.check w 0);
+  ignore (Sys.opaque_identity h)
+
 let test_heap_releases_pop_min_nth () =
   let h = Heap.create ~dummy:Bytes.empty in
   let w = Weak.create 5 in
   for i = 0 to 4 do
-    push_tracked h w ~prio:3 i
+    ignore (push_tracked h w ~prio:3 i)
   done;
   (* The newest entry of the bucket sits in the last slot: removing it
      vacates that slot without refilling it. *)
@@ -830,7 +914,11 @@ let () =
          Alcotest.test_case "drained heap releases values" `Quick
            test_heap_releases_popped;
          Alcotest.test_case "pop_min_nth releases its slot" `Quick
-           test_heap_releases_pop_min_nth ]);
+           test_heap_releases_pop_min_nth;
+         Alcotest.test_case "cancel: live, popped, twice, reused slot" `Quick
+           test_heap_cancel;
+         Alcotest.test_case "cancel releases the value" `Quick
+           test_heap_releases_cancelled ]);
       Tutil.qsuite "heap-props"
         [ prop_heap_sorts; prop_heap_model_short; prop_heap_model_long ];
       ("rng",

@@ -247,6 +247,37 @@ let test_timewheel_cancel () =
   check_bool "cancelled timer never fires" false !fired;
   check_int "none pending" 0 (Timewheel.pending w)
 
+(* Cancellation leaves the simulator's queue on the virtual clock too:
+   10k timers armed straight on [Sim.clock] and 10k through a wheel (in
+   slots of their own and sharing slots), all cancelled, leave no event
+   to dispatch. *)
+let test_cancelled_leave_queue () =
+  let sim = Sim.create () in
+  let clk = Sim.clock sim in
+  let w = Timewheel.create ~slot_ns:1_000 sim in
+  let fired = ref 0 in
+  let clock_timers =
+    List.init 10_000 (fun i ->
+        Engine.Clock.arm clk (Time.ms 1 + i) (fun () -> incr fired))
+  in
+  let wheel_timers =
+    List.init 10_000 (fun i ->
+        Timewheel.arm w ~after_ns:(Time.sec 1 + 1 + (i * 100)) (fun () ->
+            incr fired))
+  in
+  (* One event per clock timer, one per occupied wheel slot (ten timers
+     share each 1 us slot). *)
+  check_int "armed" 11_000 (Sim.pending sim);
+  List.iter Engine.Clock.cancel clock_timers;
+  List.iter Timewheel.cancel wheel_timers;
+  check_int "nothing pending" 0 (Sim.pending sim);
+  check_int "wheel empty" 0 (Timewheel.pending w);
+  let before = Sim.events_dispatched sim in
+  Sim.run sim;
+  check_int "no event dispatched" 0 (Sim.events_dispatched sim - before);
+  check_int "none fired" 0 !fired;
+  check_int "clock unmoved" 0 (Sim.now sim)
+
 let test_timewheel_shared () =
   let sim = Sim.create () in
   check_bool "same wheel per sim" true
@@ -572,7 +603,9 @@ let () =
         [ Alcotest.test_case "fires after deadline" `Quick
             test_timewheel_fires_after_deadline;
           Alcotest.test_case "cancel" `Quick test_timewheel_cancel;
-          Alcotest.test_case "shared per sim" `Quick test_timewheel_shared ] );
+          Alcotest.test_case "shared per sim" `Quick test_timewheel_shared;
+          Alcotest.test_case "cancelled timers leave the sim queue" `Quick
+            test_cancelled_leave_queue ] );
       ( "selector",
         [ Alcotest.test_case "exclude + down" `Quick test_selector_exclude ] );
       ( "vl-timeout",
