@@ -8,9 +8,10 @@
 
    - per-connection CPU cost stays near-flat as the population
      grows 100x (budget 2.5x for 100k vs 1k) — no O(watched) scan
-     anywhere on the dispatch path (readiness queues), no per-timer
-     heap entries (timewheel RTOs), no eager buffers (a send ring
-     exists only while it holds unacknowledged data). The budget is
+     anywhere on the dispatch path (readiness queues), no dead timer
+     events (an ACK's cancel takes its RTO out of the event queue), no
+     eager buffers (a send ring exists only while it holds
+     unacknowledged data). The budget is
      above 1 because the comparison deliberately crosses cache tiers:
      a 1k gateway's whole live heap is ~4 MB while 100k holds ~230 MB
      in DRAM, so memory latency grows even though the work per

@@ -94,25 +94,31 @@ let sim_arm_cancel () =
          Engine.Clock.cancel
            (Engine.Clock.arm clk (Engine.Rng.int rng 1_000_000) ignore)))
 
-(* Timers cancelled on the virtual clock, straight and through a wheel,
-   leave nothing in the simulator's queue: the number of events still
-   queued once 10k of each are cancelled (0 when cancellation removes
-   them). *)
+(* Timers cancelled on the virtual clock leave nothing in the
+   simulator's queue: the number of events still queued once 10k are
+   cancelled (0 when cancellation removes them). *)
 let cancelled_left_queued () =
   let sim = Engine.Sim.create () in
   let clk = Engine.Sim.clock sim in
-  let wheel = Padico_fault.Timewheel.create sim in
   let timers =
     List.init 10_000 (fun i -> Engine.Clock.arm clk (1 + i) ignore)
   in
-  let wheeled =
-    List.init 10_000 (fun i ->
-        Padico_fault.Timewheel.arm wheel ~after_ns:(1_000_000 + (i * 1_000))
-          ignore)
-  in
   List.iter Engine.Clock.cancel timers;
-  List.iter Padico_fault.Timewheel.cancel wheeled;
   Engine.Sim.pending sim
+
+(* Minor words of one virtual [Clock.arm] + [Clock.cancel], over 10k
+   pairs on a warmed queue. Allocation is deterministic: the timer record
+   (header, heap, handle) is 3 words, and the fraction above it is the
+   counter's own boxed float. *)
+let clock_arm_cancel_words () =
+  let clk = Engine.Sim.clock (Engine.Sim.create ()) in
+  let n = 10_000 in
+  Engine.Clock.cancel (Engine.Clock.arm clk 1 ignore);
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Engine.Clock.cancel (Engine.Clock.arm clk i ignore)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
 
 let test_base64 =
   Test.make ~name:"soap.base64 64KB"
@@ -328,11 +334,18 @@ let run () =
       ("bytebuf.checksum 4KB", "checksum_4k_ns");
       ("crypto.encrypt 64KB", "crypto_encrypt_64k_ns") ];
   let left = cancelled_left_queued () in
-  Printf.printf "%-32s %12d events left queued\n"
-    "cancelled timers (10k + 10k wheel)" left;
+  Printf.printf "%-32s %12d events left queued\n" "cancelled timers (10k)" left;
   if left > 0 then
     failwith
       (Printf.sprintf "%d cancelled virtual timers still queued in the sim" left);
+  (* An arm + cancel allocates its timer record and nothing else. *)
+  let words = clock_arm_cancel_words () in
+  Printf.printf "%-32s %12.1f minor words (budget 3)\n" "clock.arm+cancel" words;
+  Bhelp.record ~experiment:"micro" "clock_arm_cancel_minor_words" words;
+  if words >= 4.0 then
+    failwith
+      (Printf.sprintf "clock.arm+cancel allocates %.1f minor words (budget 3)"
+         words);
   (* The cipher allocates its output frame and a constant number of words
      besides: no per-byte boxing. The budget is the frame plus 64 words. *)
   let minor, total = crypto_alloc () in

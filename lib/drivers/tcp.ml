@@ -1,6 +1,6 @@
 module Bytebuf = Engine.Bytebuf
 module Sim = Engine.Sim
-module Timewheel = Padico_fault.Timewheel
+module Clock = Engine.Clock
 
 let log = Logs.Src.create "drivers.tcp"
 
@@ -102,7 +102,7 @@ type conn = {
   mutable ssthresh : int;
   mutable rwnd : int; (* peer-advertised window *)
   mutable rto : int;
-  mutable timer : Timewheel.timer; (* armed RTO, or [Timewheel.none] *)
+  mutable timer : Clock.timer; (* armed RTO, or [Clock.none] *)
   (* --- receive side --- *)
   mutable rcv_nxt : int;
   (* [no_rcvq] whenever nothing is buffered. *)
@@ -124,7 +124,7 @@ and stack = {
   conns : conn Conn_tbl.t; (* keyed by [conn_key] *)
   listeners : (int, listener) Hashtbl.t;
   mutable next_ephemeral : int;
-  wheel : Timewheel.t; (* the node clock's shared wheel: RTO and persist *)
+  clk : Clock.t; (* the node's clock: RTO and persist timers *)
   mutable reaped : int; (* fully-closed conns removed from [conns] *)
 }
 
@@ -221,11 +221,6 @@ let counters c =
    and only the local shard's clock is this connection's time. *)
 let sim c = Simnet.Node.sim c.stack.snode
 
-(* Per-connection timers (RTO, persist probes) go on the node's slotted
-   timewheel: 100k armed retransmit timers cost one engine event per
-   occupied slot instead of one each, and fire at most one slot late. *)
-let tcp_after c ns f = ignore (Timewheel.arm c.stack.wheel ~after_ns:ns f)
-
 (* Send rings cycle through the size-classed slab pool: taken by [writev],
    returned when the last written byte is acknowledged and on close. A
    range of the ring is at most two blits: up to the end, then from 0. *)
@@ -300,11 +295,11 @@ let send_pure_ack c = send_seg c ~seq:c.snd_nxt (Bytebuf.create 0)
 
 let outstanding c = c.snd_nxt > c.snd_una
 
-(* The wheel entry drops its callback, and with it the connection, at
-   once; only the entry itself waits for its slot. *)
+(* The timer's event leaves the node's queue at once, and with it the
+   callback that holds the connection. *)
 let cancel_timer c =
-  Timewheel.cancel c.timer;
-  c.timer <- Timewheel.none
+  Clock.cancel c.timer;
+  c.timer <- Clock.none
 
 (* Fully-closed connections leave the stack's table; a late segment for a
    reaped connection is answered with RST, like any segment to a port
@@ -321,12 +316,11 @@ let reap_conn c =
   end
 
 let rec arm_timer c =
-  if c.timer == Timewheel.none && state c <> Closed_st && outstanding c then
-    c.timer <-
-      Timewheel.arm c.stack.wheel ~after_ns:c.rto (fun () -> rto_fired c)
+  if c.timer == Clock.none && state c <> Closed_st && outstanding c then
+    c.timer <- Clock.arm c.stack.clk c.rto (fun () -> rto_fired c)
 
 and rto_fired c =
-  c.timer <- Timewheel.none;
+  c.timer <- Clock.none;
   if state c <> Closed_st && outstanding c then on_timeout c
 
 and on_timeout c =
@@ -418,7 +412,7 @@ and try_output c =
       then begin
         (* Zero-window probe. *)
         set_flag c persist_armed;
-        tcp_after c c.rto (fun () ->
+        Clock.after c.stack.clk c.rto (fun () ->
             clear_flag c persist_armed;
             if state c <> Closed_st && c.rwnd = 0 && c.wseq > c.snd_nxt then begin
               let payload = ring_read c ~seq:c.snd_nxt ~len:1 in
@@ -449,7 +443,7 @@ let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
       snd_una = (if handshake then 0 else 1);
       snd_nxt = 1; wseq = 1; fin_seq = -1;
       cwnd = 2 * mss stack; ssthresh = 1 lsl 30;
-      rwnd = default_bufsize; rto = initial_rto; timer = Timewheel.none;
+      rwnd = default_bufsize; rto = initial_rto; timer = Clock.none;
       rcv_nxt = 1; rcvq = no_rcvq; rcvq_len = 0; rcvbuf_cap = rcvbuf;
       last_wnd_sent = rcvbuf; peer_fin = -1;
       cb = (fun _ -> ()); ctrs = no_counters }
@@ -747,7 +741,7 @@ let attach seg node =
         let s =
           { seg; snode = node; conns = Conn_tbl.create 16;
             listeners = Hashtbl.create 8; next_ephemeral = ephemeral_lo;
-            wheel = Timewheel.for_clock (Simnet.Node.clock node); reaped = 0 }
+            clk = Simnet.Node.clock node; reaped = 0 }
         in
         Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.tcp
           (handle_packet s);

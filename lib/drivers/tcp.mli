@@ -6,10 +6,10 @@
     with exponential backoff, slow start / congestion avoidance / fast
     retransmit + fast recovery (Reno-class), zero-window probing, FIN/RST.
 
-    Per-connection timers (RTO, zero-window persist) run on the node
-    clock's shared {!Padico_fault.Timewheel}, so 100k armed retransmit
-    timers cost one engine event per occupied slot; a timer fires at
-    most one slot (~66 µs) after its deadline, far below [min_rto].
+    Per-connection timers (RTO, zero-window persist) are armed on the
+    node's {!Engine.Clock} and fire at their exact deadline; an ACK's
+    cancel takes the RTO out of the event queue at once, so 100k idle
+    connections hold no dead timer events.
     Fully closed connections (FIN handshake complete, RST, or handshake
     give-up) leave the stack's table, and a late segment for one is
     answered with RST. An active open gives up after 5 SYNs, a half-open

@@ -73,11 +73,9 @@ let at t time f =
       (Printf.sprintf "Sim.at: time %d is in the past (now %d)" time t.clock);
   ignore (Heap.push t.events ~prio:time f)
 
-let push_after t dt f =
+let after t dt f =
   let dt = if dt < 0 then 0 else dt in
-  Heap.push t.events ~prio:(t.clock + dt) f
-
-let after t dt f = ignore (push_after t dt f)
+  ignore (Heap.push t.events ~prio:(t.clock + dt) f)
 
 let pending t = Heap.length t.events
 
@@ -155,12 +153,7 @@ let clock t =
   | Some c -> c
   | None ->
     let c =
-      Clock.make ~kind:Clock.Virtual
-        ~now:(fun () -> t.clock)
-        ~schedule:(fun dt f -> after t dt f)
-        ~arm:(fun dt f ->
-          let k = push_after t dt f in
-          fun () -> Heap.cancel t.events k)
+      Clock.make ~kind:Clock.Virtual ~now:(fun () -> t.clock) ~events:t.events
     in
     t.cap <- Some c;
     c

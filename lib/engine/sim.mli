@@ -110,9 +110,10 @@ val dispatch_at : t -> int -> (unit -> unit) -> unit
 
 val clock : t -> Clock.t
 (** The simulator's virtual {!Clock.t} capability — cached, so repeated
-    calls return the {e same} clock (same {!Clock.id}). Its [after] is
-    exactly {!after}: code scheduling through the capability behaves
-    byte-identically to code calling the simulator directly. A timer
-    {!Clock.arm}ed on it is one queued event, and {!Clock.cancel} takes
-    that event out of the queue: it is neither {!pending} nor
-    dispatched. *)
+    calls return the {e same} clock (same {!Clock.id}). It is a view of
+    this simulator's event queue: its [after] is exactly {!after}, so
+    code scheduling through the capability behaves byte-identically to
+    code calling the simulator directly. A timer {!Clock.arm}ed on it is
+    one queued event that fires at its exact instant, and
+    {!Clock.cancel} takes that event out of the queue: it is neither
+    {!pending} nor dispatched. *)

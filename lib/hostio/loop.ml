@@ -14,7 +14,7 @@ type fd_state = {
 type t = {
   t0 : float;
   mutable last_now : int; (* monotonicity clamp over gettimeofday *)
-  timers : (unit -> unit) Heap.t; (* armed, neither fired nor cancelled *)
+  timers : (unit -> unit) Heap.t; (* the clock's queue: armed, not yet fired *)
   fds : (Unix.file_descr, fd_state) Hashtbl.t;
   (* Interest sets: exactly the fds with a read/write callback, so a
      select round is O(interested), not O(watched) — an idle watched
@@ -35,16 +35,6 @@ let now_ns t =
   if n > t.last_now then t.last_now <- n;
   t.last_now
 
-type timer = { heap : (unit -> unit) Heap.t; handle : Heap.handle }
-
-let push_timer t after_ns f =
-  let after_ns = if after_ns < 0 then 0 else after_ns in
-  Heap.push t.timers ~prio:(now_ns t + after_ns) f
-
-let arm t ~after_ns f = { heap = t.timers; handle = push_timer t after_ns f }
-
-let cancel tm = Heap.cancel tm.heap tm.handle
-
 (* Recover the loop behind a Clock.t capability: keyed by Clock.id so the
    engine stays free of any Hostio dependency. *)
 let by_clock : (int, t) Hashtbl.t = Hashtbl.create 8
@@ -55,12 +45,8 @@ let clock t =
   | Some c -> c
   | None ->
     let c =
-      Clock.make ~kind:Clock.Monotonic
-        ~now:(fun () -> now_ns t)
-        ~schedule:(fun dt f -> ignore (push_timer t dt f))
-        ~arm:(fun dt f ->
-          let k = push_timer t dt f in
-          fun () -> Heap.cancel t.timers k)
+      Clock.make ~kind:Clock.Monotonic ~now:(fun () -> now_ns t)
+        ~events:t.timers
     in
     t.cap <- Some c;
     Hashtbl.replace by_clock (Clock.id c) t;

@@ -4,9 +4,10 @@
     This is the monotonic counterpart of {!Engine.Sim}: where the simulator
     pops virtual-time events off a heap, the loop blocks in [select] until
     either a watched descriptor becomes ready or the earliest armed timer
-    expires. Green threads ({!Engine.Proc}), the {!Padico_fault.Timewheel}
-    and every layer above run unmodified on it through the loop's
-    {!Engine.Clock.t} capability.
+    expires. Green threads ({!Engine.Proc}), deadlines and every layer
+    above run unmodified on it through the loop's {!Engine.Clock.t}
+    capability: its timers are the clock's ({!Engine.Clock.arm},
+    {!Engine.Clock.cancel}).
 
     Times are integer nanoseconds since the loop was created, so durations
     written against the virtual clock ([Time.ms 5]) mean the same thing
@@ -23,7 +24,8 @@ val create : unit -> t
 
 val clock : t -> Engine.Clock.t
 (** The loop's monotonic {!Engine.Clock.t} (cached; stable {!Engine.Clock.id}).
-    Timers armed through it land in the loop's timer heap. *)
+    It is a view of the loop's timer heap: every timer and callback
+    scheduled through it is one entry there. *)
 
 val of_clock : Engine.Clock.t -> t option
 (** Recover the loop that owns a clock previously returned by {!clock} —
@@ -32,17 +34,6 @@ val of_clock : Engine.Clock.t -> t option
 
 val now_ns : t -> int
 (** Monotonic wall-clock nanoseconds since [create] (never decreases). *)
-
-(** {2 Timers} *)
-
-type timer
-
-val arm : t -> after_ns:int -> (unit -> unit) -> timer
-(** Run a callback once, at least [after_ns] from now (clamped to 0). *)
-
-val cancel : timer -> unit
-(** Idempotent; a cancelled timer never fires and no longer keeps
-    {!run} alive. *)
 
 (** {2 File descriptors} *)
 

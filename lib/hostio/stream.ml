@@ -233,14 +233,13 @@ let set_event_cb t f =
   let pending_fin = t.rx_eof && Bq.is_empty t.rx && not t.peer_closed_fired in
   let was_reset = t.reset in
   if pending_estab || had_rx || pending_fin || was_reset then
-    ignore
-      (Loop.arm t.loop ~after_ns:0 (fun () ->
-           if was_reset then emit t Reset
-           else begin
-             if pending_estab then emit t Established;
-             if had_rx && not (Bq.is_empty t.rx) then emit t Readable;
-             if pending_fin then fire_peer_closed t
-           end))
+    Engine.Clock.after (Loop.clock t.loop) 0 (fun () ->
+        if was_reset then emit t Reset
+        else begin
+          if pending_estab then emit t Established;
+          if had_rx && not (Bq.is_empty t.rx) then emit t Readable;
+          if pending_fin then fire_peer_closed t
+        end)
 
 let connect loop ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -250,7 +249,7 @@ let connect loop ?(host = "127.0.0.1") ~port () =
    with
    | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ()
    | Unix.Unix_error _ ->
-     ignore (Loop.arm loop ~after_ns:0 (fun () -> do_reset t)));
+     Engine.Clock.after (Loop.clock loop) 0 (fun () -> do_reset t));
   t
 
 type listener = {
@@ -331,7 +330,7 @@ let read t ~max =
       Loop.set_read t.loop t.fd (Some (fun () -> on_fd_readable t))
     end;
     if t.rx_eof && Bq.is_empty t.rx && not t.peer_closed_fired then
-      ignore (Loop.arm t.loop ~after_ns:0 (fun () -> fire_peer_closed t));
+      Engine.Clock.after (Loop.clock t.loop) 0 (fun () -> fire_peer_closed t);
     Some chunk
 
 let close t =

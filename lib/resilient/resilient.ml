@@ -3,7 +3,6 @@ module Node = Simnet.Node
 module Segment = Simnet.Segment
 module Vl = Vlink.Vl
 module Streamq = Vlink.Streamq
-module Timewheel = Padico_fault.Timewheel
 module Backoff = Padico_fault.Backoff
 module Trace = Padico_obs.Trace
 module Metrics = Padico_obs.Metrics
@@ -139,7 +138,7 @@ and sess = {
   mutable total_downtime : int;
   mutable cur_driver : string;
   mutable ops_attached : bool;
-  mutable wd : Timewheel.timer option;
+  mutable wd : Engine.Clock.timer; (* [Engine.Clock.none] unless armed *)
   mutable estd_cbs : (unit -> unit) list;  (* fired on each establishment *)
 }
 
@@ -272,33 +271,28 @@ and arm_watchdog s =
   match s.role with
   | Server _ -> ()
   | Client _ ->
-    if (match s.wd with None -> true | Some _ -> false)
+    if s.wd == Engine.Clock.none
        && (not (sess_done s))
        && ((not s.established) || outstanding s || fin_owed s)
     then begin
       let snap_est = s.established and snap_una = s.una_off in
-      let wheel = Timewheel.for_clock (clock_of s) in
       s.wd <-
-        Some
-          (Timewheel.arm wheel ~after_ns:s.cfg.ack_timeout_ns (fun () ->
-               s.wd <- None;
-               if not (sess_done s) then
-                 if (not s.established) || outstanding s || fin_owed s then
-                   if s.established = snap_est && s.una_off = snap_una then (
-                     match s.link with
-                     | Some l -> link_failed l "timeout (no ack progress)"
-                     | None ->
-                       (* outage in progress, redial timer owns recovery *)
-                       arm_watchdog s)
-                   else arm_watchdog s))
+        Engine.Clock.arm (clock_of s) s.cfg.ack_timeout_ns (fun () ->
+            s.wd <- Engine.Clock.none;
+            if not (sess_done s) then
+              if (not s.established) || outstanding s || fin_owed s then
+                if s.established = snap_est && s.una_off = snap_una then (
+                  match s.link with
+                  | Some l -> link_failed l "timeout (no ack progress)"
+                  | None ->
+                    (* outage in progress, redial timer owns recovery *)
+                    arm_watchdog s)
+                else arm_watchdog s)
     end
 
 and cancel_watchdog s =
-  match s.wd with
-  | Some tm ->
-    Timewheel.cancel tm;
-    s.wd <- None
-  | None -> ()
+  Engine.Clock.cancel s.wd;
+  s.wd <- Engine.Clock.none
 
 (* ---------- failure & redial (connector side) ---------- *)
 
@@ -681,7 +675,8 @@ and make_sess cfg node role =
     tx_peak = 0;
     una_off = 0; snd_nxt = 0; buf_end = 0; rx = Streamq.create ();
     rcv_nxt = 0; switches = 0; total_retries = 0; total_downtime = 0;
-    cur_driver = "(none)"; ops_attached = false; wd = None; estd_cbs = [] }
+    cur_driver = "(none)"; ops_attached = false; wd = Engine.Clock.none;
+    estd_cbs = [] }
   in
   let scope = Metrics.Node (Node.name node) in
   Metrics.gauge scope "resilient.txbuf_bytes" (fun () ->

@@ -27,7 +27,7 @@ type req = {
   mutable progress : int;
   mutable result : completion option;
   mutable handler : (completion -> unit) option;
-  mutable timer : Padico_fault.Timewheel.timer option;
+  mutable timer : Engine.Clock.timer; (* [Engine.Clock.none] unless armed *)
   owner : t;
 }
 
@@ -77,11 +77,8 @@ let op_of_kind = function
 let complete req c =
   if req.result = None then begin
     req.result <- Some c;
-    (match req.timer with
-     | Some tm ->
-       Padico_fault.Timewheel.cancel tm;
-       req.timer <- None
-     | None -> ());
+    Engine.Clock.cancel req.timer;
+    req.timer <- Engine.Clock.none;
     if Trace.on () then begin
       let result, bytes =
         match c with
@@ -241,7 +238,7 @@ let create_connected vnode ops =
   attach_ops t ops;
   t
 
-(* A deadline rides on the per-simulator timeout wheel: armed in numbers,
+(* A deadline is one timer on the node's clock: armed in numbers,
    cancelled by {!complete} in the common case. On expiry the request
    completes [Error "timeout"] and the pump drops its corpse from the queue
    so followers are not blocked behind it. *)
@@ -250,27 +247,24 @@ let arm_timeout t req timeout_ns =
   | None -> ()
   | Some after_ns ->
     if after_ns <= 0 then invalid_arg "Vlink: timeout_ns must be positive";
-    let wheel = Padico_fault.Timewheel.for_clock (Simnet.Node.clock t.vnode) in
     req.timer <-
-      Some
-        (Padico_fault.Timewheel.arm wheel ~after_ns (fun () ->
-             if req.result = None then begin
-               req.timer <- None;
-               if Trace.on () then
-                 Trace.instant t.vnode
-                   (Padico_obs.Event.Vl_timeout
-                      { op = op_of_kind req.kind; after_ns });
-               complete req (Error "timeout");
-               match req.kind with
-               | `Read -> pump_reads t
-               | `Write -> pump_writes t
-             end))
+      Engine.Clock.arm (Simnet.Node.clock t.vnode) after_ns (fun () ->
+          if req.result = None then begin
+            if Trace.on () then
+              Trace.instant t.vnode
+                (Padico_obs.Event.Vl_timeout
+                   { op = op_of_kind req.kind; after_ns });
+            complete req (Error "timeout");
+            match req.kind with
+            | `Read -> pump_reads t
+            | `Write -> pump_writes t
+          end)
 
 let post_read ?timeout_ns t buf =
   if Bytebuf.length buf = 0 then invalid_arg "Vlink.post_read: empty buffer";
   let req =
     { kind = `Read; buf; progress = 0; result = None; handler = None;
-      timer = None; owner = t }
+      timer = Engine.Clock.none; owner = t }
   in
   if Trace.on () then
     Trace.instant t.vnode
@@ -288,7 +282,7 @@ let post_read ?timeout_ns t buf =
 let post_write ?timeout_ns ?(nonblock = false) t buf =
   let req =
     { kind = `Write; buf; progress = 0; result = None; handler = None;
-      timer = None; owner = t }
+      timer = Engine.Clock.none; owner = t }
   in
   if Trace.on () then
     Trace.instant t.vnode

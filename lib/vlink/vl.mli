@@ -66,10 +66,10 @@ val post_read : ?timeout_ns:int -> t -> Engine.Bytebuf.t -> req
 (** Post a read into the buffer. Completes with [Done n] (1 ≤ n ≤ length,
     partial reads allowed, POSIX-style), [Eof] at end of stream.
 
-    [timeout_ns] arms a deadline on the per-simulator {!Padico_fault}
-    timeout wheel: if the request has not completed after at least that
-    long, it completes with [Error "timeout"] (and a [vl.timeout] trace
-    event). Raises [Invalid_argument] when non-positive. *)
+    [timeout_ns] arms a deadline on the node's {!Engine.Clock}: if the
+    request has not completed that long after posting, it completes with
+    [Error "timeout"] (and a [vl.timeout] trace event). Raises
+    [Invalid_argument] when non-positive. *)
 
 val post_write :
   ?timeout_ns:int -> ?nonblock:bool -> t -> Engine.Bytebuf.t -> req

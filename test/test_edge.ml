@@ -1,6 +1,5 @@
 (* Edge-gateway capacity machinery (see DESIGN.md section 15): the
    readiness-queue wakeup protocol under random interest churn, the
-   timewheel firing-order contract against the reference heap, the
    idle-connection byte-budget pin, closed-connection reaping on a plain
    grid, and the Hostio fd-ceiling guard. *)
 
@@ -11,7 +10,6 @@ module Node = Simnet.Node
 module Na = Netaccess.Na_core
 module Sysio = Netaccess.Sysio
 module Tcp = Drivers.Tcp
-module Timewheel = Padico_fault.Timewheel
 module Gridgen = Scenario.Gridgen
 
 (* ---------- readiness-queue protocol ---------- *)
@@ -140,57 +138,6 @@ let prop_event_fifo =
     ~count:500
     QCheck.(list_of_size Gen.(int_range 0 60) (int_range 0 7))
     fifo_matches_queue
-
-(* ---------- timewheel vs heap firing order ---------- *)
-
-(* The wheel's contract: a timer armed for [after_ns] fires at that
-   deadline rounded {e up} to the next slot boundary (never early), and
-   the {e relative} firing order is the one a per-timer event heap would
-   give — (requested deadline, arm order), even for timers sharing a
-   slot. Cancelled timers must not fire on either side. *)
-
-let slot = 65_536
-
-let round_up d = (d + slot - 1) / slot * slot
-
-let wheel_matches_heap spec =
-  let wheel_fired = ref [] in
-  let sim_w = Sim.create () in
-  let wheel = Timewheel.create ~slot_ns:slot sim_w in
-  let timers =
-    List.mapi
-      (fun id (delay, _) ->
-         Timewheel.arm wheel ~after_ns:delay (fun () ->
-             wheel_fired := (id, Sim.now sim_w) :: !wheel_fired))
-      spec
-  in
-  List.iteri
-    (fun id (_, cancel) ->
-       if cancel then Timewheel.cancel (List.nth timers id))
-    spec;
-  Sim.run sim_w;
-  let heap_fired = ref [] in
-  let sim_h = Sim.create () in
-  List.iteri
-    (fun id (delay, cancel) ->
-       if not cancel then
-         Sim.after sim_h delay (fun () -> heap_fired := id :: !heap_fired))
-    spec;
-  Sim.run sim_h;
-  let wheel_order = List.rev_map fst !wheel_fired in
-  let never_early =
-    List.for_all
-      (fun (id, at) -> at = round_up (fst (List.nth spec id)))
-      !wheel_fired
-  in
-  wheel_order = List.rev !heap_fired && never_early
-
-let prop_wheel_order =
-  QCheck.Test.make ~name:"timewheel fires in heap order (slot-rounded)"
-    ~count:100
-    QCheck.(list_of_size Gen.(int_range 0 40)
-              (pair (int_range 1 500_000) bool))
-    wheel_matches_heap
 
 (* ---------- idle-connection byte budget ---------- *)
 
@@ -330,7 +277,7 @@ let test_idle_live_words () =
    major collection the live-heap growth per connection end must stay
    within [served_max_words]. It covers the server's parser state and
    whatever the exchange left behind on both ends (receive queues,
-   retransmission timers and their wheel entries, loss-recovery blocks);
+   retransmission timers and their queued events, loss-recovery blocks);
    the clients share one static callback. Send rings parked in the
    process-wide pool once acknowledged are not per-connection state: the
    pool is emptied before each snapshot. *)
@@ -491,7 +438,6 @@ let test_fd_guard () =
 let () =
   Alcotest.run "edge"
     [ Tutil.qsuite "readiness" [ prop_readiness ];
-      Tutil.qsuite "timewheel" [ prop_wheel_order ];
       Tutil.qsuite "events" [ prop_event_fifo ];
       ("budget",
        [ Alcotest.test_case "idle bytes pinned" `Quick test_idle_budget;

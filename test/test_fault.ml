@@ -9,7 +9,6 @@ module Vl = Vlink.Vl
 module Plan = Padico_fault.Plan
 module Inject = Padico_fault.Inject
 module Backoff = Padico_fault.Backoff
-module Timewheel = Padico_fault.Timewheel
 module Obs = Padico_obs
 
 let check_int = Tutil.check_int
@@ -223,65 +222,117 @@ let test_backoff_no_jitter_reset () =
   Backoff.reset b;
   check_int "reset to base" 500 (Backoff.next b)
 
-(* ---------- timewheel ---------- *)
+(* ---------- clock timers ---------- *)
 
-let test_timewheel_fires_after_deadline () =
+(* Every deadline is one entry of its clock's event heap. Each case runs
+   on the simulator's virtual clock and on a Hostio loop's wall clock;
+   [drain] runs the clock's owner until nothing is queued, and [queued]
+   counts what is left. *)
+type owner = {
+  name : string;
+  clk : Engine.Clock.t;
+  drain : unit -> unit;
+  queued : unit -> int;
+}
+
+let on_both_clocks f () =
   let sim = Sim.create () in
-  let w = Timewheel.create ~slot_ns:1_000 sim in
-  let fired_at = ref (-1) in
-  ignore (Timewheel.arm w ~after_ns:2_500 (fun () -> fired_at := Sim.now sim));
-  check_int "pending" 1 (Timewheel.pending w);
-  Sim.run sim;
-  check_bool "at or after deadline" true (!fired_at >= 2_500);
-  check_bool "within one slot" true (!fired_at <= 3_000);
-  check_int "none pending" 0 (Timewheel.pending w)
+  f { name = "sim"; clk = Sim.clock sim; drain = (fun () -> Sim.run sim);
+      queued = (fun () -> Sim.pending sim) };
+  let loop = Hostio.Loop.create () in
+  f { name = "loop"; clk = Hostio.Loop.clock loop;
+      drain = (fun () -> Hostio.Loop.run loop);
+      queued = (fun () -> Hostio.Loop.live_timers loop) }
 
-let test_timewheel_cancel () =
-  let sim = Sim.create () in
-  let w = Timewheel.create ~slot_ns:1_000 sim in
-  let fired = ref false in
-  let tm = Timewheel.arm w ~after_ns:2_000 (fun () -> fired := true) in
-  Timewheel.cancel tm;
-  Timewheel.cancel tm (* idempotent *);
-  Sim.run sim;
-  check_bool "cancelled timer never fires" false !fired;
-  check_int "none pending" 0 (Timewheel.pending w)
+(* A deadline fires at [now + after], never early; on the virtual clock
+   exactly then. Same-instant timers fire in arm order, after what was
+   queued for that instant before them. *)
+let test_clock_fires_at_deadline =
+  on_both_clocks (fun o ->
+      let module C = Engine.Clock in
+      let after = Time.ms 2 in
+      let armed_at = ref 0 and fired = ref [] in
+      let record tag () = fired := (tag, C.now o.clk) :: !fired in
+      C.after o.clk 1_000 (fun () ->
+          armed_at := C.now o.clk;
+          C.after o.clk after (record "queued");
+          ignore (C.arm o.clk after (record "a"));
+          ignore (C.arm o.clk after (record "b"));
+          ignore (C.arm o.clk (-5) (record "now")));
+      o.drain ();
+      let fired = List.rev !fired in
+      Alcotest.(check (list string)) (o.name ^ ": order")
+        [ "now"; "queued"; "a"; "b" ] (List.map fst fired);
+      let at tag = List.assoc tag fired in
+      if C.is_virtual o.clk then begin
+        check_int "negative after clamps to now" 1_000 (at "now");
+        check_int "exact deadline" (1_000 + after) (at "a");
+        check_int "same instant" (1_000 + after) (at "b")
+      end
+      else check_bool "never early" true (at "a" - !armed_at >= after);
+      check_int (o.name ^ ": nothing queued") 0 (o.queued ()))
 
-(* Cancellation leaves the simulator's queue on the virtual clock too:
-   10k timers armed straight on [Sim.clock] and 10k through a wheel (in
-   slots of their own and sharing slots), all cancelled, leave no event
-   to dispatch. *)
+let test_clock_cancel_idempotent =
+  on_both_clocks (fun o ->
+      let fired = ref false in
+      let tm = Engine.Clock.arm o.clk 2_000 (fun () -> fired := true) in
+      check_int (o.name ^ ": armed") 1 (o.queued ());
+      Engine.Clock.cancel tm;
+      check_int (o.name ^ ": cancel dequeues") 0 (o.queued ());
+      Engine.Clock.cancel tm;
+      o.drain ();
+      check_bool (o.name ^ ": cancelled timer never fires") false !fired)
+
+let test_clock_none_inert =
+  on_both_clocks (fun o ->
+      let fired = ref false in
+      ignore (Engine.Clock.arm o.clk 1_000 (fun () -> fired := true));
+      Engine.Clock.cancel Engine.Clock.none;
+      Engine.Clock.cancel Engine.Clock.none;
+      check_int (o.name ^ ": armed timer kept") 1 (o.queued ());
+      o.drain ();
+      check_bool (o.name ^ ": armed timer fires") true !fired)
+
+(* A handle outlives its entry: cancelling a fired or cancelled timer
+   must not take out the later timer that reuses its heap slot. *)
+let test_clock_stale_handle =
+  on_both_clocks (fun o ->
+      let module C = Engine.Clock in
+      let fired = ref [] in
+      let fire tag () = fired := tag :: !fired in
+      let gone = C.arm o.clk 1_000 (fire "cancelled") in
+      C.cancel gone;
+      ignore (C.arm o.clk 1_000 (fire "after cancel"));
+      C.cancel gone;
+      check_int (o.name ^ ": cancelled handle is stale") 1 (o.queued ());
+      o.drain ();
+      let spent = C.arm o.clk 1_000 (fire "spent") in
+      o.drain ();
+      ignore (C.arm o.clk 1_000 (fire "after firing"));
+      C.cancel spent;
+      check_int (o.name ^ ": fired handle is stale") 1 (o.queued ());
+      o.drain ();
+      Alcotest.(check (list string)) (o.name ^ ": fired")
+        [ "after cancel"; "spent"; "after firing" ] (List.rev !fired))
+
+(* 10k timers armed on [Sim.clock] and cancelled leave no event to
+   dispatch. *)
 let test_cancelled_leave_queue () =
   let sim = Sim.create () in
   let clk = Sim.clock sim in
-  let w = Timewheel.create ~slot_ns:1_000 sim in
   let fired = ref 0 in
-  let clock_timers =
+  let timers =
     List.init 10_000 (fun i ->
         Engine.Clock.arm clk (Time.ms 1 + i) (fun () -> incr fired))
   in
-  let wheel_timers =
-    List.init 10_000 (fun i ->
-        Timewheel.arm w ~after_ns:(Time.sec 1 + 1 + (i * 100)) (fun () ->
-            incr fired))
-  in
-  (* One event per clock timer, one per occupied wheel slot (ten timers
-     share each 1 us slot). *)
-  check_int "armed" 11_000 (Sim.pending sim);
-  List.iter Engine.Clock.cancel clock_timers;
-  List.iter Timewheel.cancel wheel_timers;
+  check_int "armed" 10_000 (Sim.pending sim);
+  List.iter Engine.Clock.cancel timers;
   check_int "nothing pending" 0 (Sim.pending sim);
-  check_int "wheel empty" 0 (Timewheel.pending w);
   let before = Sim.events_dispatched sim in
   Sim.run sim;
   check_int "no event dispatched" 0 (Sim.events_dispatched sim - before);
   check_int "none fired" 0 !fired;
   check_int "clock unmoved" 0 (Sim.now sim)
-
-let test_timewheel_shared () =
-  let sim = Sim.create () in
-  check_bool "same wheel per sim" true
-    (Timewheel.for_sim sim == Timewheel.for_sim sim)
 
 (* ---------- selector exclusion ---------- *)
 
@@ -599,11 +650,14 @@ let () =
           Alcotest.test_case "bounds" `Quick test_backoff_bounds;
           Alcotest.test_case "no jitter + reset" `Quick
             test_backoff_no_jitter_reset ] );
-      ( "timewheel",
-        [ Alcotest.test_case "fires after deadline" `Quick
-            test_timewheel_fires_after_deadline;
-          Alcotest.test_case "cancel" `Quick test_timewheel_cancel;
-          Alcotest.test_case "shared per sim" `Quick test_timewheel_shared;
+      ( "clock",
+        [ Alcotest.test_case "fires at now + after" `Quick
+            test_clock_fires_at_deadline;
+          Alcotest.test_case "cancel is idempotent" `Quick
+            test_clock_cancel_idempotent;
+          Alcotest.test_case "none is inert" `Quick test_clock_none_inert;
+          Alcotest.test_case "stale handle spares a reused slot" `Quick
+            test_clock_stale_handle;
           Alcotest.test_case "cancelled timers leave the sim queue" `Quick
             test_cancelled_leave_queue ] );
       ( "selector",

@@ -16,10 +16,11 @@ let check_bool = Tutil.check_bool
 
 let test_timer_order () =
   let loop = Loop.create () in
+  let clk = Loop.clock loop in
   let fired = ref [] in
-  ignore (Loop.arm loop ~after_ns:(Time.ms 5) (fun () -> fired := 5 :: !fired));
-  ignore (Loop.arm loop ~after_ns:(Time.ms 1) (fun () -> fired := 1 :: !fired));
-  ignore (Loop.arm loop ~after_ns:(Time.ms 3) (fun () -> fired := 3 :: !fired));
+  Clock.after clk (Time.ms 5) (fun () -> fired := 5 :: !fired);
+  Clock.after clk (Time.ms 1) (fun () -> fired := 1 :: !fired);
+  Clock.after clk (Time.ms 3) (fun () -> fired := 3 :: !fired);
   Loop.run loop;
   Alcotest.(check (list int)) "firing order" [ 1; 3; 5 ] (List.rev !fired);
   check_int "all fired" 3 (Loop.timers_fired loop)
@@ -47,13 +48,14 @@ let test_timer_monotonicity () =
 
 let test_timer_cancel () =
   let loop = Loop.create () in
+  let clk = Loop.clock loop in
   let fired = ref false in
   (* The long timer is cancelled: the loop must quiesce without waiting the
      full 60 s — the wall-clock test harness is the proof. *)
-  let tm = Loop.arm loop ~after_ns:(Time.sec 60) (fun () -> fired := true) in
-  ignore (Loop.arm loop ~after_ns:(Time.ms 1) (fun () -> Loop.cancel tm));
-  Loop.cancel tm;
-  Loop.cancel tm (* idempotent *);
+  let tm = Clock.arm clk (Time.sec 60) (fun () -> fired := true) in
+  Clock.after clk (Time.ms 1) (fun () -> Clock.cancel tm);
+  Clock.cancel tm;
+  Clock.cancel tm (* idempotent *);
   Loop.run loop;
   check_bool "cancelled timer never fires" false !fired;
   check_int "no live timers" 0 (Loop.live_timers loop)
@@ -68,8 +70,7 @@ let test_proc_on_host_clock () =
         Engine.Proc.sleep_on clk (Time.ms 2);
         order := `B :: !order)
   in
-  ignore
-    (Loop.arm loop ~after_ns:(Time.ms 1) (fun () -> order := `T :: !order));
+  Clock.after clk (Time.ms 1) (fun () -> order := `T :: !order);
   Loop.run loop;
   Tutil.assert_done h;
   check_bool "sleep interleaves with timers" true

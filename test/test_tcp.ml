@@ -504,11 +504,11 @@ let test_lost_fast_retransmit () =
     (Buffer.contents got = Bb.to_string msg)
 
 (* Every ACK that moves [snd_una] cancels the retransmission timer and
-   arms a new one. The cancelled timer must leave the node's wheel at
-   once, not when its instant passes: after 1 000 connections each finish
-   the handshake and one acknowledged request and echo, the wheel holds
-   no pending timer, 150 ms in — before the 1 s SYN timers or the 200 ms
-   (at least) retransmission timers they replaced were due. *)
+   arms a new one. The cancelled timer must leave the simulator's event
+   queue at once, not when its instant passes: after 1 000 connections
+   each finish the handshake and one acknowledged request and echo, the
+   queue holds no event, 150 ms in — before the 1 s SYN timers or the
+   200 ms (at least) retransmission timers they replaced were due. *)
 let test_acked_timers_cancelled () =
   let n = 1_000 in
   let net, a, b, sa, sb = tcp_pair () in
@@ -526,10 +526,9 @@ let test_acked_timers_cancelled () =
   done;
   Tutil.run_net net ~until:(Engine.Time.ms 150);
   Tutil.check_int "every request echoed" (4 * n) !echoed;
-  let wheel = Padico_fault.Timewheel.for_clock (Simnet.Node.clock a) in
-  Tutil.check_bool "one wheel for both ends" true
-    (wheel == Padico_fault.Timewheel.for_clock (Simnet.Node.clock b));
-  Tutil.check_int "no timer pending" 0 (Padico_fault.Timewheel.pending wheel)
+  Tutil.check_bool "one queue for both ends" true
+    (Simnet.Node.sim a == Simnet.Node.sim b);
+  Tutil.check_int "no timer pending" 0 (Engine.Sim.pending (Simnet.Node.sim a))
 
 let () =
   Alcotest.run "tcp"
